@@ -10,9 +10,8 @@ budget accounting.
 from .backend import (BackendParams, CapacityError, CipherVec,
                       DepthExhaustedError, ModulusLedger, SimdBackend,
                       SlotSimulator)
-from .bench import (BenchReport, LayerCost, column_group_widths,
-                    predict_depth_bits, predict_layer_costs,
-                    predict_op_counts, run_bench)
+from .bench import (BenchReport, LayerCost, predict_depth_bits,
+                    predict_layer_costs, predict_op_counts, run_bench)
 from .conv import KernelPlan, conv_layer, convolve_images, he_conv, span_kernel
 from .encodings import (EncodedMatrix, LayoutKind, MatrixLayout,
                         decode_diagonal, decrypt_rows, diagonal_layout,
@@ -22,8 +21,9 @@ from .encodings import (EncodedMatrix, LayoutKind, MatrixLayout,
 from .linalg import (broadcast_col_sums, broadcast_row_sums, compact_columns,
                      parallel_map, reduce_add, rotate_within_rows, shift_rows,
                      window_sums)
-from .matmul import (WeightGroup, he_matmul, he_matmul_partitioned,
-                     multiply_matrices, split_weight_groups)
+from .matmul import (WeightGroup, column_group_widths, he_matmul,
+                     he_matmul_partitioned, multiply_matrices,
+                     split_weight_groups)
 from .mnist import (image_blocks, load_idx_images, load_idx_labels, load_mnist,
                     write_idx_images, write_idx_labels)
 from .network import (ActSpec, ConvSpec, FcSpec, InferenceResult, NetworkSpec,

@@ -33,7 +33,8 @@ class DepthExhaustedError(RuntimeError):
 class BackendParams:
     """Scheme-level parameters.
 
-    log_n: ring degree exponent; the slot count is 2**(log_n - 1).
+    log_n: ring degree exponent, 1..17 as in real CKKS rings; the slot
+        count is 2**(log_n - 1).
     log_q: fresh ciphertext modulus budget in bits.
     delta_bits: bits consumed by one ciphertext-ciphertext multiply.
     delta_c_bits: bits consumed by one plaintext-mask multiply.
@@ -45,8 +46,8 @@ class BackendParams:
     delta_c_bits: int = 20
 
     def __post_init__(self):
-        if self.log_n < 1:
-            raise ValueError("log_n must be positive")
+        if not 1 <= self.log_n <= 17:
+            raise ValueError(f"log_n must be in 1..17, got {self.log_n}")
         if not (self.log_q > self.delta_bits > self.delta_c_bits > 0):
             raise ValueError(
                 "need log_q > delta_bits > delta_c_bits > 0, got "

@@ -26,18 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import BackendParams, SimdBackend, SlotSimulator
-from .network import (ActSpec, ConvSpec, FcSpec, InferenceResult, NetworkSpec,
-                      infer_images)
-
-
-def column_group_widths(p: int, rows: int) -> list[int]:
-    """How split_weight_groups slices p output columns over `rows` rows."""
-    widths, base = [], 0
-    while base < p:
-        widths.append(min(rows, p - base))
-        base += widths[-1]
-    return widths
+from .backend import BackendParams, SlotSimulator
+from .matmul import column_group_widths
+from .network import (ActSpec, ConvSpec, InferenceResult, NetworkSpec,
+                      infer_images, layer_names)
 
 
 @dataclass
@@ -60,12 +52,8 @@ def predict_layer_costs(net: NetworkSpec, batch: int, row_width: int,
     d, dc = params.delta_bits, params.delta_c_bits
     costs = []
     parts = 1
-    names_seen: dict = {}
-    for pos, layer in enumerate(net.layers):
-        tag = {"ConvSpec": "conv", "ActSpec": "act", "FcSpec": "fc"}[
-            type(layer).__name__]
-        names_seen[tag] = names_seen.get(tag, 0) + 1
-        cost = LayerCost(f"{tag}-{names_seen[tag]}")
+    for pos, (name, layer) in enumerate(zip(layer_names(net), net.layers)):
+        cost = LayerCost(name)
         if isinstance(layer, ConvSpec):
             c, k = layer.channels, layer.k
             cost.rot = c * 2 * k * k * (k - 1)
@@ -109,16 +97,16 @@ def predict_layer_costs(net: NetworkSpec, batch: int, row_width: int,
     return costs
 
 
+def total_op_counts(costs) -> dict:
+    """Per-layer op counts summed into one total per kind."""
+    return {k: sum(getattr(c, k) for c in costs) for k in ("mul", "cmul", "rot", "add")}
+
+
 def predict_op_counts(net: NetworkSpec, batch: int, row_width: int,
                       params: BackendParams,
                       encrypted_kernels: bool = False) -> dict:
-    costs = predict_layer_costs(net, batch, row_width, params, encrypted_kernels)
-    return {
-        "mul": sum(c.mul for c in costs),
-        "cmul": sum(c.cmul for c in costs),
-        "rot": sum(c.rot for c in costs),
-        "add": sum(c.add for c in costs),
-    }
+    return total_op_counts(predict_layer_costs(net, batch, row_width, params,
+                                               encrypted_kernels))
 
 
 def predict_depth_bits(net: NetworkSpec, batch: int, row_width: int,
@@ -139,8 +127,7 @@ class BenchReport:
 
     @property
     def counts_match(self) -> bool:
-        want = {k: sum(getattr(c, k) for c in self.predicted)
-                for k in ("mul", "cmul", "rot", "add")}
+        want = total_op_counts(self.predicted)
         return all(self.result.op_counts[k] == want[k] for k in want)
 
 

@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from .backend import BackendParams, DepthExhaustedError, SlotSimulator
-from .bench import run_bench
+from .bench import run_bench, total_op_counts
 from .mnist import image_blocks, load_idx_images, load_mnist
 from .network import infer_images, random_network, stock_geometry
 from .verify import run_all
@@ -27,9 +27,7 @@ def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--threads", type=int, default=1, help="worker threads")
     sub.add_argument("--seed", type=int, default=0, help="rng seed")
     sub.add_argument("--encrypted-kernels", action="store_true",
-                     help="combine conv kernels as ciphertexts, not masks")
-    sub.add_argument("--sequential", action="store_true",
-                     help="force a single-threaded schedule")
+                     help="encrypt conv kernels as ciphertexts, not masks")
 
 
 def _params(args) -> BackendParams:
@@ -38,17 +36,21 @@ def _params(args) -> BackendParams:
 
 
 def _threads(args) -> int:
-    return 1 if args.sequential else max(1, args.threads)
+    return max(1, args.threads)
+
+
+def _row_width(params: BackendParams, batch: int) -> int:
+    if batch < 1:
+        raise ValueError(f"batch must be at least 1, got {batch}")
+    if params.slots % batch:
+        raise ValueError(f"batch {batch} must divide {params.slots} slots")
+    return params.slots // batch
 
 
 def cmd_infer(args) -> int:
     net = load_weights_csv(args.weights)
     params = _params(args)
-    if args.batch < 1:
-        raise ValueError(f"batch must be at least 1, got {args.batch}")
-    if params.slots % args.batch:
-        raise ValueError(f"batch {args.batch} must divide {params.slots} slots")
-    row_width = params.slots // args.batch
+    row_width = _row_width(params, args.batch)
     if args.labels:
         images, labels = load_mnist(args.images, args.labels)
     else:
@@ -110,10 +112,7 @@ def cmd_bench(args) -> int:
         g = stock_geometry()
         net = random_network(np.random.default_rng(args.seed), **g)
         source = f"random stock geometry (seed {args.seed})"
-    if args.batch < 1:
-        raise ValueError(f"batch must be at least 1, got {args.batch}")
-    if params.slots % args.batch:
-        raise ValueError(f"batch {args.batch} must divide {params.slots} slots")
+    _row_width(params, args.batch)
     report = run_bench(net, params, args.batch, threads=_threads(args),
                        encrypted_kernels=args.encrypted_kernels, seed=args.seed)
     print(f"network: {source}")
@@ -122,8 +121,7 @@ def cmd_bench(args) -> int:
     print(f"{'layer':<8}{'mul':>8}{'cmul':>8}{'rot':>8}{'add':>8}{'depth':>8}")
     for c in report.predicted:
         print(f"{c.name:<8}{c.mul:>8}{c.cmul:>8}{c.rot:>8}{c.add:>8}{c.depth_bits:>8}")
-    want = {k: sum(getattr(c, k) for c in report.predicted)
-            for k in ("mul", "cmul", "rot", "add")}
+    want = total_op_counts(report.predicted)
     got = report.result.op_counts
     print(f"{'total':<8}{want['mul']:>8}{want['cmul']:>8}{want['rot']:>8}"
           f"{want['add']:>8}{sum(c.depth_bits for c in report.predicted):>8}")

@@ -65,8 +65,7 @@ def span_kernel(kernel, bias: float, h: int, w: int, rows: int,
 
 
 def he_conv(backend: SimdBackend, image: EncodedMatrix, plan: KernelPlan,
-            encrypted_kernels: bool = False, threads: int = 1,
-            combine: str = "tree") -> EncodedMatrix:
+            encrypted_kernels: bool = False, threads: int = 1) -> EncodedMatrix:
     """Convolve a packed batch with one planned kernel.
 
     Output keeps the input grid layout, with the result for anchor (a, b)
@@ -92,22 +91,20 @@ def he_conv(backend: SimdBackend, image: EncodedMatrix, plan: KernelPlan,
 
     acc = backend.encrypt(plan.bias_slots)
     branches = parallel_map(branch, plan.spans, threads)
-    return EncodedMatrix(reduce_add(backend, [acc] + branches, combine), lay)
+    return EncodedMatrix(reduce_add(backend, [acc] + branches), lay)
 
 
 def conv_layer(backend: SimdBackend, image: EncodedMatrix, plans,
-               encrypted_kernels: bool = False, threads: int = 1,
-               combine: str = "tree") -> list[EncodedMatrix]:
+               encrypted_kernels: bool = False, threads: int = 1) -> list[EncodedMatrix]:
     """Apply every kernel plan to the same batch, one output per channel."""
-    return [he_conv(backend, image, plan, encrypted_kernels, threads, combine)
+    return [he_conv(backend, image, plan, encrypted_kernels, threads)
             for plan in plans]
 
 
 def convolve_images(images, kernel, bias: float = 0.0,
                     row_width: int | None = None,
                     backend: SimdBackend | None = None,
-                    encrypted_kernels: bool = False, threads: int = 1,
-                    combine: str = "tree") -> np.ndarray:
+                    encrypted_kernels: bool = False, threads: int = 1) -> np.ndarray:
     """Pack, convolve homomorphically, decrypt the valid region."""
     imgs = np.asarray(images, dtype=np.float64)
     m, h, w = imgs.shape
@@ -120,6 +117,6 @@ def convolve_images(images, kernel, bias: float = 0.0,
         backend = SlotSimulator(BackendParams.for_slots(m * f))
     packed = pack_image_batch(backend, imgs, f)
     plan = span_kernel(kern, bias, h, w, m, f)
-    out = he_conv(backend, packed, plan, encrypted_kernels, threads, combine)
+    out = he_conv(backend, packed, plan, encrypted_kernels, threads)
     grid = backend.decrypt(out.ct).reshape(m, f)[:, : h * w].reshape(m, h, w)
     return grid[:, : h - k + 1, : w - k + 1]

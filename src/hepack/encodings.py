@@ -59,9 +59,6 @@ class MatrixLayout:
     def slots(self) -> int:
         return self.rows * self.row_width
 
-    def with_kind(self, kind: LayoutKind, **kw) -> "MatrixLayout":
-        return MatrixLayout(self.rows, self.row_width, kw.pop("logical_width", self.logical_width), kind, **kw)
-
 
 def row_major_layout(rows: int, row_width: int, logical_width: int) -> MatrixLayout:
     return MatrixLayout(rows, row_width, logical_width, LayoutKind.ROW_MAJOR)

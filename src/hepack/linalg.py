@@ -34,15 +34,6 @@ def _frozen(buf: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def make_matmul_filter(rows: int, row_width: int, step: int) -> np.ndarray:
-    """1 at slot (i, (i + step) % row_width) for every row i, else 0."""
-    buf = np.zeros((rows, row_width))
-    idx = (np.arange(rows) + step) % row_width
-    buf[np.arange(rows), idx] = 1.0
-    return _frozen(buf)
-
-
-@lru_cache(maxsize=None)
 def make_group_filter(rows: int, row_width: int, period: int, base: int,
                       width: int, step: int) -> np.ndarray:
     """Filter for a column group of a split product.
@@ -50,7 +41,7 @@ def make_group_filter(rows: int, row_width: int, period: int, base: int,
     Row i's value this iteration belongs to output column
     j = base + ((i + step) % width); it is placed at the diagonal-layout
     column for (i, j) under the full period. With base 0 and
-    width == period this is exactly make_matmul_filter.
+    width == period this is 1 at (i, (i + step) % row_width).
     """
     buf = np.zeros((rows, row_width))
     for i in range(rows):
@@ -237,25 +228,16 @@ def compact_columns(backend: SimdBackend, enc: EncodedMatrix) -> EncodedMatrix:
                          row_major_layout(lay.rows, f, p))
 
 
-# ---------------------------------------------------- combine / schedule
+# ----------------------------------------------------- reduce / schedule
 
-def reduce_add(backend: SimdBackend, cts: list[CipherVec],
-               combine: str = "tree") -> CipherVec:
-    """Deterministic sum of ciphertexts: balanced tree or left fold.
+def reduce_add(backend: SimdBackend, cts: list[CipherVec]) -> CipherVec:
+    """Deterministic sum of ciphertexts as a balanced tree.
 
-    Both cost len(cts) - 1 additions; the tree is the default because its
-    floating-point result is independent of how the inputs were produced
-    batch-wise or thread-wise.
+    Costs len(cts) - 1 additions; its floating-point result is independent
+    of how the inputs were produced batch-wise or thread-wise.
     """
     if not cts:
         raise ValueError("nothing to add")
-    if combine == "fold":
-        acc = cts[0]
-        for ct in cts[1:]:
-            acc = backend.add(acc, ct)
-        return acc
-    if combine != "tree":
-        raise ValueError(f"unknown combine mode {combine!r}")
     level = list(cts)
     while len(level) > 1:
         nxt = [backend.add(level[i], level[i + 1])

@@ -40,12 +40,6 @@ class WeightGroup:
     enc: EncodedMatrix
 
 
-def _as_groups(block, p: int) -> list[WeightGroup]:
-    if isinstance(block, EncodedMatrix):
-        return [WeightGroup(0, p, block)]
-    return list(block)
-
-
 def _branch(backend: SimdBackend, a: EncodedMatrix, group: WeightGroup,
             step: int, p: int):
     m, f = a.layout.rows, a.layout.row_width
@@ -57,17 +51,16 @@ def _branch(backend: SimdBackend, a: EncodedMatrix, group: WeightGroup,
 
 
 def he_matmul_partitioned(backend: SimdBackend, a_parts, b_blocks, p: int,
-                          acc_init=None, threads: int = 1,
-                          combine: str = "tree") -> EncodedMatrix:
+                          acc_init=None, threads: int = 1) -> EncodedMatrix:
     """Sum of per-block products, all placed in one diagonal(p) output.
 
     a_parts[g] is a row-major encoding of A's g-th column block; b_blocks[g]
-    is the matching transpose-extended encoding (or a list of WeightGroup
-    when B's columns were split because p > rows). With one block and one
-    group this is the plain product.
+    is the list of WeightGroup encoding the matching rows of B, as
+    split_weight_groups makes it (one group unless p > rows). With one
+    block and one group this is the plain product.
     """
     a_parts = list(a_parts)
-    b_blocks = [_as_groups(b, p) for b in b_blocks]
+    b_blocks = list(b_blocks)
     if len(a_parts) != len(b_blocks):
         raise ValueError(f"{len(a_parts)} A parts vs {len(b_blocks)} B blocks")
     if not a_parts:
@@ -95,13 +88,12 @@ def he_matmul_partitioned(backend: SimdBackend, a_parts, b_blocks, p: int,
             for step in range(grp.width)]
     branches = parallel_map(lambda j: _branch(backend, j[0], j[1], j[2], p),
                             jobs, threads)
-    out = reduce_add(backend, [acc] + branches, combine)
+    out = reduce_add(backend, [acc] + branches)
     return EncodedMatrix(out, diagonal_layout(m, f, p))
 
 
 def he_matmul(backend: SimdBackend, a: EncodedMatrix, b: EncodedMatrix, p: int,
-              acc_init=None, threads: int = 1,
-              combine: str = "tree") -> EncodedMatrix:
+              acc_init=None, threads: int = 1) -> EncodedMatrix:
     """Product against a single transpose-extended encoding; needs rows >= p.
 
     For a wider output either pad A with zero rows before encoding or use
@@ -110,18 +102,22 @@ def he_matmul(backend: SimdBackend, a: EncodedMatrix, b: EncodedMatrix, p: int,
     if p > a.layout.rows:
         raise ValueError(
             f"output width {p} exceeds {a.layout.rows} rows; pad A or split columns")
-    return he_matmul_partitioned(backend, [a], [b], p, acc_init, threads, combine)
+    return he_matmul_partitioned(backend, [a], [[WeightGroup(0, p, b)]], p,
+                                 acc_init, threads)
+
+
+def column_group_widths(p: int, rows: int) -> list[int]:
+    """Widths of the column groups that p output columns split into."""
+    return [min(rows, p - base) for base in range(0, p, rows)]
 
 
 def split_weight_groups(backend: SimdBackend, matrix, rows: int,
                         row_width: int) -> list[WeightGroup]:
     """Encode an n x p matrix as column groups of at most `rows` columns."""
     b = np.asarray(matrix, dtype=np.float64)
-    n, p = b.shape
-    groups = []
-    base = 0
-    while base < p:
-        width = min(rows, p - base)
+    _, p = b.shape
+    groups, base = [], 0
+    for width in column_group_widths(p, rows):
         enc = encode_transpose_extended(backend, b[:, base:base + width],
                                         rows, row_width)
         groups.append(WeightGroup(base, width, enc))
@@ -135,7 +131,7 @@ def _next_pow2(n: int) -> int:
 
 def multiply_matrices(a, b, row_width: int | None = None,
                       backend: SimdBackend | None = None, acc_init=None,
-                      threads: int = 1, combine: str = "tree") -> np.ndarray:
+                      threads: int = 1) -> np.ndarray:
     """Encode, multiply homomorphically, decode. Oracle-checkable one-call form.
 
     Handles m < p by zero-row padding A up to the output width before
@@ -158,5 +154,5 @@ def multiply_matrices(a, b, row_width: int | None = None,
         a = np.vstack([a, np.zeros((rows - m, n))])
     enc_a = encode_row_major(backend, a, f)
     enc_b = encode_transpose_extended(backend, b, rows, f)
-    out = he_matmul(backend, enc_a, enc_b, p, acc_init, threads, combine)
+    out = he_matmul(backend, enc_a, enc_b, p, acc_init, threads)
     return decode_diagonal(backend.decrypt(out.ct), rows, f, p)[:m]

@@ -26,7 +26,6 @@ from .encodings import (EncodedMatrix, LayoutKind, decode_diagonal,
                         pack_image_batch)
 from .linalg import compact_columns, reduce_add
 from .matmul import he_matmul_partitioned, split_weight_groups
-from .encodings import encode_transpose_extended
 
 # Degree-three least-squares activation fits baked into the stock MNIST model.
 STOCK_ACT1 = (-0.00015120704, 0.4610149, 2.0225089, -1.4511951)
@@ -151,8 +150,7 @@ def _fc_block_matrix(part: EncodedMatrix, weight: np.ndarray, offset: int,
 
 
 def fc_layer(backend: SimdBackend, parts, spec: FcSpec, valid_hw=None,
-             compact: bool = True, threads: int = 1,
-             combine: str = "tree") -> EncodedMatrix:
+             compact: bool = True, threads: int = 1) -> EncodedMatrix:
     """Fully-connected layer over one or more packed input parts.
 
     Produces the diagonal(out_dim) product with the bias seeded into the
@@ -166,16 +164,13 @@ def fc_layer(backend: SimdBackend, parts, spec: FcSpec, valid_hw=None,
     b_blocks = []
     for part in parts:
         block, offset = _fc_block_matrix(part, spec.weight, offset, valid_hw)
-        if p <= m:
-            b_blocks.append(encode_transpose_extended(backend, block, m, f))
-        else:
-            b_blocks.append(split_weight_groups(backend, block, m, f))
+        b_blocks.append(split_weight_groups(backend, block, m, f))
     if offset != spec.in_dim:
         raise ValueError(
             f"input parts supply {offset} features, fc expects {spec.in_dim}")
     acc = np.tile(np.asarray(spec.bias, dtype=np.float64), (m, 1))
     out = he_matmul_partitioned(backend, parts, b_blocks, p, acc_init=acc,
-                                threads=threads, combine=combine)
+                                threads=threads)
     if compact:
         return compact_columns(backend, out)
     return out
@@ -191,7 +186,8 @@ class InferenceResult:
     op_counts: dict = field(default_factory=dict)  # ledger deltas for this call
 
 
-def _layer_names(net: NetworkSpec) -> list[str]:
+def layer_names(net: NetworkSpec) -> list[str]:
+    """conv-1, act-1, fc-1, ...: each layer's kind and its rank among them."""
     names, seen = [], {}
     for layer in net.layers:
         tag = {"ConvSpec": "conv", "ActSpec": "act", "FcSpec": "fc"}[
@@ -202,8 +198,7 @@ def _layer_names(net: NetworkSpec) -> list[str]:
 
 
 def infer(backend: SimdBackend, net: NetworkSpec, packed: EncodedMatrix,
-          threads: int = 1, encrypted_kernels: bool = False,
-          combine: str = "tree") -> InferenceResult:
+          threads: int = 1, encrypted_kernels: bool = False) -> InferenceResult:
     """Run the network over a packed batch; logits come back per image."""
     net.validate()
     lay = packed.layout
@@ -213,7 +208,7 @@ def infer(backend: SimdBackend, net: NetworkSpec, packed: EncodedMatrix,
     before = backend.ledger.snapshot()
     parts = [packed]
     valid_hw = (net.input_h, net.input_w)
-    names = _layer_names(net)
+    names = layer_names(net)
     budget = min(p.ct.budget_bits for p in parts)
     layer_depths = []
     for pos, (name, layer) in enumerate(zip(names, net.layers)):
@@ -224,16 +219,14 @@ def infer(backend: SimdBackend, net: NetworkSpec, packed: EncodedMatrix,
                                      net.input_h, net.input_w, lay.rows,
                                      lay.row_width)
                          for c in range(layer.channels)]
-                parts = conv_layer(backend, parts[0], plans, encrypted_kernels,
-                                   threads, combine)
+                parts = conv_layer(backend, parts[0], plans, encrypted_kernels, threads)
                 valid_hw = (net.input_h - layer.k + 1, net.input_w - layer.k + 1)
             elif isinstance(layer, ActSpec):
                 parts = [apply_activation(backend, p, layer.coeffs)
                          for p in parts]
             else:
                 parts = [fc_layer(backend, parts, layer, valid_hw,
-                                  compact=not last, threads=threads,
-                                  combine=combine)]
+                                  compact=not last, threads=threads)]
         except DepthExhaustedError as e:
             raise DepthExhaustedError(f"budget exhausted in layer {name}: {e}") from e
         now = min(p.ct.budget_bits for p in parts)
@@ -263,7 +256,7 @@ def infer_images(backend: SimdBackend, net: NetworkSpec, images,
 
 # ------------------------------------------------------------- reference
 
-def _conv2d_valid(images: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+def conv2d_valid(images: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Plain batched valid cross-correlation, accumulated tap by tap."""
     m, h, w = images.shape
     k = kernel.shape[0]
@@ -282,7 +275,7 @@ def reference_infer(net: NetworkSpec, images) -> np.ndarray:
     feats = None
     for layer in net.layers:
         if isinstance(layer, ConvSpec):
-            chans = [_conv2d_valid(x, layer.kernels[c]) + layer.biases[c]
+            chans = [conv2d_valid(x, layer.kernels[c]) + layer.biases[c]
                      for c in range(layer.channels)]
             x = np.stack(chans, axis=1)  # (m, C, oh, ow)
         elif isinstance(layer, ActSpec):

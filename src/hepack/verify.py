@@ -15,14 +15,14 @@ import numpy as np
 from .backend import BackendParams, SlotSimulator
 from .bench import predict_depth_bits, predict_op_counts
 from .conv import convolve_images
-from .encodings import pack_image_batch
+from .encodings import decode_diagonal, encode_row_major, pack_image_batch
 from .linalg import make_conv_filter, make_valid_region_mask, rotate_within_rows
-from .matmul import multiply_matrices
-from .network import (infer_images, random_network, reduced_geometry,
-                      reference_infer)
+from .matmul import he_matmul_partitioned, multiply_matrices, split_weight_groups
+from .network import (conv2d_valid, infer_images, random_network,
+                      reduced_geometry, reference_infer)
 
 MATMUL_SHAPES = [(2, 4, 2), (4, 4, 4), (8, 16, 4), (8, 16, 64)]
-PARTITION_SHAPE = (8, 64, 16, 4)  # m, n, p, blocks
+PARTITION_SHAPE = (8, 64, 16, 4)  # m, n, p, blocks; p > m splits B's columns
 
 
 @dataclass
@@ -57,12 +57,15 @@ def check_matmul_partitioned(rng: np.random.Generator) -> CheckResult:
     a = rng.normal(size=(m, n))
     b = rng.normal(size=(n, p))
     step = n // blocks
-    acc = None
-    for g in range(blocks):
-        part = multiply_matrices(a[:, g * step:(g + 1) * step],
-                                 b[g * step:(g + 1) * step, :])
-        acc = part if acc is None else acc + part
-    err = float(np.abs(acc - a @ b).max())
+    f = max(step, p)
+    backend = SlotSimulator(BackendParams.for_slots(m * f))
+    a_parts = [encode_row_major(backend, a[:, g * step:(g + 1) * step], f)
+               for g in range(blocks)]
+    b_blocks = [split_weight_groups(backend, b[g * step:(g + 1) * step], m, f)
+                for g in range(blocks)]
+    out = he_matmul_partitioned(backend, a_parts, b_blocks, p)
+    got = decode_diagonal(backend.decrypt(out.ct), m, f, p)
+    err = float(np.abs(got - a @ b).max())
     return CheckResult("matmul partitioned", err, 1e-9,
                        detail=f"(m,n,p)={PARTITION_SHAPE[:3]} blocks={blocks}")
 
@@ -80,12 +83,7 @@ def check_conv_sweep(rng: np.random.Generator) -> CheckResult:
                         bias = float(rng.normal())
                         got = convolve_images(imgs, kern, bias,
                                               encrypted_kernels=encrypted)
-                        oh, ow = h - k + 1, w - k + 1
-                        ref = np.zeros((batch, oh, ow))
-                        for u in range(k):
-                            for v in range(k):
-                                ref += kern[u, v] * imgs[:, u:u + oh, v:v + ow]
-                        ref += bias
+                        ref = conv2d_valid(imgs, kern) + bias
                         worst = max(worst, float(np.abs(got - ref).max()))
                         runs += 1
     return CheckResult("conv sweep", worst, 1e-9, detail=f"runs={runs}")

@@ -10,10 +10,13 @@ Sections in network order, each opened by a header line:
                              of `rows` bias values
 
 Values are comma separated, UTF-8, LF lines, '.' decimal point, written
-with repr() so a save/load round trip is bitwise exact.
+with repr() so a save/load round trip is bitwise exact. Every value must
+be finite.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -33,7 +36,14 @@ def _floats(text: str, lineno: int, expect: int | None = None) -> list[float]:
     if expect is not None and len(vals) != expect:
         raise WeightsParseError(
             f"line {lineno}: expected {expect} values, found {len(vals)}")
+    _require_finite(vals, lineno)
     return vals
+
+
+def _require_finite(vals, lineno: int):
+    for v in vals:
+        if not math.isfinite(v):
+            raise WeightsParseError(f"line {lineno}: non-finite value {v!r}")
 
 
 class _Lines:
@@ -93,6 +103,7 @@ def load_weights_csv(path) -> NetworkSpec:
             except ValueError:
                 raise WeightsParseError(
                     f"line {lineno}: non-numeric #act coefficient") from None
+            _require_finite(coeffs, lineno)
             layers.append(ActSpec(coeffs))
         elif tag == "fc":
             if len(head) != 3:

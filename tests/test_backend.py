@@ -34,6 +34,9 @@ def test_params_validation():
         BackendParams(log_n=16, log_q=1200, delta_bits=10, delta_c_bits=20)
     with pytest.raises(ValueError):
         BackendParams(log_n=0, log_q=1200)
+    with pytest.raises(ValueError, match="log_n must be in 1..17, got 18"):
+        BackendParams(log_n=18, log_q=1200)
+    assert BackendParams(log_n=17).slots == 65536
 
 
 def test_encrypt_decrypt_round_trip_pads_with_zeros():

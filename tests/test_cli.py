@@ -9,9 +9,10 @@ from hepack import (
     write_idx_images,
     write_idx_labels,
 )
+from hepack import verify
 from hepack.cli import main
 from hepack.linalg import make_conv_filter
-from hepack.verify import check_conv_filter_partition
+from hepack.verify import check_conv_filter_partition, check_matmul_partitioned
 
 
 @pytest.fixture
@@ -120,6 +121,16 @@ def test_infer_batch_must_divide_slots(reduced_files, capsys):
     assert "must divide" in capsys.readouterr().err
 
 
+def test_infer_rejects_an_oversized_ring(reduced_files, capsys):
+    # 2^33 slots would need 64 GiB. The bad --logq keeps a build without the
+    # log_n bound from allocating them: it fails here on the message instead.
+    rc = main(["infer", "--weights", str(reduced_files["weights"]),
+               "--images", str(reduced_files["images"]),
+               "--batch", "8", "--logn", "34", "--logq", "10"])
+    assert rc == 1
+    assert "log_n must be in 1..17, got 34" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("batch", ["0", "-8"])
 def test_infer_batch_must_be_positive(reduced_files, capsys, batch):
     rc = main(["infer", "--weights", str(reduced_files["weights"]),
@@ -134,7 +145,7 @@ def test_threaded_and_sequential_predictions_are_identical(reduced_files):
     out_b = reduced_files["tmp"] / "par.csv"
     base = ["infer", "--weights", str(reduced_files["weights"]),
             "--images", str(reduced_files["images"]), *SMALL]
-    assert main(base + ["--out", str(out_a), "--sequential"]) == 0
+    assert main(base + ["--out", str(out_a), "--threads", "1"]) == 0
     assert main(base + ["--out", str(out_b), "--threads", "4"]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
 
@@ -159,6 +170,18 @@ def test_verify_catches_an_injected_fault():
     assert not doubled.passed
     intact = check_conv_filter_partition(masks=masks)
     assert intact.passed
+
+
+def test_verify_partitioned_check_runs_the_partitioned_product(monkeypatch):
+    real = verify.he_matmul_partitioned
+
+    def drop_last_block(backend, a_parts, b_blocks, p, **kw):
+        return real(backend, a_parts[:-1], b_blocks[:-1], p, **kw)
+
+    rng = np.random.default_rng(0)
+    assert check_matmul_partitioned(rng).passed
+    monkeypatch.setattr(verify, "he_matmul_partitioned", drop_last_block)
+    assert not check_matmul_partitioned(rng).passed
 
 
 def test_bench_audits_op_counts(reduced_files, capsys):

@@ -57,7 +57,7 @@ def test_partitioned_inner_dimension_split():
     backend = sim(64)
     a_parts = [encode_row_major(backend, a[:, g * 4:(g + 1) * 4], 8)
                for g in range(4)]
-    b_blocks = [encode_transpose_extended(backend, b[g * 4:(g + 1) * 4], 8, 8)
+    b_blocks = [split_weight_groups(backend, b[g * 4:(g + 1) * 4], 8, 8)
                 for g in range(4)]
     out = he_matmul_partitioned(backend, a_parts, b_blocks, 4)
     got = decode_diagonal(backend.decrypt(out.ct), 8, 8, 4)
@@ -106,7 +106,7 @@ def test_group_tiling_is_validated():
 def test_partitioned_argument_validation():
     backend = sim(64)
     a = encode_row_major(backend, np.ones((8, 4)), 8)
-    b = encode_transpose_extended(backend, np.ones((4, 4)), 8, 8)
+    b = split_weight_groups(backend, np.ones((4, 4)), 8, 8)
     with pytest.raises(ValueError):
         he_matmul_partitioned(backend, [], [], 4)
     with pytest.raises(ValueError):
@@ -157,15 +157,6 @@ def test_parallel_matches_sequential_bitwise():
     seq = multiply_matrices(a, b, threads=1)
     par = multiply_matrices(a, b, threads=4)
     assert np.array_equal(seq, par)
-
-
-def test_fold_combine_agrees_with_tree():
-    rng = np.random.default_rng(12)
-    a = rng.normal(size=(4, 8))
-    b = rng.normal(size=(8, 4))
-    tree = multiply_matrices(a, b, combine="tree")
-    fold = multiply_matrices(a, b, combine="fold")
-    assert np.allclose(tree, fold, atol=1e-12)
 
 
 def test_multiply_matrices_validation():

@@ -64,6 +64,15 @@ def test_non_numeric_cell_names_its_line(tmp_path):
         load_weights_csv(path)
 
 
+@pytest.mark.parametrize("text,where", [
+    (GOOD_HEAD + "#fc 2 4\n1.0,nan,0.0,0.0\n0.0,1.0,0.0,0.0\n0.1,0.2\n", "line 4"),
+    (GOOD_HEAD + "#act 0.0 1.0 inf 0.0\n" + GOOD_TAIL, "line 3"),
+])
+def test_non_finite_value_names_its_line(tmp_path, text, where):
+    with pytest.raises(WeightsParseError, match=f"{where}: non-finite value"):
+        load_weights_csv(write(tmp_path, text))
+
+
 def test_wrong_value_count_names_its_line(tmp_path):
     path = write(tmp_path, "#conv 2 3 3 1\n1.0,0.0,1.0,0.5\n" + GOOD_TAIL)
     with pytest.raises(WeightsParseError, match="line 2: expected 5 values"):
