@@ -6,12 +6,15 @@ budget depth of the data path can be predicted exactly from the geometry:
 conv (per channel)   cmul 3k^2, rot 2k^2(k-1), add 2k^2(k-1)+k^2
                      (encrypted kernels: k^2 of the cmuls become muls)
 act (per part)       2 mul, 3 cmul, 3 add
-fc                   G*p iterations of [shift + mul + row-sum ladder
-                     (2 log2 f rot, 2 log2 f add, 1 cmul) + filter cmul],
-                     shift costing 1 rot per nonzero step, or 2 rot +
-                     2 cmul + 1 add when the group width does not divide
-                     the row count; + G*p accumulation adds; inner layers
-                     add one column fold: f/p cmul, f/p - 1 rot and add.
+fc                   p iterations (G input blocks, output width p) of
+                     [G shifts + G mul + G-1 block adds + one row-sum
+                     ladder (up + down rot and add, 1 cmul) + filter cmul],
+                     up = ceil(log2 n) for n input slots per row and
+                     down = ceil(log2 min(f, m + p - 1)); a shift costs
+                     1 rot per nonzero step, or 2 rot + 2 cmul + 1 add
+                     when the group width does not divide the row count;
+                     + p accumulation adds; inner layers add one column
+                     fold: f/p cmul, f/p - 1 rot and add.
 
 Depth assumes weight ciphertexts are fresher than the data path (true
 whenever the weights are encrypted at full budget), so only the data-side
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backend import BackendParams, SlotSimulator
+from .linalg import ceil_log2
 from .matmul import column_group_widths
 from .network import (ActSpec, ConvSpec, InferenceResult, NetworkSpec,
                       infer_images, layer_names)
@@ -48,10 +52,10 @@ def predict_layer_costs(net: NetworkSpec, batch: int, row_width: int,
     """Per-layer op counts and depth for one batch through the network."""
     net.validate()
     m, f = batch, row_width
-    log2f = f.bit_length() - 1
     d, dc = params.delta_bits, params.delta_c_bits
     costs = []
     parts = 1
+    width = net.input_h * net.input_w  # slots per row the next fc reads
     for pos, (name, layer) in enumerate(zip(layer_names(net), net.layers)):
         cost = LayerCost(name)
         if isinstance(layer, ConvSpec):
@@ -74,10 +78,11 @@ def predict_layer_costs(net: NetworkSpec, batch: int, row_width: int,
         else:
             g, p = parts, layer.out_dim
             widths = column_group_widths(p, m)
+            ladder = ceil_log2(width) + ceil_log2(min(f, m + p - 1))
             cost.mul = g * p
-            cost.cmul = 2 * g * p
-            cost.rot = g * p * 2 * log2f
-            cost.add = g * p * 2 * log2f + g * p
+            cost.cmul = 2 * p
+            cost.rot = p * ladder
+            cost.add = p * ladder + g * p
             for w in widths:
                 if m % w == 0:
                     cost.rot += g * (w - 1)
@@ -92,7 +97,7 @@ def predict_layer_costs(net: NetworkSpec, batch: int, row_width: int,
                 cost.rot += bands - 1
                 cost.add += bands - 1
                 cost.depth_bits += dc
-            parts = 1
+            parts, width = 1, p
         costs.append(cost)
     return costs
 

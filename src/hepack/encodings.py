@@ -131,12 +131,15 @@ def encode_transpose_extended(backend: SimdBackend, matrix, rows: int,
 def pack_image_batch(backend: SimdBackend, images, row_width: int) -> EncodedMatrix:
     """Encrypt a batch of m images of shape h x w, one image per row.
 
-    Pixel values are taken as given (normalize before packing). Slots
-    past h*w in each row are zero pad.
+    Pixel values are taken as given (normalize before packing) and must
+    be finite. Slots past h*w in each row are zero pad.
     """
     imgs = np.asarray(images, dtype=np.float64)
     if imgs.ndim != 3:
         raise ValueError("images must have shape (m, h, w)")
+    bad = int(np.count_nonzero(~np.isfinite(imgs)))
+    if bad:
+        raise ValueError(f"images hold {bad} non-finite (NaN or inf) pixel values")
     m, h, w = imgs.shape
     if h * w > row_width:
         raise ValueError(f"image of {h * w} pixels exceeds row_width {row_width}")

@@ -4,7 +4,8 @@ All helpers take the backend first and an EncodedMatrix, and return a new
 EncodedMatrix. Costs per call (asserted by the test suite):
 
 shift_rows            1 rot (fast path), or 2 rot + 2 cmul + 1 add; step 0 free
-broadcast_row_sums    2*log2(f) rot + 2*log2(f) add + 1 cmul
+broadcast_row_sums    (ceil(log2 n) + ceil(log2 reach)) rot and add + 1 cmul,
+                      n the logical width, reach f unless given
 broadcast_col_sums    log2(rows) rot + log2(rows) add
 window_sums           2*(k-1) rot + 2*(k-1) add + 1 cmul
 rotate_within_rows    2 rot + 2 cmul + 1 add; amount 0 free
@@ -100,6 +101,11 @@ def _log2(n: int, what: str) -> int:
     return b
 
 
+def ceil_log2(n: int) -> int:
+    """Doubling steps needed to span n columns."""
+    return (n - 1).bit_length()
+
+
 def shift_rows(backend: SimdBackend, enc: EncodedMatrix, period: int,
                step: int) -> EncodedMatrix:
     """Advance a transpose-extended encoding by `step` columns.
@@ -125,22 +131,29 @@ def shift_rows(backend: SimdBackend, enc: EncodedMatrix, period: int,
     return EncodedMatrix(backend.add(head, tail), enc.layout)
 
 
-def broadcast_row_sums(backend: SimdBackend, enc: EncodedMatrix) -> EncodedMatrix:
-    """Fill every slot of row i with the sum of row i.
+def broadcast_row_sums(backend: SimdBackend, enc: EncodedMatrix,
+                       reach: int | None = None) -> EncodedMatrix:
+    """Fill columns 0..reach-1 of row i with the sum of row i.
 
-    Rotate-and-add doubling puts the exact row total in column 0 of each
-    row (columns past 0 pick up wrapped garbage); that column is masked
-    out and broadcast back across the row by a reverse doubling ladder.
+    Rotate-and-add doubling over the layout's logical width puts the
+    exact row total in column 0 of each row, so the slots past that width
+    must be zero; columns past 0 pick up wrapped garbage. Column 0 is
+    masked out and broadcast back by a reverse doubling ladder that
+    reaches `reach` columns (default: the whole row); columns past its
+    last step stay zero.
     """
     m, f = enc.layout.rows, enc.layout.row_width
-    steps = _log2(f, "row_width")
+    _log2(f, "row_width")
+    reach = f if reach is None else reach
+    if not 0 < reach <= f:
+        raise ValueError(f"reach must be in 1..{f}, got {reach}")
     acc = enc.ct
-    for t in range(steps):
+    for t in range(ceil_log2(enc.layout.logical_width)):
         acc = backend.add(acc, backend.rot(acc, 1 << t))
     acc = backend.cmul(acc, make_col_band_mask(m, f, 0, 1))
-    for t in range(steps):
+    for t in range(ceil_log2(reach)):
         acc = backend.add(acc, backend.rot(acc, -(1 << t)))
-    return EncodedMatrix(acc, row_major_layout(m, f, f))
+    return EncodedMatrix(acc, row_major_layout(m, f, reach))
 
 
 def broadcast_col_sums(backend: SimdBackend, enc: EncodedMatrix) -> EncodedMatrix:

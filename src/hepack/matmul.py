@@ -2,14 +2,25 @@
 
 C = A * B with A encrypted row-major (m x n in rows of width f) and B
 encrypted transpose-extended (row r = column r % p of B). One iteration
-per output column j: advance the B encoding so row i faces column
+per output column step: advance the B encoding so row i faces column
 (i + step) % p, multiply slot-wise, broadcast row sums, and keep one slot
 per row under a filter mask. The p filtered terms land on disjoint slots
 and add up to the diagonal output layout.
 
-Iteration cost: 1 shift_rows + 1 mul + 1 broadcast_row_sums + 1 cmul +
-1 add, so a full product burns p*(delta + 2*delta_c) bits of rescale work
-(plus p*2*delta_c more for the masked shift when p does not divide m).
+When A arrives as G column blocks A_g, each facing the matching rows B_g,
+an iteration adds the G slot-wise products before the row sums: the
+filter does not depend on the block and the row-sum ladder is linear, so
+one ladder and one filter serve every block ("accumulate before you
+rotate", as in GAZELLE). The ladder is trimmed to the slots in use: its
+doubling half spans the n columns of B's encoding (B's pad slots are
+zero, so the product is zero past n, whatever A holds there), and its
+broadcast half only reaches the widest diagonal column, m + p - 2.
+
+Cost with G blocks, up = ceil(log2 n), down = ceil(log2 min(f, m+p-1)):
+G*p mul, 2p cmul, p*(up + down) rot, p*(up + down) + G*p add, plus one
+shift_rows per block and nonzero step (1 rot, or 2 rot + 2 cmul + 1 add
+when the group width does not divide m). Depth is delta + 2*delta_c on
+the data path.
 
 When the output width p exceeds the row count m, no single encoding of B
 covers every column; the partitioned form splits B's columns into groups
@@ -26,7 +37,7 @@ import numpy as np
 from .backend import BackendParams, SimdBackend, SlotSimulator
 from .encodings import (EncodedMatrix, decode_diagonal, diagonal_layout,
                         encode_diagonal_pattern, encode_row_major,
-                        encode_transpose_extended)
+                        encode_transpose_extended, row_major_layout)
 from .linalg import (broadcast_row_sums, make_group_filter, parallel_map,
                      reduce_add, shift_rows)
 
@@ -40,14 +51,22 @@ class WeightGroup:
     enc: EncodedMatrix
 
 
-def _branch(backend: SimdBackend, a: EncodedMatrix, group: WeightGroup,
-            step: int, p: int):
-    m, f = a.layout.rows, a.layout.row_width
-    faced = shift_rows(backend, group.enc, group.width, step)
-    prod = EncodedMatrix(backend.mul(a.ct, faced.ct), a.layout)
-    sums = broadcast_row_sums(backend, prod)
-    return backend.cmul(sums.ct, make_group_filter(m, f, p, group.base,
-                                                   group.width, step))
+def _branch(backend: SimdBackend, a_parts, groups, step: int, p: int):
+    """One step of one column group, summed over the input blocks.
+
+    groups[g] is block g's encoding of the group; the products are added
+    in block order, so the result does not depend on the thread count.
+    """
+    m, f = a_parts[0].layout.rows, a_parts[0].layout.row_width
+    prods = [backend.mul(a.ct, shift_rows(backend, grp.enc, grp.width, step).ct)
+             for a, grp in zip(a_parts, groups)]
+    span = max(grp.enc.layout.logical_width for grp in groups)
+    total = EncodedMatrix(reduce_add(backend, prods),
+                          row_major_layout(m, f, span))
+    sums = broadcast_row_sums(backend, total, min(f, m + p - 1))
+    lead = groups[0]
+    return backend.cmul(sums.ct, make_group_filter(m, f, p, lead.base,
+                                                   lead.width, step))
 
 
 def he_matmul_partitioned(backend: SimdBackend, a_parts, b_blocks, p: int,
@@ -56,11 +75,12 @@ def he_matmul_partitioned(backend: SimdBackend, a_parts, b_blocks, p: int,
 
     a_parts[g] is a row-major encoding of A's g-th column block; b_blocks[g]
     is the list of WeightGroup encoding the matching rows of B, as
-    split_weight_groups makes it (one group unless p > rows). With one
-    block and one group this is the plain product.
+    split_weight_groups makes it (one group unless p > rows). Every block
+    must use the same column tiling. With one block and one group this is
+    the plain product.
     """
     a_parts = list(a_parts)
-    b_blocks = list(b_blocks)
+    b_blocks = [sorted(groups, key=lambda g: g.base) for groups in b_blocks]
     if len(a_parts) != len(b_blocks):
         raise ValueError(f"{len(a_parts)} A parts vs {len(b_blocks)} B blocks")
     if not a_parts:
@@ -71,22 +91,22 @@ def he_matmul_partitioned(backend: SimdBackend, a_parts, b_blocks, p: int,
     for a in a_parts:
         if (a.layout.rows, a.layout.row_width) != (m, f):
             raise ValueError("A parts disagree on geometry")
-    for groups in b_blocks:
-        covered = sorted((g.base, g.base + g.width) for g in groups)
-        if covered[0][0] != 0 or covered[-1][1] != p or any(
-                covered[i][1] != covered[i + 1][0] for i in range(len(covered) - 1)):
-            raise ValueError("column groups must tile 0..p exactly")
+    tiling = [(g.base, g.width) for g in b_blocks[0]]
+    if any([(g.base, g.width) for g in groups] != tiling for groups in b_blocks):
+        raise ValueError("B blocks must share one column tiling")
+    ends = [0] + [base + width for base, width in tiling]
+    if [base for base, _ in tiling] != ends[:-1] or ends[-1] != p:
+        raise ValueError("column groups must tile 0..p exactly")
 
     if acc_init is None:
         acc = backend.encrypt(np.zeros(backend.params.slots))
     else:
         acc = backend.encrypt(encode_diagonal_pattern(acc_init, m, f, p))
 
-    jobs = [(a_parts[g], grp, step)
-            for g in range(len(a_parts))
-            for grp in b_blocks[g]
-            for step in range(grp.width)]
-    branches = parallel_map(lambda j: _branch(backend, j[0], j[1], j[2], p),
+    jobs = [([groups[k] for groups in b_blocks], step)
+            for k, (_, width) in enumerate(tiling)
+            for step in range(width)]
+    branches = parallel_map(lambda j: _branch(backend, a_parts, j[0], j[1], p),
                             jobs, threads)
     out = reduce_add(backend, [acc] + branches)
     return EncodedMatrix(out, diagonal_layout(m, f, p))

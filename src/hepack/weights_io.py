@@ -16,8 +16,6 @@ be finite.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .network import ActSpec, ConvSpec, FcSpec, NetworkSpec
@@ -27,10 +25,9 @@ class WeightsParseError(ValueError):
     """Malformed weight file; message carries the offending line number."""
 
 
-def _floats(text: str, lineno: int, expect: int | None = None) -> list[float]:
-    parts = [p.strip() for p in text.split(",")]
+def _floats(text: str, lineno: int, expect: int | None = None) -> np.ndarray:
     try:
-        vals = [float(p) for p in parts]
+        vals = np.array(text.split(","), dtype=np.float64)
     except ValueError:
         raise WeightsParseError(f"line {lineno}: non-numeric value in {text!r}") from None
     if expect is not None and len(vals) != expect:
@@ -41,9 +38,10 @@ def _floats(text: str, lineno: int, expect: int | None = None) -> list[float]:
 
 
 def _require_finite(vals, lineno: int):
-    for v in vals:
-        if not math.isfinite(v):
-            raise WeightsParseError(f"line {lineno}: non-finite value {v!r}")
+    vals = np.asarray(vals, dtype=np.float64)
+    bad = vals[~np.isfinite(vals)]
+    if bad.size:
+        raise WeightsParseError(f"line {lineno}: non-finite value {float(bad[0])!r}")
 
 
 class _Lines:

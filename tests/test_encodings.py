@@ -96,6 +96,20 @@ def test_pack_image_batch_layout():
         assert not rows[i, 12:].any()
 
 
+def test_pack_image_batch_rejects_non_finite_pixels(monkeypatch):
+    backend = sim(64)
+    images = np.zeros((4, 3, 4))
+    images[1, 2, 0] = np.nan
+    images[3, 0, 1] = -np.inf
+
+    def no_encrypt(_values):
+        raise AssertionError("encrypted before validating the pixels")
+
+    monkeypatch.setattr(backend, "encrypt", no_encrypt)
+    with pytest.raises(ValueError, match="2 non-finite"):
+        pack_image_batch(backend, images, row_width=16)
+
+
 def test_pack_image_batch_rejects_oversized_grid():
     backend = sim(64)
     with pytest.raises(ValueError):

@@ -101,6 +101,29 @@ def test_broadcast_row_sums_costs():
     assert out.ct.budget_bits == 1200 - 20
 
 
+@pytest.mark.parametrize("m,f,n,reach", [
+    (4, 16, 5, 7), (4, 16, 16, 1), (2, 32, 3, 32), (8, 8, 8, 5), (2, 64, 33, 20)])
+def test_broadcast_row_sums_trimmed(m, f, n, reach):
+    rng = np.random.default_rng(f * 7 + n + reach)
+    backend = sim(m * f)
+    mat = rng.normal(size=(m, n))
+    enc = encode_row_major(backend, mat, f)
+    before = backend.ledger.snapshot()
+    out = broadcast_row_sums(backend, enc, reach)
+    steps = (n - 1).bit_length() + (reach - 1).bit_length()
+    assert ledger_delta(backend, before) == {
+        "mul": 0, "cmul": 1, "rot": steps, "add": steps, "consumed_bits": 20}
+    rows = decrypt_rows(backend, out)
+    filled = 1 << (reach - 1).bit_length()
+    for i in range(m):
+        assert np.allclose(rows[i, :reach], mat[i].sum(), atol=1e-12)
+        assert not rows[i, filled:].any()
+    with pytest.raises(ValueError, match="reach"):
+        broadcast_row_sums(backend, enc, 0)
+    with pytest.raises(ValueError, match="reach"):
+        broadcast_row_sums(backend, enc, f + 1)
+
+
 @pytest.mark.parametrize("m,f", [(4, 8), (8, 8), (1, 16)])
 def test_broadcast_col_sums_oracle(m, f):
     rng = np.random.default_rng(m + f)

@@ -1,7 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import hepack.matmul
 from hepack import (
+    EncodedMatrix,
+    column_group_widths,
     encode_row_major,
     encode_transpose_extended,
     decode_diagonal,
@@ -10,7 +16,9 @@ from hepack import (
     multiply_matrices,
     split_weight_groups,
     WeightGroup,
+    row_major_layout,
 )
+from hepack.linalg import ceil_log2
 from common import ledger_delta, sim
 
 
@@ -103,6 +111,25 @@ def test_group_tiling_is_validated():
         he_matmul_partitioned(backend, [a], [overlap], 6)
 
 
+def test_blocks_must_share_one_column_tiling():
+    rng = np.random.default_rng(11)
+    backend = sim(4 * 8)
+    a = [rng.normal(size=(4, 3)) for _ in range(2)]
+    b = [rng.normal(size=(3, 8)) for _ in range(2)]
+    a_parts = [encode_row_major(backend, x, 8) for x in a]
+    first, second = (split_weight_groups(backend, x, 4, 8) for x in b)
+    assert [(g.base, g.width) for g in first] == [(0, 4), (4, 4)]
+    enc = encode_transpose_extended(backend, b[1][:, :2], 4, 8)
+    other = [WeightGroup(0, 2, enc), WeightGroup(2, 4, second[0].enc),
+             WeightGroup(6, 2, enc)]
+    with pytest.raises(ValueError, match="share one column tiling"):
+        he_matmul_partitioned(backend, a_parts, [first, other], 8)
+    # The same tiling listed in another order is still one tiling.
+    out = he_matmul_partitioned(backend, a_parts, [first, second[::-1]], 8)
+    got = decode_diagonal(backend.decrypt(out.ct), 4, 8, 8)
+    assert np.max(np.abs(got - (a[0] @ b[0] + a[1] @ b[1]))) < 1e-9
+
+
 def test_partitioned_argument_validation():
     backend = sim(64)
     a = encode_row_major(backend, np.ones((8, 4)), 8)
@@ -116,8 +143,10 @@ def test_partitioned_argument_validation():
 
 
 def test_fast_path_cost_contract():
-    # m=8, f=16, p=4 with p | m: per column one rotation-shift, one mul,
-    # one row-sum broadcast (2*log2(16) rot/add + 1 cmul), one filter cmul.
+    # m=8, f=16, n=8, p=4 with p | m: per column one rotation-shift, one
+    # mul, one row-sum ladder trimmed to log2(8) doubling steps and
+    # ceil(log2(8 + 4 - 1)) broadcast steps (rot/add each, + 1 cmul), one
+    # filter cmul.
     rng = np.random.default_rng(9)
     backend = sim(8 * 16)
     a = encode_row_major(backend, rng.normal(size=(8, 8)), 16)
@@ -125,7 +154,7 @@ def test_fast_path_cost_contract():
     before = backend.ledger.snapshot()
     out = he_matmul(backend, a, b, 4)
     assert ledger_delta(backend, before) == {
-        "mul": 4, "cmul": 8, "rot": 3 + 2 * 4 * 4, "add": 2 * 4 * 4 + 4,
+        "mul": 4, "cmul": 8, "rot": 3 + 4 * (3 + 4), "add": 4 * (3 + 4) + 4,
         "consumed_bits": 4 * (45 + 2 * 20)}
     assert out.ct.budget_bits == 1200 - (45 + 2 * 20)
 
@@ -164,3 +193,54 @@ def test_multiply_matrices_validation():
         multiply_matrices(np.ones((2, 3)), np.ones((4, 2)))
     with pytest.raises(ValueError, match="row_width"):
         multiply_matrices(np.ones((2, 8)), np.ones((8, 2)), row_width=4)
+
+
+@st.composite
+def _partitioned_products(draw):
+    m = draw(st.sampled_from([2, 4, 8]))
+    f = draw(st.sampled_from([4, 8, 16, 32]))
+    p = draw(st.integers(1, f))
+    widths = draw(st.lists(st.integers(1, f), min_size=1, max_size=4))
+    return m, f, p, widths, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_partitioned_products())
+def test_partitioned_product_property(case):
+    # A's pad slots hold noise (an activation leaves its constant there);
+    # B's pad is zero, so the trimmed ladder must still read exact sums.
+    m, f, p, widths, seeded, seed = case
+    rng = np.random.default_rng(seed)
+    backend = sim(m * f)
+    a_parts, b_blocks, want = [], [], np.zeros((m, p))
+    for n in widths:
+        a, b = rng.normal(size=(m, n)), rng.normal(size=(n, p))
+        slots = rng.normal(size=(m, f))
+        slots[:, :n] = a
+        a_parts.append(EncodedMatrix(backend.encrypt(slots.reshape(-1)),
+                                     row_major_layout(m, f, n)))
+        b_blocks.append(split_weight_groups(backend, b, m, f))
+        want += a @ b
+    acc = rng.normal(size=(m, p)) if seeded else None
+    if seeded:
+        want += acc
+
+    before = backend.ledger.snapshot()
+    with mock.patch.object(hepack.matmul, "broadcast_row_sums",
+                           wraps=hepack.matmul.broadcast_row_sums) as ladder:
+        out = he_matmul_partitioned(backend, a_parts, b_blocks, p, acc_init=acc)
+    got = decode_diagonal(backend.decrypt(out.ct), m, f, p)
+    assert np.max(np.abs(got - want)) < 1e-9
+    assert ladder.call_count == p
+
+    g = len(widths)
+    steps = ceil_log2(max(widths)) + ceil_log2(min(f, m + p - 1))
+    shifts = sum(w - 1 for w in column_group_widths(p, m))
+    masked = sum(w - 1 for w in column_group_widths(p, m) if m % w)
+    cmul = 2 * p + 2 * g * masked
+    params = backend.params
+    assert ledger_delta(backend, before) == {
+        "mul": g * p, "cmul": cmul,
+        "rot": p * steps + g * (shifts + masked),
+        "add": p * steps + g * p + g * masked,
+        "consumed_bits": g * p * params.delta_bits + cmul * params.delta_c_bits}
