@@ -1,9 +1,11 @@
-"""Valid convolution by kernel spanning, shown pattern by pattern.
+"""Valid convolution, from the paper's kernel spans to shared image taps.
 
-The kernel is stretched into k*k full-grid plaintexts; each span tiles
-the kernel across the image starting from a different offset. Image *
-span followed by k x k window sums puts correct outputs at that span's
-anchors, and the anchor filters of all spans tile the valid region.
+The paper stretches the kernel into k*k full-grid plaintexts; each span
+tiles the kernel across the image starting from a different offset, and
+image * span followed by k x k window sums puts correct outputs at that
+span's anchors. The library computes the same sum by image taps: k*k - 1
+rotations of the image, shared by every kernel of a layer, each scaled
+by one kernel weight, summed, and masked once to the valid region.
 """
 
 import numpy as np
@@ -40,8 +42,9 @@ sums = window_sums(backend, packed, 3)
 first = backend.decrypt(sums.ct)[:36].reshape(6, 6)
 print("\nwindow sums of image 0 (invalid anchors zeroed):\n", first)
 
-# Budget comparison: plaintext kernels cost three mask products per
-# span chain; encrypted kernels replace the first with a full product.
+# Budget comparison: plaintext kernels cost two mask products on the data
+# path (the scalar weight, then the valid-region mask); encrypted kernels
+# replace the first with a full product.
 plan6 = span_kernel(kern, 0.0, 6, 6, 4, 64)
 plain = he_conv(backend, packed, plan6)
 enc = he_conv(backend, packed, plan6, encrypted_kernels=True)

@@ -166,8 +166,15 @@ class SlotSimulator(SimdBackend):
         return arr
 
     def encrypt(self, message) -> CipherVec:
-        """Fresh ciphertext at full budget; short messages are zero-padded."""
-        return CipherVec(self._pad(message, "message"), self.params.log_q)
+        """Fresh ciphertext at full budget; short messages are zero-padded.
+
+        NaN and inf are rejected: no leveled scheme can encode them.
+        """
+        slots = self._pad(message, "message")
+        if not np.isfinite(slots).all():
+            bad = int(np.count_nonzero(~np.isfinite(slots)))
+            raise ValueError(f"message has {bad} non-finite values (NaN or inf)")
+        return CipherVec(slots, self.params.log_q)
 
     def decrypt(self, ct: CipherVec) -> np.ndarray:
         return ct.slots.copy()

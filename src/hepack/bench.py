@@ -3,8 +3,8 @@
 The schedule of every layer is deterministic, so operation counts and the
 budget depth of the data path can be predicted exactly from the geometry:
 
-conv (per channel)   cmul 3k^2, rot 2k^2(k-1), add 2k^2(k-1)+k^2
-                     (encrypted kernels: k^2 of the cmuls become muls)
+conv (C channels)    rot k^2-1 (shared image taps), add C*k^2,
+                     cmul C*(k^2+1) (encrypted kernels: mul C*k^2, cmul C)
 act (per part)       2 mul, 3 cmul, 3 add
 fc                   p iterations (G input blocks, output width p) of
                      [G shifts + G mul + G-1 block adds + one row-sum
@@ -18,7 +18,7 @@ fc                   p iterations (G input blocks, output width p) of
 
 Depth assumes weight ciphertexts are fresher than the data path (true
 whenever the weights are encrypted at full budget), so only the data-side
-rescales count: conv 3*delta_c (or delta + 2*delta_c encrypted), act
+rescales count: conv 2*delta_c (or delta + delta_c encrypted), act
 2*delta + delta_c, fc delta + 2*delta_c, + delta_c when compacted.
 """
 
@@ -59,16 +59,16 @@ def predict_layer_costs(net: NetworkSpec, batch: int, row_width: int,
     for pos, (name, layer) in enumerate(zip(layer_names(net), net.layers)):
         cost = LayerCost(name)
         if isinstance(layer, ConvSpec):
-            c, k = layer.channels, layer.k
-            cost.rot = c * 2 * k * k * (k - 1)
-            cost.add = c * (2 * k * k * (k - 1) + k * k)
+            c, taps = layer.channels, layer.k * layer.k
+            cost.rot = taps - 1
+            cost.add = c * taps
             if encrypted_kernels:
-                cost.mul = c * k * k
-                cost.cmul = c * 2 * k * k
-                cost.depth_bits = d + 2 * dc
+                cost.mul = c * taps
+                cost.cmul = c
+                cost.depth_bits = d + dc
             else:
-                cost.cmul = c * 3 * k * k
-                cost.depth_bits = 3 * dc
+                cost.cmul = c * (taps + 1)
+                cost.depth_bits = 2 * dc
             parts = c
         elif isinstance(layer, ActSpec):
             cost.mul = 2 * parts

@@ -24,7 +24,9 @@ def _add_common(sub: argparse.ArgumentParser):
                      help="bits burned per ciphertext-ciphertext mul")
     sub.add_argument("--delta-c", type=int, default=20,
                      help="bits burned per plaintext-mask mul")
-    sub.add_argument("--threads", type=int, default=1, help="worker threads")
+    sub.add_argument("--threads", type=int, default=1,
+                     help="threads for the branch map; bitwise equal to 1, "
+                          "not faster under the GIL")
     sub.add_argument("--seed", type=int, default=0, help="rng seed")
     sub.add_argument("--encrypted-kernels", action="store_true",
                      help="encrypt conv kernels as ciphertexts, not masks")

@@ -53,6 +53,16 @@ def test_encrypt_rejects_overfull_vector():
         backend.encrypt(np.ones(9))
 
 
+def test_encrypt_rejects_non_finite_values():
+    backend = sim(8)
+    with pytest.raises(ValueError, match="2 non-finite values"):
+        backend.encrypt([np.nan, 1.0, np.inf])
+    with pytest.raises(ValueError, match="1 non-finite values"):
+        backend.encrypt(np.full(8, -np.inf)[:1])
+    assert np.array_equal(backend.decrypt(backend.encrypt([1e308, -1e308])),
+                          [1e308, -1e308, 0, 0, 0, 0, 0, 0])
+
+
 def test_stock_ring_capacity_boundary():
     backend = SlotSimulator(BackendParams(log_n=16, log_q=1200))
     backend.encrypt(np.ones(32768))

@@ -46,7 +46,7 @@ def test_infer_end_to_end(reduced_files, capsys):
     text = capsys.readouterr().out
     assert "block 1/3" in text and "block 3/3" in text
     assert "accuracy 20/20 = 1.0000" in text
-    assert "depth 470/1200 bits" in text
+    assert "depth 450/1200 bits" in text
     lines = out.read_text().splitlines()
     assert len(lines) == 20
     for i, line in enumerate(lines):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hepack import (
     conv_layer,
@@ -114,9 +115,9 @@ def test_plaintext_kernel_costs():
     before = backend.ledger.snapshot()
     out = he_conv(backend, packed, plan)
     assert ledger_delta(backend, before) == {
-        "mul": 0, "cmul": 3 * 9, "rot": 2 * 9 * 2, "add": 2 * 9 * 2 + 9,
-        "consumed_bits": 3 * 9 * 20}
-    assert out.ct.budget_bits == 1200 - 3 * 20
+        "mul": 0, "cmul": 9 + 1, "rot": 9 - 1, "add": 9,
+        "consumed_bits": (9 + 1) * 20}
+    assert out.ct.budget_bits == 1200 - 2 * 20
 
 
 def test_encrypted_kernel_costs():
@@ -126,9 +127,9 @@ def test_encrypted_kernel_costs():
     before = backend.ledger.snapshot()
     out = he_conv(backend, packed, plan, encrypted_kernels=True)
     assert ledger_delta(backend, before) == {
-        "mul": 9, "cmul": 2 * 9, "rot": 2 * 9 * 2, "add": 2 * 9 * 2 + 9,
-        "consumed_bits": 9 * 45 + 2 * 9 * 20}
-    assert out.ct.budget_bits == 1200 - (45 + 2 * 20)
+        "mul": 9, "cmul": 1, "rot": 9 - 1, "add": 9,
+        "consumed_bits": 9 * 45 + 20}
+    assert out.ct.budget_bits == 1200 - (45 + 20)
 
 
 def test_conv_layer_runs_every_kernel():
@@ -155,6 +156,16 @@ def test_he_conv_geometry_checks():
         he_conv(backend, packed, wrong)
 
 
+def test_conv_layer_rejects_mixed_kernel_sizes():
+    backend = sim(2 * 32)
+    packed = pack_image_batch(backend, np.ones((2, 5, 5)), 32)
+    plans = [span_kernel(np.ones((k, k)), 0.0, 5, 5, 2, 32) for k in (2, 3, 2)]
+    with pytest.raises(ValueError, match=r"mix sizes \[2, 3\]"):
+        conv_layer(backend, packed, plans)
+    with pytest.raises(ValueError, match="at least one"):
+        conv_layer(backend, packed, [])
+
+
 def test_convolve_images_requires_power_of_two_batch():
     with pytest.raises(ValueError, match="power of two"):
         convolve_images(np.ones((3, 4, 4)), np.ones((2, 2)))
@@ -163,7 +174,70 @@ def test_convolve_images_requires_power_of_two_batch():
 def test_parallel_conv_matches_sequential_bitwise():
     rng = np.random.default_rng(4)
     images = rng.normal(size=(4, 6, 6))
-    kern = rng.normal(size=(3, 3))
-    seq = convolve_images(images, kern, threads=1)
-    par = convolve_images(images, kern, threads=4)
-    assert np.array_equal(seq, par)
+    plans = [span_kernel(kern, 0.5, 6, 6, 4, 64)
+             for kern in rng.normal(size=(5, 3, 3))]
+
+    def run(threads):
+        backend = sim(4 * 64)
+        packed = pack_image_batch(backend, images, 64)
+        return [backend.decrypt(out.ct)
+                for out in conv_layer(backend, packed, plans, threads=threads)]
+
+    seq, par = run(1), run(4)
+    assert all(np.array_equal(a, b) for a, b in zip(seq, par))
+
+
+@st.composite
+def _conv_layers(draw):
+    h, w = draw(st.integers(3, 9)), draw(st.integers(3, 9))
+    k = draw(st.integers(1, min(h, w)))
+    batch = draw(st.sampled_from([1, 2, 4]))
+    spare = draw(st.sampled_from([1, 2]))  # 2 leaves a whole pad half per row
+    return (h, w, k, batch, spare, draw(st.integers(1, 3)), draw(st.booleans()),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_conv_layers())
+def test_conv_layer_property(case):
+    h, w, k, batch, spare, channels, encrypted, seed = case
+    rng = np.random.default_rng(seed)
+    f = spare << (h * w - 1).bit_length()
+    images = rng.normal(size=(batch, h, w))
+    kerns = rng.normal(size=(channels, k, k))
+    biases = rng.normal(size=channels)
+    plans = [span_kernel(kern, b, h, w, batch, f) for kern, b in zip(kerns, biases)]
+
+    def run(threads):
+        backend = sim(batch * f)
+        packed = pack_image_batch(backend, images, f)
+        before = backend.ledger.snapshot()
+        outs = conv_layer(backend, packed, plans, encrypted, threads)
+        return backend, [backend.decrypt(o.ct) for o in outs], \
+            ledger_delta(backend, before), [o.ct.budget_bits for o in outs]
+
+    backend, got, delta, budgets = run(1)
+    oh, ow = h - k + 1, w - k + 1
+    for slots, kern, bias in zip(got, kerns, biases):
+        rows = slots.reshape(batch, f)
+        grid = rows[:, : h * w].reshape(batch, h, w)
+        assert np.max(np.abs(grid[:, :oh, :ow] - conv_oracle(images, kern, bias))) < 1e-9
+        off = np.ones((h, w), dtype=bool)
+        off[:oh, :ow] = False
+        assert np.all(grid[:, off] == 0.0)
+        assert np.all(rows[:, h * w:] == 0.0)
+
+    params = backend.params
+    taps = k * k
+    mul = channels * taps if encrypted else 0
+    cmul = channels if encrypted else channels * (taps + 1)
+    assert delta == {
+        "mul": mul, "cmul": cmul, "rot": taps - 1, "add": channels * taps,
+        "consumed_bits": mul * params.delta_bits + cmul * params.delta_c_bits}
+    depth = params.delta_c_bits + (params.delta_bits if encrypted
+                                   else params.delta_c_bits)
+    assert budgets == [params.log_q - depth] * channels
+
+    _, par, par_delta, _ = run(2)
+    assert par_delta == delta
+    assert all(np.array_equal(a, b) for a, b in zip(got, par))

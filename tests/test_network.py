@@ -249,7 +249,7 @@ def test_pipeline_with_encrypted_kernels():
     res = infer_images(backend, net, images, geo["row_width"],
                        encrypted_kernels=True)
     assert np.max(np.abs(res.logits - reference_infer(net, images))) < 1e-6
-    assert res.depth_bits == 85 + 110 + 105 + 110 + 85
+    assert res.depth_bits == 65 + 110 + 105 + 110 + 85
 
 
 def test_depth_accounting_layer_by_layer():
@@ -259,9 +259,9 @@ def test_depth_accounting_layer_by_layer():
     backend = sim(geo["batch"] * geo["row_width"])
     res = infer_images(backend, net, images, geo["row_width"])
     assert res.layer_depths == [
-        ("conv-1", 60), ("act-1", 110), ("fc-1", 105),
+        ("conv-1", 40), ("act-1", 110), ("fc-1", 105),
         ("act-2", 110), ("fc-2", 85)]
-    assert res.depth_bits == 470
+    assert res.depth_bits == 450
     assert res.op_counts["consumed_bits"] > 0
 
 
