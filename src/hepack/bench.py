@@ -13,8 +13,8 @@ fc                   p iterations (G input blocks, output width p) of
                      down = ceil(log2 min(f, m + p - 1)); a shift costs
                      1 rot per nonzero step, or 2 rot + 2 cmul + 1 add
                      when the group width does not divide the row count;
-                     + p accumulation adds; inner layers add one column
-                     fold: f/p cmul, f/p - 1 rot and add.
+                     + p - 1 branch adds + 1 bias add; inner layers add
+                     one column fold: f/p cmul, f/p - 1 rot and add.
 
 Depth assumes weight ciphertexts are fresher than the data path (true
 whenever the weights are encrypted at full budget), so only the data-side

@@ -37,10 +37,6 @@ def _params(args) -> BackendParams:
                          delta_bits=args.delta, delta_c_bits=args.delta_c)
 
 
-def _threads(args) -> int:
-    return max(1, args.threads)
-
-
 def _row_width(params: BackendParams, batch: int) -> int:
     if batch < 1:
         raise ValueError(f"batch must be at least 1, got {batch}")
@@ -68,7 +64,7 @@ def cmd_infer(args) -> int:
     depth_bits = 0
     for bi, (block, valid) in enumerate(blocks):
         res = infer_images(backend, net, block, row_width,
-                           threads=_threads(args),
+                           threads=args.threads,
                            encrypted_kernels=args.encrypted_kernels)
         depth_bits = res.depth_bits
         guesses = res.logits.argmax(axis=1)
@@ -92,7 +88,7 @@ def cmd_infer(args) -> int:
     print(f"depth {depth_bits}/{params.log_q} bits; ledger "
           f"mul={totals['mul']} cmul={totals['cmul']} rot={totals['rot']} "
           f"add={totals['add']} rescale_bits={totals['consumed_bits']}")
-    print(f"wall {wall:.2f}s, threads {_threads(args)}")
+    print(f"wall {wall:.2f}s, threads {args.threads}")
     return 0
 
 
@@ -115,7 +111,7 @@ def cmd_bench(args) -> int:
         net = random_network(np.random.default_rng(args.seed), **g)
         source = f"random stock geometry (seed {args.seed})"
     _row_width(params, args.batch)
-    report = run_bench(net, params, args.batch, threads=_threads(args),
+    report = run_bench(net, params, args.batch, threads=args.threads,
                        encrypted_kernels=args.encrypted_kernels, seed=args.seed)
     print(f"network: {source}")
     print(f"batch {report.batch} x row_width {report.row_width} "
@@ -151,7 +147,7 @@ def main(argv=None) -> int:
     p_infer.set_defaults(fn=cmd_infer)
 
     p_verify = subs.add_parser("verify", help="run the oracle-equivalence suite")
-    _add_common(p_verify)
+    p_verify.add_argument("--seed", type=int, default=0, help="rng seed")
     p_verify.set_defaults(fn=cmd_verify)
 
     p_bench = subs.add_parser("bench", help="time one batch and audit op counts")

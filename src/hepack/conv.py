@@ -25,9 +25,13 @@ from .encodings import EncodedMatrix, LayoutKind, pack_image_batch
 from .linalg import make_valid_region_mask, parallel_map, reduce_add
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelPlan:
-    """One kernel and its bias, ready for a given batch geometry."""
+    """One kernel and its bias, ready for a given batch geometry.
+
+    Plans compare and hash by identity: their array fields have no single
+    truth value, so field-wise equality could only raise.
+    """
 
     k: int
     h: int

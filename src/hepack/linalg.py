@@ -6,7 +6,6 @@ EncodedMatrix. Costs per call (asserted by the test suite):
 shift_rows            1 rot (fast path), or 2 rot + 2 cmul + 1 add; step 0 free
 broadcast_row_sums    (ceil(log2 n) + ceil(log2 reach)) rot and add + 1 cmul,
                       n the logical width, reach f unless given
-broadcast_col_sums    log2(rows) rot + log2(rows) add
 window_sums           2*(k-1) rot + 2*(k-1) add + 1 cmul
 rotate_within_rows    2 rot + 2 cmul + 1 add; amount 0 free
 compact_columns       f/p cmul + (f/p - 1) rot + (f/p - 1) add
@@ -22,8 +21,8 @@ from functools import lru_cache
 import numpy as np
 
 from .backend import CipherVec, SimdBackend
-from .encodings import (EncodedMatrix, LayoutKind, MatrixLayout,
-                        diagonal_slot_column, grid_layout, row_major_layout)
+from .encodings import (EncodedMatrix, LayoutKind, diagonal_slot_column,
+                        row_major_layout)
 
 
 # ---------------------------------------------------------------- masks
@@ -48,21 +47,6 @@ def make_group_filter(rows: int, row_width: int, period: int, base: int,
     for i in range(rows):
         j = base + ((i + step) % width)
         buf[i, diagonal_slot_column(i, j, period, row_width)] = 1.0
-    return _frozen(buf)
-
-
-@lru_cache(maxsize=None)
-def make_conv_filter(rows: int, row_width: int, h: int, w: int, k: int,
-                     di: int, dj: int) -> np.ndarray:
-    """1 at grid anchors congruent to the kernel-span offset (di, dj).
-
-    Anchors (a, b) with a % k == di, b % k == dj and the full k x k
-    window in range, replicated across every image row of the batch.
-    """
-    buf = np.zeros((rows, row_width))
-    for a in range(di, h - k + 1, k):
-        for b in range(dj, w - k + 1, k):
-            buf[:, a * w + b] = 1.0
     return _frozen(buf)
 
 
@@ -154,20 +138,6 @@ def broadcast_row_sums(backend: SimdBackend, enc: EncodedMatrix,
     for t in range(ceil_log2(reach)):
         acc = backend.add(acc, backend.rot(acc, -(1 << t)))
     return EncodedMatrix(acc, row_major_layout(m, f, reach))
-
-
-def broadcast_col_sums(backend: SimdBackend, enc: EncodedMatrix) -> EncodedMatrix:
-    """Fill every slot with the total of its column across all rows.
-
-    Row-stride rotations wrap around the ciphertext exactly, so the plain
-    doubling ladder is already correct in every slot and no mask is needed.
-    """
-    m, f = enc.layout.rows, enc.layout.row_width
-    steps = _log2(m, "rows")
-    acc = enc.ct
-    for t in range(steps):
-        acc = backend.add(acc, backend.rot(acc, f << t))
-    return EncodedMatrix(acc, row_major_layout(m, f, enc.layout.logical_width))
 
 
 def window_sums(backend: SimdBackend, enc: EncodedMatrix, k: int) -> EncodedMatrix:
@@ -263,8 +233,10 @@ def reduce_add(backend: SimdBackend, cts: list[CipherVec]) -> CipherVec:
 
 def parallel_map(fn, items, threads: int = 1) -> list:
     """Map preserving order; a thread pool is used when threads > 1."""
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     items = list(items)
-    if threads <= 1 or len(items) <= 1:
+    if threads == 1 or len(items) <= 1:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))

@@ -17,7 +17,7 @@ zero, so the product is zero past n, whatever A holds there), and its
 broadcast half only reaches the widest diagonal column, m + p - 2.
 
 Cost with G blocks, up = ceil(log2 n), down = ceil(log2 min(f, m+p-1)):
-G*p mul, 2p cmul, p*(up + down) rot, p*(up + down) + G*p add, plus one
+G*p mul, 2p cmul, p*(up + down) rot, p*(up + down) + G*p - 1 add, plus one
 shift_rows per block and nonzero step (1 rot, or 2 rot + 2 cmul + 1 add
 when the group width does not divide m). Depth is delta + 2*delta_c on
 the data path.
@@ -36,8 +36,8 @@ import numpy as np
 
 from .backend import BackendParams, SimdBackend, SlotSimulator
 from .encodings import (EncodedMatrix, decode_diagonal, diagonal_layout,
-                        encode_diagonal_pattern, encode_row_major,
-                        encode_transpose_extended, row_major_layout)
+                        encode_row_major, encode_transpose_extended,
+                        row_major_layout)
 from .linalg import (broadcast_row_sums, make_group_filter, parallel_map,
                      reduce_add, shift_rows)
 
@@ -70,7 +70,7 @@ def _branch(backend: SimdBackend, a_parts, groups, step: int, p: int):
 
 
 def he_matmul_partitioned(backend: SimdBackend, a_parts, b_blocks, p: int,
-                          acc_init=None, threads: int = 1) -> EncodedMatrix:
+                          threads: int = 1) -> EncodedMatrix:
     """Sum of per-block products, all placed in one diagonal(p) output.
 
     a_parts[g] is a row-major encoding of A's g-th column block; b_blocks[g]
@@ -98,22 +98,16 @@ def he_matmul_partitioned(backend: SimdBackend, a_parts, b_blocks, p: int,
     if [base for base, _ in tiling] != ends[:-1] or ends[-1] != p:
         raise ValueError("column groups must tile 0..p exactly")
 
-    if acc_init is None:
-        acc = backend.encrypt(np.zeros(backend.params.slots))
-    else:
-        acc = backend.encrypt(encode_diagonal_pattern(acc_init, m, f, p))
-
     jobs = [([groups[k] for groups in b_blocks], step)
             for k, (_, width) in enumerate(tiling)
             for step in range(width)]
     branches = parallel_map(lambda j: _branch(backend, a_parts, j[0], j[1], p),
                             jobs, threads)
-    out = reduce_add(backend, [acc] + branches)
-    return EncodedMatrix(out, diagonal_layout(m, f, p))
+    return EncodedMatrix(reduce_add(backend, branches), diagonal_layout(m, f, p))
 
 
-def he_matmul(backend: SimdBackend, a: EncodedMatrix, b: EncodedMatrix, p: int,
-              acc_init=None, threads: int = 1) -> EncodedMatrix:
+def he_matmul(backend: SimdBackend, a: EncodedMatrix, b: EncodedMatrix,
+              p: int) -> EncodedMatrix:
     """Product against a single transpose-extended encoding; needs rows >= p.
 
     For a wider output either pad A with zero rows before encoding or use
@@ -122,8 +116,7 @@ def he_matmul(backend: SimdBackend, a: EncodedMatrix, b: EncodedMatrix, p: int,
     if p > a.layout.rows:
         raise ValueError(
             f"output width {p} exceeds {a.layout.rows} rows; pad A or split columns")
-    return he_matmul_partitioned(backend, [a], [[WeightGroup(0, p, b)]], p,
-                                 acc_init, threads)
+    return he_matmul_partitioned(backend, [a], [[WeightGroup(0, p, b)]], p)
 
 
 def column_group_widths(p: int, rows: int) -> list[int]:
@@ -150,8 +143,7 @@ def _next_pow2(n: int) -> int:
 
 
 def multiply_matrices(a, b, row_width: int | None = None,
-                      backend: SimdBackend | None = None, acc_init=None,
-                      threads: int = 1) -> np.ndarray:
+                      backend: SimdBackend | None = None) -> np.ndarray:
     """Encode, multiply homomorphically, decode. Oracle-checkable one-call form.
 
     Handles m < p by zero-row padding A up to the output width before
@@ -174,5 +166,5 @@ def multiply_matrices(a, b, row_width: int | None = None,
         a = np.vstack([a, np.zeros((rows - m, n))])
     enc_a = encode_row_major(backend, a, f)
     enc_b = encode_transpose_extended(backend, b, rows, f)
-    out = he_matmul(backend, enc_a, enc_b, p, acc_init, threads)
+    out = he_matmul(backend, enc_a, enc_b, p)
     return decode_diagonal(backend.decrypt(out.ct), rows, f, p)[:m]

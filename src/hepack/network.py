@@ -23,7 +23,7 @@ import numpy as np
 from .backend import DepthExhaustedError, SimdBackend
 from .conv import conv_layer, span_kernel
 from .encodings import (EncodedMatrix, LayoutKind, decode_diagonal,
-                        pack_image_batch)
+                        encode_diagonal_pattern, pack_image_batch)
 from .linalg import compact_columns, reduce_add
 from .matmul import he_matmul_partitioned, split_weight_groups
 
@@ -153,9 +153,10 @@ def fc_layer(backend: SimdBackend, parts, spec: FcSpec, valid_hw=None,
              compact: bool = True, threads: int = 1) -> EncodedMatrix:
     """Fully-connected layer over one or more packed input parts.
 
-    Produces the diagonal(out_dim) product with the bias seeded into the
-    accumulator, then folds it to row-major unless compact=False (the
-    final layer is decoded straight from the diagonal layout).
+    Produces the diagonal(out_dim) product, adds the encrypted bias in
+    the same diagonal pattern, then folds it to row-major unless
+    compact=False (the final layer is decoded straight from the diagonal
+    layout).
     """
     parts = list(parts)
     m, f = parts[0].layout.rows, parts[0].layout.row_width
@@ -168,9 +169,10 @@ def fc_layer(backend: SimdBackend, parts, spec: FcSpec, valid_hw=None,
     if offset != spec.in_dim:
         raise ValueError(
             f"input parts supply {offset} features, fc expects {spec.in_dim}")
-    acc = np.tile(np.asarray(spec.bias, dtype=np.float64), (m, 1))
-    out = he_matmul_partitioned(backend, parts, b_blocks, p, acc_init=acc,
-                                threads=threads)
+    prod = he_matmul_partitioned(backend, parts, b_blocks, p, threads)
+    bias = backend.encrypt(encode_diagonal_pattern(np.tile(spec.bias, (m, 1)),
+                                                   m, f, p))
+    out = EncodedMatrix(backend.add(prod.ct, bias), prod.layout)
     if compact:
         return compact_columns(backend, out)
     return out
@@ -232,12 +234,9 @@ def infer(backend: SimdBackend, net: NetworkSpec, packed: EncodedMatrix,
         now = min(p.ct.budget_bits for p in parts)
         layer_depths.append((name, budget - now))
         budget = now
-    out = parts[0]
-    raw = backend.decrypt(out.ct)
-    if out.layout.kind is LayoutKind.DIAGONAL:
-        logits = decode_diagonal(raw, lay.rows, lay.row_width, out.layout.period)
-    else:
-        logits = raw.reshape(lay.rows, lay.row_width)[:, : out.layout.logical_width]
+    out = parts[0]  # the last layer is an fc layer left in diagonal layout
+    logits = decode_diagonal(backend.decrypt(out.ct), lay.rows, lay.row_width,
+                             out.layout.period)
     after = backend.ledger.snapshot()
     return InferenceResult(
         logits=logits,

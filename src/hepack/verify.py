@@ -16,7 +16,7 @@ from .backend import BackendParams, SlotSimulator
 from .bench import predict_depth_bits, predict_op_counts
 from .conv import convolve_images
 from .encodings import decode_diagonal, encode_row_major, pack_image_batch
-from .linalg import make_conv_filter, make_valid_region_mask, rotate_within_rows
+from .linalg import rotate_within_rows
 from .matmul import he_matmul_partitioned, multiply_matrices, split_weight_groups
 from .network import (conv2d_valid, infer_images, random_network,
                       reduced_geometry, reference_infer)
@@ -89,19 +89,6 @@ def check_conv_sweep(rng: np.random.Generator) -> CheckResult:
     return CheckResult("conv sweep", worst, 1e-9, detail=f"runs={runs}")
 
 
-def check_conv_filter_partition(h: int = 6, w: int = 7, k: int = 3,
-                                masks=None) -> CheckResult:
-    """The k*k anchor filters must tile the valid region exactly once."""
-    rows, f = 2, 64
-    if masks is None:
-        masks = [make_conv_filter(rows, f, h, w, k, di, dj)
-                 for di in range(k) for dj in range(k)]
-    union = np.sum(masks, axis=0)
-    err = float(np.abs(union - make_valid_region_mask(rows, f, h, w, k)).max())
-    return CheckResult("conv filter partition", err, 0.0,
-                       detail=f"grid={h}x{w} k={k} masks={len(masks)}")
-
-
 def check_vrot(rng: np.random.Generator, h: int = 4, w: int = 5,
                batch: int = 4, row_width: int = 32) -> CheckResult:
     backend = SlotSimulator(BackendParams.for_slots(batch * row_width))
@@ -153,7 +140,6 @@ def run_all(seed: int = 0) -> list[CheckResult]:
         check_matmul_shapes(rng),
         check_matmul_partitioned(rng),
         check_conv_sweep(rng),
-        check_conv_filter_partition(),
         check_vrot(rng),
         check_pipeline(rng),
         check_cost_model(rng),

@@ -11,8 +11,7 @@ from hepack import (
 )
 from hepack import verify
 from hepack.cli import main
-from hepack.linalg import make_conv_filter
-from hepack.verify import check_conv_filter_partition, check_matmul_partitioned
+from hepack.verify import check_matmul_partitioned
 
 
 @pytest.fixture
@@ -150,26 +149,35 @@ def test_threaded_and_sequential_predictions_are_identical(reduced_files):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["infer", "bench"])
+def test_threads_must_be_positive(reduced_files, capsys, command):
+    args = [command, "--weights", str(reduced_files["weights"]), *SMALL,
+            "--threads", "0"]
+    if command == "infer":
+        args += ["--images", str(reduced_files["images"]),
+                 "--out", str(reduced_files["tmp"] / "p.csv")]
+    assert main(args) == 1
+    assert "threads must be at least 1, got 0" in capsys.readouterr().err
+
+
 def test_verify_passes_and_is_deterministic(capsys):
     assert main(["verify"]) == 0
     first = capsys.readouterr().out
-    assert first.count("PASS") == 7
+    assert first.count("PASS") == 6
     assert "FAIL" not in first
-    assert "7/7 checks passed" in first
+    assert "6/6 checks passed" in first
     assert main(["verify"]) == 0
     assert capsys.readouterr().out == first
 
 
-def test_verify_catches_an_injected_fault():
-    k = 3
-    masks = [make_conv_filter(2, 64, 6, 7, k, di, dj)
-             for di in range(k) for dj in range(k)]
-    dropped = check_conv_filter_partition(masks=masks[:-1])
-    assert not dropped.passed
-    doubled = check_conv_filter_partition(masks=masks + masks[:1])
-    assert not doubled.passed
-    intact = check_conv_filter_partition(masks=masks)
-    assert intact.passed
+def test_verify_takes_only_a_seed(capsys):
+    for flag, value in [("--logq", "10"), ("--threads", "-3"), ("--batch", "7")]:
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert main(["verify", "--seed", "1"]) == 0
+    assert "6/6 checks passed" in capsys.readouterr().out
 
 
 def test_verify_partitioned_check_runs_the_partitioned_product(monkeypatch):

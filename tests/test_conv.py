@@ -148,6 +148,14 @@ def test_conv_layer_runs_every_kernel():
         assert np.max(np.abs(grid[:, :4, :4] - ref)) < 1e-9
 
 
+def test_kernel_plans_compare_by_identity_and_hash():
+    a = span_kernel(KERNEL_2X2, 0.5, 4, 4, 2, 32)
+    b = span_kernel(KERNEL_2X2, 0.5, 4, 4, 2, 32)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+    assert {a: "first", b: "second"}[a] == "first"
+
+
 def test_he_conv_geometry_checks():
     backend = sim(2 * 32)
     packed = pack_image_batch(backend, np.ones((2, 5, 5)), 32)

@@ -2,10 +2,10 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hepack import (
     EncodedMatrix,
-    broadcast_col_sums,
     broadcast_row_sums,
     compact_columns,
     decrypt_rows,
@@ -15,15 +15,14 @@ from hepack import (
     encode_transpose_extended,
     pack_image_batch,
     reduce_add,
+    row_major_layout,
     rotate_within_rows,
     shift_rows,
     window_sums,
 )
 from hepack.linalg import (
     make_col_band_mask,
-    make_conv_filter,
     make_group_filter,
-    make_valid_region_mask,
     parallel_map,
 )
 from common import ledger_delta, sim
@@ -65,6 +64,40 @@ def test_shift_rows_costs():
     assert ledger_delta(backend, before) == {
         "mul": 0, "cmul": 2, "rot": 2, "add": 1, "consumed_bits": 40}
     assert out.ct.budget_bits == 1200 - 20
+
+
+@st.composite
+def _shift_cases(draw):
+    m = draw(st.sampled_from([1, 2, 4, 8, 16]))
+    f = draw(st.sampled_from([2, 4, 8, 16]))
+    period = draw(st.integers(1, m))
+    return (m, f, period, draw(st.integers(0, period - 1)),
+            draw(st.integers(1, f)), draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_shift_cases())
+def test_shift_rows_property(case):
+    m, f, period, step, n, seed = case
+    backend = sim(m * f)
+    b = np.random.default_rng(seed).normal(size=(n, period))
+    enc = encode_transpose_extended(backend, b, rows=m, row_width=f)
+    before = backend.ledger.snapshot()
+    out = shift_rows(backend, enc, period, step)
+    rows = decrypt_rows(backend, out)
+    for r in range(m):
+        assert np.array_equal(rows[r, :n], b[:, (r + step) % period])
+    assert not rows[:, n:].any()
+    dc = backend.params.delta_c_bits
+    if step == 0:
+        want = dict(cmul=0, rot=0, add=0)
+    elif m % period == 0:
+        want = dict(cmul=0, rot=1, add=0)
+    else:
+        want = dict(cmul=2, rot=2, add=1)
+    assert ledger_delta(backend, before) == dict(
+        mul=0, **want, consumed_bits=want["cmul"] * dc)
+    assert out.ct.budget_bits == 1200 - (dc if want["cmul"] else 0)
 
 
 def test_shift_rows_rejects_bad_arguments():
@@ -124,27 +157,6 @@ def test_broadcast_row_sums_trimmed(m, f, n, reach):
         broadcast_row_sums(backend, enc, f + 1)
 
 
-@pytest.mark.parametrize("m,f", [(4, 8), (8, 8), (1, 16)])
-def test_broadcast_col_sums_oracle(m, f):
-    rng = np.random.default_rng(m + f)
-    backend = sim(m * f)
-    mat = rng.normal(size=(m, f))
-    out = broadcast_col_sums(backend, encode_row_major(backend, mat, f))
-    rows = decrypt_rows(backend, out)
-    for j in range(f):
-        assert np.allclose(rows[:, j], mat[:, j].sum(), atol=1e-12)
-
-
-def test_broadcast_col_sums_is_mask_free():
-    backend = sim(32)
-    enc = encode_row_major(backend, np.ones((4, 8)), 8)
-    before = backend.ledger.snapshot()
-    out = broadcast_col_sums(backend, enc)
-    assert ledger_delta(backend, before) == {
-        "mul": 0, "cmul": 0, "rot": 2, "add": 2, "consumed_bits": 0}
-    assert out.ct.budget_bits == 1200
-
-
 # ----------------------------------------------------------- window sums
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -202,6 +214,40 @@ def test_rotate_within_rows_oracle(n):
         assert not rows[:, n:].any()
 
 
+@st.composite
+def _rotation_cases(draw):
+    m = draw(st.sampled_from([1, 2, 4, 8]))
+    f = draw(st.sampled_from([2, 4, 8, 16, 32]))
+    n = draw(st.integers(1, f))
+    return m, f, n, draw(st.integers(0, n - 1)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rotation_cases())
+def test_rotate_within_rows_property(case):
+    # The input's pad slots hold junk, as an activation leaves there.
+    m, f, n, amount, seed = case
+    backend = sim(m * f)
+    slots = np.random.default_rng(seed).normal(size=(m, f))
+    enc = EncodedMatrix(backend.encrypt(slots.reshape(-1)),
+                        row_major_layout(m, f, n))
+    before = backend.ledger.snapshot()
+    out = rotate_within_rows(backend, enc, amount)
+    rows = decrypt_rows(backend, out)
+    assert out.layout == enc.layout
+    dc = backend.params.delta_c_bits
+    if amount == 0:  # free, so the input comes back as it is, pad included
+        assert out.ct is enc.ct
+        assert ledger_delta(backend, before) == dict.fromkeys(
+            ("mul", "cmul", "rot", "add", "consumed_bits"), 0)
+        return
+    assert np.array_equal(rows[:, :n], np.roll(slots[:, :n], -amount, axis=1))
+    assert not rows[:, n:].any()
+    assert ledger_delta(backend, before) == {
+        "mul": 0, "cmul": 2, "rot": 2, "add": 1, "consumed_bits": 2 * dc}
+    assert out.ct.budget_bits == 1200 - dc
+
+
 def test_rotate_within_rows_composes():
     rng = np.random.default_rng(9)
     backend = sim(32)
@@ -243,6 +289,34 @@ def test_compact_columns_oracle(m, f, p):
     assert out.layout.logical_width == p
 
 
+@st.composite
+def _compaction_cases(draw):
+    m = draw(st.sampled_from([1, 2, 4, 8]))
+    f = draw(st.sampled_from([1, 2, 4, 8, 16, 32, 64]))
+    p = draw(st.sampled_from([d for d in range(1, f + 1) if f % d == 0]))
+    return m, f, p, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_compaction_cases())
+def test_compact_columns_property(case):
+    m, f, p, seed = case
+    backend = sim(m * f)
+    c = np.random.default_rng(seed).normal(size=(m, p))
+    ct = backend.encrypt(encode_diagonal_pattern(c, rows=m, row_width=f, p=p))
+    before = backend.ledger.snapshot()
+    out = compact_columns(backend, EncodedMatrix(ct, diagonal_layout(m, f, p)))
+    rows = decrypt_rows(backend, out)
+    assert np.array_equal(rows[:, :p], c)
+    assert not rows[:, p:].any()
+    assert out.layout == row_major_layout(m, f, p)
+    bands, dc = f // p, backend.params.delta_c_bits
+    assert ledger_delta(backend, before) == {
+        "mul": 0, "cmul": bands, "rot": bands - 1, "add": bands - 1,
+        "consumed_bits": bands * dc}
+    assert out.ct.budget_bits == 1200 - dc
+
+
 def test_compact_columns_costs():
     backend = sim(32)
     c = np.ones((4, 2))
@@ -282,13 +356,6 @@ def test_matmul_filter_positions():
         assert np.array_equal(mask[i], row)
 
 
-@pytest.mark.parametrize("h,w,k", [(4, 4, 2), (6, 7, 3), (5, 5, 1)])
-def test_conv_filters_partition_the_valid_region(h, w, k):
-    total = sum(make_conv_filter(2, 64, h, w, k, di, dj)
-                for di in range(k) for dj in range(k))
-    assert np.array_equal(total, make_valid_region_mask(2, 64, h, w, k))
-
-
 # ------------------------------------------------- reduce / parallel map
 
 def test_reduce_add_tree_and_fold_agree():
@@ -315,3 +382,9 @@ def test_parallel_map_preserves_order():
     items = list(range(20))
     assert parallel_map(lambda x: x * x, items, threads=4) == [x * x for x in items]
     assert parallel_map(lambda x: x, [], threads=4) == []
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_parallel_map_rejects_fewer_than_one_thread(threads):
+    with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+        parallel_map(lambda x: x, [1, 2], threads=threads)

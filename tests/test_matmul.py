@@ -41,15 +41,6 @@ def test_small_frozen_product():
     assert np.allclose(multiply_matrices(a, b), [[4, 6], [10, 12]], atol=1e-12)
 
 
-def test_accumulator_seed_is_added():
-    rng = np.random.default_rng(5)
-    a = rng.normal(size=(4, 8))
-    b = rng.normal(size=(8, 4))
-    seed = rng.normal(size=(4, 4))
-    got = multiply_matrices(a, b, acc_init=seed)
-    assert np.max(np.abs(got - (a @ b + seed))) < 1e-9
-
-
 def test_he_matmul_needs_enough_rows():
     backend = sim(64)
     a = encode_row_major(backend, np.ones((8, 4)), 8)
@@ -146,7 +137,7 @@ def test_fast_path_cost_contract():
     # m=8, f=16, n=8, p=4 with p | m: per column one rotation-shift, one
     # mul, one row-sum ladder trimmed to log2(8) doubling steps and
     # ceil(log2(8 + 4 - 1)) broadcast steps (rot/add each, + 1 cmul), one
-    # filter cmul.
+    # filter cmul; the 4 filtered columns are summed by 3 adds.
     rng = np.random.default_rng(9)
     backend = sim(8 * 16)
     a = encode_row_major(backend, rng.normal(size=(8, 8)), 16)
@@ -154,7 +145,7 @@ def test_fast_path_cost_contract():
     before = backend.ledger.snapshot()
     out = he_matmul(backend, a, b, 4)
     assert ledger_delta(backend, before) == {
-        "mul": 4, "cmul": 8, "rot": 3 + 4 * (3 + 4), "add": 4 * (3 + 4) + 4,
+        "mul": 4, "cmul": 8, "rot": 3 + 4 * (3 + 4), "add": 4 * (3 + 4) + 3,
         "consumed_bits": 4 * (45 + 2 * 20)}
     assert out.ct.budget_bits == 1200 - (45 + 2 * 20)
 
@@ -172,7 +163,7 @@ def test_masked_shift_cost_contract():
     out = he_matmul(backend, enc_a, enc_b, 3)
     assert ledger_delta(backend, before) == {
         "mul": 3, "cmul": 2 * 3 + 2 * 2, "rot": 2 * 2 + 2 * 3 * 3,
-        "add": 2 * 3 * 3 + 2 + 3,
+        "add": 2 * 3 * 3 + 2 + 2,
         "consumed_bits": 3 * (45 + 2 * 20) + 2 * 2 * 20}
     got = decode_diagonal(backend.decrypt(out.ct), 8, 8, 3)
     assert np.max(np.abs(got - a @ b)) < 1e-9
@@ -182,10 +173,21 @@ def test_masked_shift_cost_contract():
 def test_parallel_matches_sequential_bitwise():
     rng = np.random.default_rng(11)
     a = rng.normal(size=(8, 16))
-    b = rng.normal(size=(16, 8))
-    seq = multiply_matrices(a, b, threads=1)
-    par = multiply_matrices(a, b, threads=4)
+    b = rng.normal(size=(16, 12))  # two column groups: 8 + 4 branches
+
+    def run(threads):
+        backend = sim(8 * 16)
+        a_parts = [encode_row_major(backend, a[:, :8], 16),
+                   encode_row_major(backend, a[:, 8:], 16)]
+        b_blocks = [split_weight_groups(backend, b[:8], 8, 16),
+                    split_weight_groups(backend, b[8:], 8, 16)]
+        out = he_matmul_partitioned(backend, a_parts, b_blocks, 12, threads)
+        return backend.decrypt(out.ct), backend.ledger.snapshot()
+
+    (seq, seq_ops), (par, par_ops) = run(1), run(4)
     assert np.array_equal(seq, par)
+    assert seq_ops == par_ops
+    assert np.max(np.abs(decode_diagonal(seq, 8, 16, 12) - a @ b)) < 1e-9
 
 
 def test_multiply_matrices_validation():
@@ -201,7 +203,7 @@ def _partitioned_products(draw):
     f = draw(st.sampled_from([4, 8, 16, 32]))
     p = draw(st.integers(1, f))
     widths = draw(st.lists(st.integers(1, f), min_size=1, max_size=4))
-    return m, f, p, widths, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+    return m, f, p, widths, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=60, deadline=None)
@@ -209,7 +211,7 @@ def _partitioned_products(draw):
 def test_partitioned_product_property(case):
     # A's pad slots hold noise (an activation leaves its constant there);
     # B's pad is zero, so the trimmed ladder must still read exact sums.
-    m, f, p, widths, seeded, seed = case
+    m, f, p, widths, seed = case
     rng = np.random.default_rng(seed)
     backend = sim(m * f)
     a_parts, b_blocks, want = [], [], np.zeros((m, p))
@@ -221,14 +223,11 @@ def test_partitioned_product_property(case):
                                      row_major_layout(m, f, n)))
         b_blocks.append(split_weight_groups(backend, b, m, f))
         want += a @ b
-    acc = rng.normal(size=(m, p)) if seeded else None
-    if seeded:
-        want += acc
 
     before = backend.ledger.snapshot()
     with mock.patch.object(hepack.matmul, "broadcast_row_sums",
                            wraps=hepack.matmul.broadcast_row_sums) as ladder:
-        out = he_matmul_partitioned(backend, a_parts, b_blocks, p, acc_init=acc)
+        out = he_matmul_partitioned(backend, a_parts, b_blocks, p)
     got = decode_diagonal(backend.decrypt(out.ct), m, f, p)
     assert np.max(np.abs(got - want)) < 1e-9
     assert ladder.call_count == p
@@ -242,5 +241,5 @@ def test_partitioned_product_property(case):
     assert ledger_delta(backend, before) == {
         "mul": g * p, "cmul": cmul,
         "rot": p * steps + g * (shifts + masked),
-        "add": p * steps + g * p + g * masked,
+        "add": p * steps + g * p - 1 + g * masked,
         "consumed_bits": g * p * params.delta_bits + cmul * params.delta_c_bits}
