@@ -6,20 +6,16 @@ budget depth of the data path can be predicted exactly from the geometry:
 conv (C channels)    rot k^2-1 (shared image taps), add C*k^2,
                      cmul C*(k^2+1) (encrypted kernels: mul C*k^2, cmul C)
 act (per part)       2 mul, 3 cmul, 3 add
-fc                   p iterations (G input blocks, output width p) of
-                     [G shifts + G mul + G-1 block adds + one row-sum
-                     ladder (up + down rot and add, 1 cmul) + filter cmul],
-                     up = ceil(log2 n) for n input slots per row and
-                     down = ceil(log2 min(f, m + p - 1)); a shift costs
-                     1 rot per nonzero step, or 2 rot + 2 cmul + 1 add
-                     when the group width does not divide the row count;
-                     + p - 1 branch adds + 1 bias add; inner layers add
-                     one column fold: f/p cmul, f/p - 1 rot and add.
+fc                   G input parts of n slots per row, output width p,
+                     baby-step size B and L fold steps from
+                     network.fc_schedule: G*p mul (one per diagonal),
+                     rot G*(B-1) baby + ceil(p/B)-1 giant + L fold,
+                     add G*p - 1 products and giant steps + L fold + 1 bias
 
 Depth assumes weight ciphertexts are fresher than the data path (true
 whenever the weights are encrypted at full budget), so only the data-side
 rescales count: conv 2*delta_c (or delta + delta_c encrypted), act
-2*delta + delta_c, fc delta + 2*delta_c, + delta_c when compacted.
+2*delta + delta_c, fc delta.
 """
 
 from __future__ import annotations
@@ -30,10 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backend import BackendParams, SlotSimulator
-from .linalg import ceil_log2
-from .matmul import column_group_widths
 from .network import (ActSpec, ConvSpec, InferenceResult, NetworkSpec,
-                      infer_images, layer_names)
+                      fc_schedule, infer_images, layer_names)
 
 
 @dataclass
@@ -49,14 +43,17 @@ class LayerCost:
 def predict_layer_costs(net: NetworkSpec, batch: int, row_width: int,
                         params: BackendParams,
                         encrypted_kernels: bool = False) -> list[LayerCost]:
-    """Per-layer op counts and depth for one batch through the network."""
+    """Per-layer op counts and depth for one batch through the network.
+
+    No count depends on `batch`: every schedule works row-locally.
+    """
     net.validate()
-    m, f = batch, row_width
+    f = row_width
     d, dc = params.delta_bits, params.delta_c_bits
     costs = []
     parts = 1
     width = net.input_h * net.input_w  # slots per row the next fc reads
-    for pos, (name, layer) in enumerate(zip(layer_names(net), net.layers)):
+    for name, layer in zip(layer_names(net), net.layers):
         cost = LayerCost(name)
         if isinstance(layer, ConvSpec):
             c, taps = layer.channels, layer.k * layer.k
@@ -77,26 +74,11 @@ def predict_layer_costs(net: NetworkSpec, batch: int, row_width: int,
             cost.depth_bits = 2 * d + dc
         else:
             g, p = parts, layer.out_dim
-            widths = column_group_widths(p, m)
-            ladder = ceil_log2(width) + ceil_log2(min(f, m + p - 1))
+            baby, fold = fc_schedule([width] * g, p, f)
             cost.mul = g * p
-            cost.cmul = 2 * p
-            cost.rot = p * ladder
-            cost.add = p * ladder + g * p
-            for w in widths:
-                if m % w == 0:
-                    cost.rot += g * (w - 1)
-                else:
-                    cost.rot += g * 2 * (w - 1)
-                    cost.cmul += g * 2 * (w - 1)
-                    cost.add += g * (w - 1)
-            cost.depth_bits = d + 2 * dc
-            if pos != len(net.layers) - 1:  # inner layers fold to row-major
-                bands = f // p
-                cost.cmul += bands
-                cost.rot += bands - 1
-                cost.add += bands - 1
-                cost.depth_bits += dc
+            cost.rot = g * (baby - 1) + -(-p // baby) - 1 + fold
+            cost.add = g * p + fold
+            cost.depth_bits = d
             parts, width = 1, p
         costs.append(cost)
     return costs
@@ -134,6 +116,19 @@ class BenchReport:
     def counts_match(self) -> bool:
         want = total_op_counts(self.predicted)
         return all(self.result.op_counts[k] == want[k] for k in want)
+
+    @property
+    def depth_mismatch(self) -> str | None:
+        """The first layer whose measured depth differs from the closed form."""
+        for c, (name, bits) in zip(self.predicted, self.result.layer_depths):
+            if (c.name, c.depth_bits) != (name, bits):
+                return (f"layer {c.name}: measured {bits} depth bits, "
+                        f"closed form {c.depth_bits}")
+        want = sum(c.depth_bits for c in self.predicted)
+        if self.result.depth_bits != want:
+            return (f"total: measured {self.result.depth_bits} depth bits, "
+                    f"closed form {want}")
+        return None
 
 
 def run_bench(net: NetworkSpec, params: BackendParams, batch: int,

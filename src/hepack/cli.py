@@ -25,9 +25,8 @@ def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--delta-c", type=int, default=20,
                      help="bits burned per plaintext-mask mul")
     sub.add_argument("--threads", type=int, default=1,
-                     help="threads for the branch map; bitwise equal to 1, "
-                          "not faster under the GIL")
-    sub.add_argument("--seed", type=int, default=0, help="rng seed")
+                     help="threads for the kernel and giant-step maps; "
+                          "bitwise equal to 1, not faster under the GIL")
     sub.add_argument("--encrypted-kernels", action="store_true",
                      help="encrypt conv kernels as ciphertexts, not masks")
 
@@ -127,8 +126,11 @@ def cmd_bench(args) -> int:
           f"{got['add']:>8}{report.result.depth_bits:>8}")
     print("op counts match closed form" if report.counts_match
           else "MISMATCH between measured and predicted op counts")
+    bad_depth = report.depth_mismatch
+    print(f"MISMATCH in {bad_depth}" if bad_depth
+          else "layer depths match closed form")
     print(f"wall {report.wall_seconds:.2f}s")
-    return 0 if report.counts_match else 1
+    return 0 if report.counts_match and not bad_depth else 1
 
 
 def main(argv=None) -> int:
@@ -150,8 +152,11 @@ def main(argv=None) -> int:
     p_verify.add_argument("--seed", type=int, default=0, help="rng seed")
     p_verify.set_defaults(fn=cmd_verify)
 
-    p_bench = subs.add_parser("bench", help="time one batch and audit op counts")
+    p_bench = subs.add_parser(
+        "bench", help="time one batch, audit op counts and layer depths")
     p_bench.add_argument("--weights", help="network CSV (default: random)")
+    p_bench.add_argument("--seed", type=int, default=0,
+                         help="rng seed for the random network and batch")
     _add_common(p_bench)
     p_bench.set_defaults(fn=cmd_bench)
 

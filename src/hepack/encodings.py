@@ -158,9 +158,8 @@ def diagonal_slot_column(i: int, j: int, p: int, f: int) -> int:
 def encode_diagonal_pattern(matrix, rows: int, row_width: int, p: int) -> np.ndarray:
     """Place an m x p matrix into the diagonal slot pattern (forward map).
 
-    Used both to encode an fc layer's bias, which is then added to the
-    product and so lands exactly where the products do, and as the
-    independent oracle for decode_diagonal.
+    The independent oracle for decode_diagonal; it also builds the
+    diagonal-layout inputs that compaction is tested on.
     """
     c = np.asarray(matrix, dtype=np.float64)
     m, width = c.shape

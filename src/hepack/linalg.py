@@ -171,7 +171,9 @@ def rotate_within_rows(backend: SimdBackend, enc: EncodedMatrix,
                        amount: int) -> EncodedMatrix:
     """Cyclic left rotation by `amount` inside each row's logical window.
 
-    Pad slots stay zero. Two real rotations: one brings the unwrapped
+    For amount > 0 the pad slots come out zero, whatever the input held
+    there; amount 0 is free and returns the input as it is, pad slots
+    included. Two real rotations: one brings the unwrapped
     part into place, one brings the wrapped head to the window tail; band
     masks cut each to its columns.
     """

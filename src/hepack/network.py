@@ -5,9 +5,10 @@ Convolution outputs live at valid grid anchors of each channel ciphertext;
 the first fully-connected layer consumes those channel ciphertexts
 directly, with weight rows remapped onto grid positions (zero at invalid
 anchors and pad slots, which also swallows the constant term the cubic
-activation smears over every slot). Inner fc outputs are compacted to
-row-major; the final fc output stays in its diagonal layout and is decoded
-straight to logits.
+activation smears over every slot). Each fc layer multiplies its row-packed
+inputs by row-local diagonals of the weight matrix, with baby-step
+giant-step rotations, and leaves its output row-major in columns 0..p-1;
+the logits are read straight from the last one.
 
 Activation is a fixed cubic evaluated at depth two: x*x, then x2*x, then
 one plaintext product per coefficient, so a layer costs
@@ -22,10 +23,9 @@ import numpy as np
 
 from .backend import DepthExhaustedError, SimdBackend
 from .conv import conv_layer, span_kernel
-from .encodings import (EncodedMatrix, LayoutKind, decode_diagonal,
-                        encode_diagonal_pattern, pack_image_batch)
-from .linalg import compact_columns, reduce_add
-from .matmul import he_matmul_partitioned, split_weight_groups
+from .encodings import (EncodedMatrix, LayoutKind, decrypt_rows,
+                        encode_row_major, pack_image_batch, row_major_layout)
+from .linalg import ceil_log2, parallel_map, reduce_add
 
 # Degree-three least-squares activation fits baked into the stock MNIST model.
 STOCK_ACT1 = (-0.00015120704, 0.4610149, 2.0225089, -1.4511951)
@@ -149,33 +149,93 @@ def _fc_block_matrix(part: EncodedMatrix, weight: np.ndarray, offset: int,
     return weight[:, offset: offset + n_prev].T, offset + n_prev
 
 
+def fc_schedule(widths, p: int, f: int) -> tuple[int, int]:
+    """Baby-step size B and fold steps L of the diagonal fc schedule.
+
+    `widths` holds the slots per row n_g of each input part. Output slot c
+    collects input slots c-p+1..c, so partial sums reach slot n + p - 2
+    (n the widest part) and fold back into columns 0..p-1 in L doubling
+    steps of stride p. B is the smallest size that minimises the
+    G*(B-1) + ceil(p/B) baby and giant rotations.
+    """
+    g, n = len(widths), max(widths)
+    fold = ceil_log2(-(-(n + p - 1) // p))
+    # p * 2^L >= n + p - 1, so this also keeps every diagonal in its row.
+    if p << fold > f:
+        raise ValueError(
+            f"fc layer with n={n} input slots per row and p={p} outputs needs "
+            f"{p << fold} slots per row to fold, rows have f={f}")
+    baby = min(range(1, p + 1), key=lambda b: g * (b - 1) + -(-p // b))
+    return baby, fold
+
+
+def _diagonal_rows(block: np.ndarray, f: int, baby: int) -> np.ndarray:
+    """One row pattern per diagonal d = b + baby*a of a part's weights.
+
+    Diagonal d puts block[c - d, c % p] at slot c (zero unless
+    0 <= c - d < n); row d holds it pre-rotated left by baby*a, as the
+    giant step that rotates it back right expects.
+    """
+    n, p = block.shape
+    d = np.arange(p)[:, None]
+    c = np.arange(f)[None, :]
+    src = c - d % baby
+    vals = block[np.clip(src, 0, n - 1), (c + d - d % baby) % p]
+    return np.where((src >= 0) & (src < n), vals, 0.0)
+
+
 def fc_layer(backend: SimdBackend, parts, spec: FcSpec, valid_hw=None,
-             compact: bool = True, threads: int = 1) -> EncodedMatrix:
+             threads: int = 1) -> EncodedMatrix:
     """Fully-connected layer over one or more packed input parts.
 
-    Produces the diagonal(out_dim) product, adds the encrypted bias in
-    the same diagonal pattern, then folds it to row-major unless
-    compact=False (the final layer is decoded straight from the diagonal
-    layout).
+    Slot c of every row gathers sum_g sum_{d<p} D_{g,d}[c] * x_g[c-d], the
+    diagonal D_{g,d} holding the weight from input slot c-d of part g to
+    output column c mod p. A right rotation by d pulls the previous row's
+    tail only into slots c < d, and input slots past n_g meet zero
+    weights, so no mask is needed and input pad slots may hold anything.
+    With d = b + B*a each part is rotated right by b < B once (baby
+    steps); each giant step a sums its products against diagonals
+    pre-rotated left by B*a and is rotated right by B*a. Each diagonal is
+    encrypted, as m equal rows, just before its mul, so only one is alive
+    per giant step. Folding with strides p*2^s adds the bands into columns
+    0..p-1, where the bias is added. Slots past p keep partial band sums,
+    which the next fc layer's zero weights ignore.
     """
     parts = list(parts)
     m, f = parts[0].layout.rows, parts[0].layout.row_width
+    if any((x.layout.rows, x.layout.row_width) != (m, f) for x in parts):
+        raise ValueError("input parts disagree on rows and row width")
     p = spec.out_dim
     offset = 0
-    b_blocks = []
+    blocks = []
     for part in parts:
         block, offset = _fc_block_matrix(part, spec.weight, offset, valid_hw)
-        b_blocks.append(split_weight_groups(backend, block, m, f))
+        blocks.append(block)
     if offset != spec.in_dim:
         raise ValueError(
             f"input parts supply {offset} features, fc expects {spec.in_dim}")
-    prod = he_matmul_partitioned(backend, parts, b_blocks, p, threads)
-    bias = backend.encrypt(encode_diagonal_pattern(np.tile(spec.bias, (m, 1)),
-                                                   m, f, p))
-    out = EncodedMatrix(backend.add(prod.ct, bias), prod.layout)
-    if compact:
-        return compact_columns(backend, out)
-    return out
+    baby, fold = fc_schedule([block.shape[0] for block in blocks], p, f)
+    diags = [_diagonal_rows(block, f, baby) for block in blocks]
+    spun = [[backend.rot(part.ct, -b) if b else part.ct for b in range(baby)]
+            for part in parts]
+
+    def giant_step(a: int):
+        acc = None
+        for rows, steps in zip(diags, spun):
+            for b in range(min(baby, p - baby * a)):
+                diag = encode_row_major(
+                    backend, np.broadcast_to(rows[baby * a + b], (m, f)), f)
+                term = backend.mul(steps[b], diag.ct)
+                acc = term if acc is None else backend.add(acc, term)
+        return backend.rot(acc, -baby * a) if a else acc
+
+    acc = reduce_add(backend, parallel_map(giant_step, range(-(-p // baby)),
+                                           threads))
+    for s in range(fold):
+        acc = backend.add(acc, backend.rot(acc, p << s))
+    bias = encode_row_major(backend, np.tile(spec.bias, (m, 1)), f)
+    acc = backend.add(acc, bias.ct)
+    return EncodedMatrix(acc, row_major_layout(m, f, p))
 
 
 # -------------------------------------------------------------- pipeline
@@ -213,8 +273,7 @@ def infer(backend: SimdBackend, net: NetworkSpec, packed: EncodedMatrix,
     names = layer_names(net)
     budget = min(p.ct.budget_bits for p in parts)
     layer_depths = []
-    for pos, (name, layer) in enumerate(zip(names, net.layers)):
-        last = pos == len(net.layers) - 1
+    for name, layer in zip(names, net.layers):
         try:
             if isinstance(layer, ConvSpec):
                 plans = [span_kernel(layer.kernels[c], layer.biases[c],
@@ -227,16 +286,13 @@ def infer(backend: SimdBackend, net: NetworkSpec, packed: EncodedMatrix,
                 parts = [apply_activation(backend, p, layer.coeffs)
                          for p in parts]
             else:
-                parts = [fc_layer(backend, parts, layer, valid_hw,
-                                  compact=not last, threads=threads)]
+                parts = [fc_layer(backend, parts, layer, valid_hw, threads)]
         except DepthExhaustedError as e:
             raise DepthExhaustedError(f"budget exhausted in layer {name}: {e}") from e
         now = min(p.ct.budget_bits for p in parts)
         layer_depths.append((name, budget - now))
         budget = now
-    out = parts[0]  # the last layer is an fc layer left in diagonal layout
-    logits = decode_diagonal(backend.decrypt(out.ct), lay.rows, lay.row_width,
-                             out.layout.period)
+    logits = decrypt_rows(backend, parts[0])[:, :net.classes]
     after = backend.ledger.snapshot()
     return InferenceResult(
         logits=logits,

@@ -9,7 +9,7 @@ from hepack import (
     write_idx_images,
     write_idx_labels,
 )
-from hepack import verify
+from hepack import bench, verify
 from hepack.cli import main
 from hepack.verify import check_matmul_partitioned
 
@@ -45,7 +45,7 @@ def test_infer_end_to_end(reduced_files, capsys):
     text = capsys.readouterr().out
     assert "block 1/3" in text and "block 3/3" in text
     assert "accuracy 20/20 = 1.0000" in text
-    assert "depth 450/1200 bits" in text
+    assert "depth 350/1200 bits" in text
     lines = out.read_text().splitlines()
     assert len(lines) == 20
     for i, line in enumerate(lines):
@@ -160,6 +160,14 @@ def test_threads_must_be_positive(reduced_files, capsys, command):
     assert "threads must be at least 1, got 0" in capsys.readouterr().err
 
 
+def test_infer_takes_no_seed(reduced_files, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["infer", "--weights", str(reduced_files["weights"]),
+              "--images", str(reduced_files["images"]), "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
 def test_verify_passes_and_is_deterministic(capsys):
     assert main(["verify"]) == 0
     first = capsys.readouterr().out
@@ -204,6 +212,27 @@ def test_bench_audits_op_counts(reduced_files, capsys):
         if line.startswith("measured"):
             measured = line.split()
     assert total[1:] == measured[1:]
+    assert "layer depths match closed form" in text
+
+
+def test_bench_names_the_first_layer_off_the_depth_model(reduced_files, capsys,
+                                                          monkeypatch):
+    real = bench.predict_layer_costs
+
+    def off_by_one(*args, **kw):
+        costs = real(*args, **kw)
+        for cost in costs:
+            if cost.name in ("fc-1", "fc-2"):
+                cost.depth_bits += 1
+        return costs
+
+    monkeypatch.setattr(bench, "predict_layer_costs", off_by_one)
+    rc = main(["bench", "--weights", str(reduced_files["weights"]), *SMALL])
+    assert rc == 1
+    text = capsys.readouterr().out
+    assert "op counts match closed form" in text
+    assert "MISMATCH in layer fc-1: measured 45 depth bits, closed form 46" in text
+    assert "fc-2" not in text.split("MISMATCH")[1]
 
 
 def test_bench_encrypted_kernels(reduced_files, capsys):

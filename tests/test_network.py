@@ -1,30 +1,33 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import signal
 
 from hepack import (
     ActSpec,
     ConvSpec,
     DepthExhaustedError,
+    EncodedMatrix,
     FcSpec,
-    LayoutKind,
     NetworkSpec,
     STOCK_ACT1,
     STOCK_ACT2,
     apply_activation,
-    decode_diagonal,
     decrypt_rows,
     encode_row_major,
     eval_poly,
     fc_layer,
+    grid_layout,
     infer,
     infer_images,
     pack_image_batch,
     random_network,
     reduced_geometry,
     reference_infer,
+    row_major_layout,
     stock_geometry,
 )
+from hepack.network import fc_schedule
 from common import ledger_delta, sim
 
 
@@ -81,8 +84,12 @@ def test_fc_layer_row_major_input():
     rows = decrypt_rows(backend, out)
     ref = x @ spec.weight.T + spec.bias
     assert np.max(np.abs(rows[:, :4] - ref)) < 1e-9
-    assert not rows[:, 4:].any()
-    assert out.layout.kind is LayoutKind.ROW_MAJOR
+    assert out.layout == row_major_layout(8, 16, 4)
+    # Slots past p keep partial band sums; the next fc layer ignores them.
+    assert rows[:, 4:].any()
+    nxt = FcSpec(rng.normal(size=(3, 4)), rng.normal(size=3))
+    twice = decrypt_rows(backend, fc_layer(backend, [out], nxt))
+    assert np.max(np.abs(twice[:, :3] - (ref @ nxt.weight.T + nxt.bias))) < 1e-9
 
 
 def test_fc_layer_grid_input_uses_valid_region():
@@ -121,29 +128,15 @@ def test_fc_layer_splits_columns_when_wider_than_batch():
     assert np.max(np.abs(rows[:, :16] - ref)) < 1e-9
 
 
-def test_fc_layer_wide_output_without_compaction():
-    # Output widths that do not divide the row width can only stay in the
-    # diagonal layout, which suits the final layer.
+def test_fc_layer_rejects_a_row_too_short_to_fold():
+    # n=6, p=20: the partial sums reach slot 24, so the fold needs
+    # p * 2 = 40 slots per row, more than the 32 there are.
     rng = np.random.default_rng(40)
     backend = sim(8 * 32)
     x = rng.normal(size=(8, 6))
     spec = FcSpec(rng.normal(size=(20, 6)), rng.normal(size=20))
-    out = fc_layer(backend, [encode_row_major(backend, x, 32)], spec,
-                   compact=False)
-    got = decode_diagonal(backend.decrypt(out.ct), 8, 32, 20)
-    ref = x @ spec.weight.T + spec.bias
-    assert np.max(np.abs(got - ref)) < 1e-9
-
-
-def test_fc_layer_compact_false_keeps_diagonal():
-    rng = np.random.default_rng(5)
-    backend = sim(4 * 8)
-    x = rng.normal(size=(4, 3))
-    spec = FcSpec(rng.normal(size=(2, 3)), rng.normal(size=2))
-    out = fc_layer(backend, [encode_row_major(backend, x, 8)], spec,
-                   compact=False)
-    assert out.layout.kind is LayoutKind.DIAGONAL
-    assert out.layout.period == 2
+    with pytest.raises(ValueError, match="n=6 .* p=20 .* f=32"):
+        fc_layer(backend, [encode_row_major(backend, x, 32)], spec)
 
 
 def test_fc_layer_checks_feature_count():
@@ -151,6 +144,91 @@ def test_fc_layer_checks_feature_count():
     enc = encode_row_major(backend, np.ones((4, 3)), 8)
     with pytest.raises(ValueError, match="expects"):
         fc_layer(backend, [enc], FcSpec(np.ones((2, 5)), np.zeros(2)))
+
+
+def test_fc_layer_parts_must_share_rows():
+    backend = sim(4 * 8)
+    parts = [encode_row_major(backend, np.ones((4, 3)), 8),
+             encode_row_major(backend, np.ones((2, 3)), 16)]
+    with pytest.raises(ValueError, match="disagree"):
+        fc_layer(backend, parts, FcSpec(np.ones((2, 6)), np.zeros(2)))
+
+
+def _fits(n, p, f):
+    """Whether p-wide bands over slots 0..n+p-2 fold inside a row of f."""
+    fold = next(l for l in range(f + 1) if p << l >= n + p - 1)
+    return p << fold <= f
+
+
+@st.composite
+def _fc_cases(draw):
+    m = draw(st.sampled_from([1, 2, 4]))
+    f = draw(st.sampled_from([8, 16, 32, 64]))
+    p = draw(st.integers(1, f))
+    n_max = max(n for n in range(1, f + 1) if _fits(n, p, f))
+    oh, ow = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    shapes = []
+    for _ in range(draw(st.integers(1, 3))):
+        if oh * ow <= n_max and draw(st.booleans()):
+            gh = draw(st.integers(oh, n_max // ow))
+            shapes.append(("grid", gh, draw(st.integers(ow, n_max // gh))))
+        else:
+            shapes.append(("rows", draw(st.integers(1, n_max))))
+    p2 = draw(st.sampled_from([q for q in range(1, f + 1) if _fits(p, q, f)]))
+    return m, f, p, p2, (oh, ow), shapes, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fc_cases())
+def test_fc_layer_property(case):
+    m, f, p, p2, (oh, ow), shapes, seed = case
+    rng = np.random.default_rng(seed)
+    backend = sim(m * f)
+    parts, feats, widths = [], [], []
+    for shape in shapes:
+        # Junk in every slot the features do not fill: pad slots and
+        # invalid grid anchors, as an activation leaves them.
+        slots = rng.normal(size=(m, f))
+        if shape[0] == "grid":
+            _, gh, gw = shape
+            x = rng.normal(size=(m, oh, ow))
+            for a in range(oh):
+                slots[:, a * gw: a * gw + ow] = x[:, a]
+            layout = grid_layout(m, f, gh, gw)
+        else:
+            x = rng.normal(size=(m, shape[1]))
+            slots[:, :shape[1]] = x
+            layout = row_major_layout(m, f, shape[1])
+        feats.append(x.reshape(m, -1))
+        widths.append(layout.logical_width)
+        parts.append(EncodedMatrix(backend.encrypt(slots.reshape(-1)), layout))
+    x = np.concatenate(feats, axis=1)
+    spec = FcSpec(rng.normal(size=(p, x.shape[1])), rng.normal(size=p))
+
+    before = backend.ledger.snapshot()
+    out = fc_layer(backend, parts, spec, valid_hw=(oh, ow))
+    counts = ledger_delta(backend, before)
+    y = x @ spec.weight.T + spec.bias
+    assert np.max(np.abs(decrypt_rows(backend, out)[:, :p] - y)) < 1e-9
+    assert out.layout == row_major_layout(m, f, p)
+
+    g, n, delta = len(parts), max(widths), backend.params.delta_bits
+    baby = min((g * (b - 1) + -(-p // b), b) for b in range(1, p + 1))[1]
+    fold = next(l for l in range(f + 1) if p << l >= n + p - 1)
+    assert fc_schedule(widths, p, f) == (baby, fold)
+    assert counts == {
+        "mul": g * p, "cmul": 0,
+        "rot": g * (baby - 1) + -(-p // baby) - 1 + fold,
+        "add": g * p + fold, "consumed_bits": g * p * delta}
+    assert out.ct.budget_bits == 1200 - delta
+
+    par = fc_layer(backend, parts, spec, valid_hw=(oh, ow), threads=2)
+    assert np.array_equal(backend.decrypt(par.ct), backend.decrypt(out.ct))
+
+    # Slots past p hold partial band sums; the next layer must not see them.
+    nxt = FcSpec(rng.normal(size=(p2, p)), rng.normal(size=p2))
+    twice = decrypt_rows(backend, fc_layer(backend, [out], nxt))
+    assert np.max(np.abs(twice[:, :p2] - (y @ nxt.weight.T + nxt.bias))) < 1e-9
 
 
 def test_pad_contamination_is_contained():
@@ -249,7 +327,7 @@ def test_pipeline_with_encrypted_kernels():
     res = infer_images(backend, net, images, geo["row_width"],
                        encrypted_kernels=True)
     assert np.max(np.abs(res.logits - reference_infer(net, images))) < 1e-6
-    assert res.depth_bits == 65 + 110 + 105 + 110 + 85
+    assert res.depth_bits == 65 + 110 + 45 + 110 + 45
 
 
 def test_depth_accounting_layer_by_layer():
@@ -259,9 +337,9 @@ def test_depth_accounting_layer_by_layer():
     backend = sim(geo["batch"] * geo["row_width"])
     res = infer_images(backend, net, images, geo["row_width"])
     assert res.layer_depths == [
-        ("conv-1", 40), ("act-1", 110), ("fc-1", 105),
-        ("act-2", 110), ("fc-2", 85)]
-    assert res.depth_bits == 450
+        ("conv-1", 40), ("act-1", 110), ("fc-1", 45),
+        ("act-2", 110), ("fc-2", 45)]
+    assert res.depth_bits == 350
     assert res.op_counts["consumed_bits"] > 0
 
 
