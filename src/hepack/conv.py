@@ -86,6 +86,7 @@ def conv_layer(backend: SimdBackend, image: EncodedMatrix, plans,
 
     Each output keeps the input grid layout, with the result for anchor
     (a, b) at grid slot a*w + b for a <= h-k, b <= w-k and zeros elsewhere.
+    Tap products are made one at a time and streamed into reduce_add.
     """
     plans = list(plans)
     lay = image.layout
@@ -109,15 +110,15 @@ def conv_layer(backend: SimdBackend, image: EncodedMatrix, plans,
     def per_kernel(plan):
         weights = plan.kernel.reshape(-1)
         if encrypted_kernels:
-            prods = [backend.mul(tap, backend.encrypt(np.full(slots, wt)))
-                     for tap, wt in zip(taps, weights)]
+            prods = (backend.mul(tap, backend.encrypt(np.full(slots, wt)))
+                     for tap, wt in zip(taps, weights))
         else:
-            prods = [backend.cmul(tap, float(wt)) for tap, wt in zip(taps, weights)]
+            prods = (backend.cmul(tap, float(wt)) for tap, wt in zip(taps, weights))
         valid = backend.cmul(reduce_add(backend, prods), mask)
         return EncodedMatrix(
             backend.add(valid, backend.encrypt(plan.bias_slots)), lay)
 
-    return parallel_map(per_kernel, plans, threads)
+    return list(parallel_map(per_kernel, plans, threads))
 
 
 def he_conv(backend: SimdBackend, image: EncodedMatrix, plan: KernelPlan,

@@ -15,8 +15,9 @@ Filter masks are built once per shape, cached, and read-only.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -203,42 +204,45 @@ def compact_columns(backend: SimdBackend, enc: EncodedMatrix) -> EncodedMatrix:
     p, f = lay.period, lay.row_width
     if f % p:
         raise ValueError(f"period {p} must divide row_width {f}")
-    pieces = []
-    for t in range(f // p):
-        piece = backend.cmul(enc.ct, make_col_band_mask(lay.rows, f, t * p, (t + 1) * p))
-        if t:
-            piece = backend.rot(piece, t * p)
-        pieces.append(piece)
-    return EncodedMatrix(reduce_add(backend, pieces),
-                         row_major_layout(lay.rows, f, p))
+    bands = (backend.cmul(enc.ct, make_col_band_mask(lay.rows, f, t * p, (t + 1) * p))
+             for t in range(f // p))
+    pieces = (backend.rot(band, t * p) if t else band for t, band in enumerate(bands))
+    return EncodedMatrix(reduce_add(backend, pieces), row_major_layout(lay.rows, f, p))
 
 
 # ----------------------------------------------------- reduce / schedule
 
-def reduce_add(backend: SimdBackend, cts: list[CipherVec]) -> CipherVec:
-    """Deterministic sum of ciphertexts as a balanced tree.
+def reduce_add(backend: SimdBackend, cts: Iterable[CipherVec]) -> CipherVec:
+    """Deterministic sum of any iterable of ciphertexts, as a balanced tree.
 
-    Costs len(cts) - 1 additions; its floating-point result is independent
-    of how the inputs were produced batch-wise or thread-wise.
+    Streamed: a binary-counter stack merges its top two partial sums while
+    they cover equally many inputs and is folded from the top at the end.
+    That makes the n - 1 adds, with the pairings, of a level-by-level tree,
+    with at most floor(log2 n) + 1 partial sums alive; the result does not
+    depend on how the inputs were produced batch-wise or thread-wise.
     """
-    if not cts:
+    stack = []
+    for n, ct in enumerate(cts, 1):
+        for _ in range((n & -n).bit_length() - 1):  # trailing zeros of n
+            ct = backend.add(stack.pop(), ct)
+        stack.append(ct)
+    if not stack:
         raise ValueError("nothing to add")
-    level = list(cts)
-    while len(level) > 1:
-        nxt = [backend.add(level[i], level[i + 1])
-               for i in range(0, len(level) - 1, 2)]
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-    return level[0]
+    return reduce(lambda total, ct: backend.add(ct, total), reversed(stack))
 
 
-def parallel_map(fn, items, threads: int = 1) -> list:
-    """Map preserving order; a thread pool is used when threads > 1."""
+def parallel_map(fn, items, threads: int = 1) -> Iterator:
+    """Lazy ordered map; threads > 1 submit every item to a pool up front.
+
+    The thread count is checked at once, not when the first item is read.
+    """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    items = list(items)
-    if threads == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
+    if threads == 1:
+        return map(fn, items)
+    return _pool_map(fn, items, threads)
+
+
+def _pool_map(fn, items, threads: int) -> Iterator:
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+        yield from pool.map(fn, items)

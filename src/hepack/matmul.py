@@ -58,8 +58,8 @@ def _branch(backend: SimdBackend, a_parts, groups, step: int, p: int):
     in block order, so the result does not depend on the thread count.
     """
     m, f = a_parts[0].layout.rows, a_parts[0].layout.row_width
-    prods = [backend.mul(a.ct, shift_rows(backend, grp.enc, grp.width, step).ct)
-             for a, grp in zip(a_parts, groups)]
+    prods = (backend.mul(a.ct, shift_rows(backend, grp.enc, grp.width, step).ct)
+             for a, grp in zip(a_parts, groups))
     span = max(grp.enc.layout.logical_width for grp in groups)
     total = EncodedMatrix(reduce_add(backend, prods),
                           row_major_layout(m, f, span))

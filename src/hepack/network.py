@@ -18,6 +18,7 @@ one plaintext product per coefficient, so a layer costs
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -115,13 +116,9 @@ def eval_poly(backend: SimdBackend, ct, coeffs):
     c0, c1, c2, c3 = (float(c) for c in coeffs)
     x2 = backend.mul(ct, ct)
     x3 = backend.mul(x2, ct)
-    terms = [
-        backend.encrypt(np.full(backend.params.slots, c0)),
-        backend.cmul(ct, c1),
-        backend.cmul(x2, c2),
-        backend.cmul(x3, c3),
-    ]
-    return reduce_add(backend, terms)
+    const = backend.encrypt(np.full(backend.params.slots, c0))
+    terms = (backend.cmul(x, c) for x, c in ((ct, c1), (x2, c2), (x3, c3)))
+    return reduce_add(backend, chain([const], terms))
 
 
 def apply_activation(backend: SimdBackend, enc: EncodedMatrix,
@@ -139,12 +136,9 @@ def _fc_block_matrix(part: EncodedMatrix, weight: np.ndarray, offset: int,
         if valid_hw is None:
             raise ValueError("grid input parts need valid_hw")
         oh, ow = valid_hw
-        block = np.zeros((lay.grid_h * lay.grid_w, p))
-        for a in range(oh):
-            cols = weight[:, offset + a * ow: offset + (a + 1) * ow]
-            for b in range(ow):
-                block[a * lay.grid_w + b, :] = cols[:, b]
-        return block, offset + oh * ow
+        block = np.zeros((lay.grid_h, lay.grid_w, p))
+        block[:oh, :ow] = weight[:, offset: offset + oh * ow].T.reshape(oh, ow, p)
+        return block.reshape(-1, p), offset + oh * ow
     n_prev = lay.logical_width
     return weight[:, offset: offset + n_prev].T, offset + n_prev
 
@@ -197,9 +191,10 @@ def fc_layer(backend: SimdBackend, parts, spec: FcSpec, valid_hw=None,
     steps); each giant step a sums its products against diagonals
     pre-rotated left by B*a and is rotated right by B*a. Each diagonal is
     encrypted, as m equal rows, just before its mul, so only one is alive
-    per giant step. Folding with strides p*2^s adds the bands into columns
-    0..p-1, where the bias is added. Slots past p keep partial band sums,
-    which the next fc layer's zero weights ignore.
+    per giant step; the giant steps stream into reduce_add. Folding with
+    strides p*2^s adds the bands into columns 0..p-1, where the bias is
+    added. Slots past p keep partial band sums, which the next fc layer's
+    zero weights ignore.
     """
     parts = list(parts)
     m, f = parts[0].layout.rows, parts[0].layout.row_width

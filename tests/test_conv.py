@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -193,6 +195,24 @@ def test_parallel_conv_matches_sequential_bitwise():
 
     seq, par = run(1), run(4)
     assert all(np.array_equal(a, b) for a, b in zip(seq, par))
+
+
+def test_encrypted_kernel_sum_streams_its_tap_products():
+    # 25 shared taps must stay alive; the 25 tap products must not.
+    m, f, h = 32, 1024, 28
+    ct_bytes = m * f * 8
+    rng = np.random.default_rng(5)
+    backend = sim(m * f)
+    packed = pack_image_batch(backend, rng.normal(size=(m, h, h)), f)
+    plan = span_kernel(rng.normal(size=(5, 5)), 0.1, h, h, m, f)
+    tracemalloc.start()
+    try:
+        outs = conv_layer(backend, packed, [plan], encrypted_kernels=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(outs) == 1
+    assert peak < 40 * ct_bytes, f"peak {peak / ct_bytes:.1f} ciphertexts"
 
 
 @st.composite

@@ -378,10 +378,58 @@ def test_reduce_add_costs_and_validation():
         reduce_add(backend, [])
 
 
+def _tree_sum(backend, cts):
+    """Level-by-level balanced tree: the oracle reduce_add must match."""
+    level = list(cts)
+    while len(level) > 1:
+        nxt = [backend.add(level[i], level[i + 1])
+               for i in range(0, len(level) - 1, 2)]
+        if len(level) % 2:
+            nxt.append(level[-1])
+        level = nxt
+    return level[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 70), st.booleans(), st.integers(0, 2**32 - 1))
+def test_reduce_add_streams_a_balanced_tree(n, as_generator, seed):
+    rng = np.random.default_rng(seed)
+    backend = sim(8)
+    vals = rng.normal(scale=10.0 ** rng.integers(-6, 7, size=(n, 1)), size=(n, 8))
+    cts = [backend.encrypt(v) for v in vals]
+    expect = backend.decrypt(_tree_sum(backend, cts))
+    adds_seen = []
+
+    def feed():
+        for ct in cts:
+            adds_seen.append(backend.ledger.count_add - start)
+            yield ct
+
+    start = backend.ledger.count_add
+    out = reduce_add(backend, feed() if as_generator else cts)
+    assert np.array_equal(backend.decrypt(out), expect)
+    assert backend.ledger.count_add - start == n - 1
+    if as_generator:
+        # Before input i (0-based) is read, the i inputs already read have
+        # made i - popcount(i) merges: the sum runs while it reads.
+        assert adds_seen == [i - bin(i).count("1") for i in range(n)]
+
+
 def test_parallel_map_preserves_order():
     items = list(range(20))
-    assert parallel_map(lambda x: x * x, items, threads=4) == [x * x for x in items]
-    assert parallel_map(lambda x: x, [], threads=4) == []
+    for threads in (1, 4):
+        out = parallel_map(lambda x: x * x, iter(items), threads=threads)
+        assert not isinstance(out, list)
+        assert list(out) == [x * x for x in items]
+        assert list(parallel_map(lambda x: x, [], threads=threads)) == []
+
+
+def test_parallel_map_is_lazy_with_one_thread():
+    seen = []
+    out = parallel_map(seen.append, range(3))
+    assert seen == []
+    next(out)
+    assert seen == [0]
 
 
 @pytest.mark.parametrize("threads", [0, -3])
