@@ -4,8 +4,9 @@ The schedule of every layer is deterministic, so operation counts and the
 budget depth of the data path can be predicted exactly from the geometry:
 
 conv (C channels)    rot k^2-1 (shared image taps), add C*k^2,
-                     cmul C*(k^2+1) (encrypted kernels: mul C*k^2, cmul C)
-act (per part)       2 mul, 3 cmul, 3 add
+                     cmul C*k^2, the mask folded into the tap weights
+                     (encrypted kernels: mul C*k^2, cmul C for the mask)
+act (per part)       2 mul, 2 cmul, 3 add (Horner cubic)
 fc                   G input parts of n slots per row, output width p,
                      baby-step size B and L fold steps from
                      network.fc_schedule: G*p mul (one per diagonal),
@@ -14,8 +15,8 @@ fc                   G input parts of n slots per row, output width p,
 
 Depth assumes weight ciphertexts are fresher than the data path (true
 whenever the weights are encrypted at full budget), so only the data-side
-rescales count: conv 2*delta_c (or delta + delta_c encrypted), act
-2*delta + delta_c, fc delta.
+rescales count: conv delta_c (or delta + delta_c encrypted), act
+2*delta, fc delta.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import BackendParams, SlotSimulator
+from .backend import BackendParams, DepthExhaustedError, SlotSimulator
 from .network import (ActSpec, ConvSpec, InferenceResult, NetworkSpec,
                       fc_schedule, infer_images, layer_names)
 
@@ -64,14 +65,14 @@ def predict_layer_costs(net: NetworkSpec, batch: int, row_width: int,
                 cost.cmul = c
                 cost.depth_bits = d + dc
             else:
-                cost.cmul = c * (taps + 1)
-                cost.depth_bits = 2 * dc
+                cost.cmul = c * taps
+                cost.depth_bits = dc
             parts = c
         elif isinstance(layer, ActSpec):
             cost.mul = 2 * parts
-            cost.cmul = 3 * parts
+            cost.cmul = 2 * parts
             cost.add = 3 * parts
-            cost.depth_bits = 2 * d + dc
+            cost.depth_bits = 2 * d
         else:
             g, p = parts, layer.out_dim
             baby, fold = fc_schedule([width] * g, p, f)
@@ -101,6 +102,29 @@ def predict_depth_bits(net: NetworkSpec, batch: int, row_width: int,
                        encrypted_kernels: bool = False) -> int:
     return sum(c.depth_bits for c in predict_layer_costs(
         net, batch, row_width, params, encrypted_kernels))
+
+
+def check_depth_budget(net: NetworkSpec, batch: int, row_width: int,
+                       params: BackendParams,
+                       encrypted_kernels: bool = False) -> list[LayerCost]:
+    """The closed-form layer costs, checked against log_q before a run.
+
+    A layer's ops all succeed exactly when the bits left cover its depth,
+    so the first layer that does not fit, named in the raised
+    DepthExhaustedError, is the one a run would fail in.
+    """
+    costs = predict_layer_costs(net, batch, row_width, params,
+                                encrypted_kernels)
+    left = params.log_q
+    for cost in costs:
+        if cost.depth_bits > left:
+            total = sum(c.depth_bits for c in costs)
+            raise DepthExhaustedError(
+                f"budget exhausted in layer {cost.name}: it needs "
+                f"{cost.depth_bits} bits, {left} are left; the network needs "
+                f"{total} depth bits in all, log_q is {params.log_q}")
+        left -= cost.depth_bits
+    return costs
 
 
 @dataclass
@@ -136,6 +160,8 @@ def run_bench(net: NetworkSpec, params: BackendParams, batch: int,
               seed: int = 0) -> BenchReport:
     """One random batch through the network with timing and cost audit."""
     row_width = params.slots // batch
+    predicted = check_depth_budget(net, batch, row_width, params,
+                                   encrypted_kernels)
     rng = np.random.default_rng(seed)
     images = rng.uniform(0.0, 1.0, size=(batch, net.input_h, net.input_w))
     backend = SlotSimulator(params)
@@ -143,6 +169,4 @@ def run_bench(net: NetworkSpec, params: BackendParams, batch: int,
     result = infer_images(backend, net, images, row_width, threads=threads,
                           encrypted_kernels=encrypted_kernels)
     wall = time.perf_counter() - start
-    predicted = predict_layer_costs(net, batch, row_width, params,
-                                    encrypted_kernels)
     return BenchReport(result, predicted, batch, row_width, threads, wall)

@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from .backend import BackendParams, DepthExhaustedError, SlotSimulator
-from .bench import run_bench, total_op_counts
+from .bench import check_depth_budget, run_bench, total_op_counts
 from .mnist import image_blocks, load_idx_images, load_mnist
 from .network import infer_images, random_network, stock_geometry
 from .verify import run_all
@@ -48,6 +48,8 @@ def cmd_infer(args) -> int:
     net = load_weights_csv(args.weights)
     params = _params(args)
     row_width = _row_width(params, args.batch)
+    check_depth_budget(net, args.batch, row_width, params,
+                       args.encrypted_kernels)
     if args.labels:
         images, labels = load_mnist(args.images, args.labels)
     else:

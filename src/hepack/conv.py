@@ -4,11 +4,12 @@ Output (a, b) is the sum over taps (u, v) of kern[u, v] * image[a+u, b+v].
 In the image-grid layout tap (u, v) is the batch ciphertext rotated by
 u*w + v. The taps do not depend on the kernel, so a layer rotates the
 image k*k - 1 times and every kernel reuses them (rotation sharing, as in
-Halevi-Shoup hoisting). Per kernel: k*k tap products (scalar cmul, or mul
-by an encrypted constant for encrypted kernels), their sum, one cmul by
-the valid-region mask (zeroing anchors whose window crossed the grid edge,
-and the pad slots) and one add of the encrypted bias. Masking once after
-the sum keeps depth at 2*delta_c, or delta + delta_c encrypted.
+Halevi-Shoup hoisting). The valid-region mask zeroes anchors whose window
+crossed the grid edge, and the pad slots. A plaintext kernel folds it into
+its taps: each tap is cmul'd by w_uv * mask, so a kernel costs k*k cmul at
+depth delta_c. An encrypted kernel muls each tap by an encrypted w_uv and
+masks once after the sum, at depth delta + delta_c. Either way the bias
+comes in with one add of an encrypted, already masked vector.
 
 `KernelPlan.spans` still shows the paper's k*k tiled span plaintexts;
 nothing on the data path reads them.
@@ -112,9 +113,10 @@ def conv_layer(backend: SimdBackend, image: EncodedMatrix, plans,
         if encrypted_kernels:
             prods = (backend.mul(tap, backend.encrypt(np.full(slots, wt)))
                      for tap, wt in zip(taps, weights))
+            valid = backend.cmul(reduce_add(backend, prods), mask)
         else:
-            prods = (backend.cmul(tap, float(wt)) for tap, wt in zip(taps, weights))
-        valid = backend.cmul(reduce_add(backend, prods), mask)
+            valid = reduce_add(backend, (backend.cmul(tap, wt * mask)
+                                         for tap, wt in zip(taps, weights)))
         return EncodedMatrix(
             backend.add(valid, backend.encrypt(plan.bias_slots)), lay)
 

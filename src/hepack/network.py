@@ -10,15 +10,14 @@ inputs by row-local diagonals of the weight matrix, with baby-step
 giant-step rotations, and leaves its output row-major in columns 0..p-1;
 the logits are read straight from the last one.
 
-Activation is a fixed cubic evaluated at depth two: x*x, then x2*x, then
-one plaintext product per coefficient, so a layer costs
-2*delta + delta_c budget bits.
+Activation is a fixed cubic in Horner form, c0 + c1*x + x^2*(c2 + c3*x):
+x*x and c3*x + c2 are made side by side and multiplied once more, so a
+layer costs 2*delta budget bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -106,19 +105,20 @@ class NetworkSpec:
 # ------------------------------------------------------------ primitives
 
 def eval_poly(backend: SimdBackend, ct, coeffs):
-    """c0 + c1*x + c2*x^2 + c3*x^3 slot-wise, always at full depth.
+    """c0 + c1*x + x^2*(c2 + c3*x) slot-wise, always at depth 2*delta.
 
-    Two ciphertext square-and-extend muls, one plaintext product per
-    non-constant coefficient, constant in through a fresh encryption. The
-    cubic is evaluated even when trailing coefficients are zero so the
-    budget cost is the same for every activation.
+    x^2 (one mul) and c3*x + c2 (one plaintext product plus an encrypted
+    constant) are made side by side, then multiplied; c1*x is one more
+    plaintext product and c0 comes in through a fresh encryption. The
+    cubic is evaluated even when coefficients are zero so the budget cost
+    is the same for every activation: 2 mul, 2 cmul, 3 add.
     """
     c0, c1, c2, c3 = (float(c) for c in coeffs)
+    n = backend.params.slots
     x2 = backend.mul(ct, ct)
-    x3 = backend.mul(x2, ct)
-    const = backend.encrypt(np.full(backend.params.slots, c0))
-    terms = (backend.cmul(x, c) for x, c in ((ct, c1), (x2, c2), (x3, c3)))
-    return reduce_add(backend, chain([const], terms))
+    inner = backend.add(backend.cmul(ct, c3), backend.encrypt(np.full(n, c2)))
+    low = backend.add(backend.encrypt(np.full(n, c0)), backend.cmul(ct, c1))
+    return backend.add(low, backend.mul(x2, inner))
 
 
 def apply_activation(backend: SimdBackend, enc: EncodedMatrix,

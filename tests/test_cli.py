@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hepack import (
+    SlotSimulator,
     random_network,
     reduced_geometry,
     reference_infer,
@@ -45,7 +46,7 @@ def test_infer_end_to_end(reduced_files, capsys):
     text = capsys.readouterr().out
     assert "block 1/3" in text and "block 3/3" in text
     assert "accuracy 20/20 = 1.0000" in text
-    assert "depth 350/1200 bits" in text
+    assert "depth 290/1200 bits" in text
     lines = out.read_text().splitlines()
     assert len(lines) == 20
     for i, line in enumerate(lines):
@@ -84,6 +85,25 @@ def test_infer_shallow_budget_names_the_layer(reduced_files, capsys):
     err = capsys.readouterr().err
     assert "error:" in err
     assert "budget exhausted in layer act-1" in err
+
+
+@pytest.mark.parametrize("command", ["infer", "bench"])
+def test_shallow_budget_fails_before_anything_is_encrypted(
+        reduced_files, capsys, monkeypatch, command):
+    def no_encrypt(self, message):
+        raise AssertionError("encrypted before the budget check")
+
+    monkeypatch.setattr(SlotSimulator, "encrypt", no_encrypt)
+    out = reduced_files["tmp"] / "p.csv"
+    args = [command, "--weights", str(reduced_files["weights"]),
+            "--logq", "280", *SMALL]
+    if command == "infer":
+        args += ["--images", str(reduced_files["images"]), "--out", str(out)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert ("error: budget exhausted in layer fc-2: it needs 45 bits, 35 are "
+            "left; the network needs 290 depth bits in all, log_q is 280") in err
+    assert not out.exists()
 
 
 def test_infer_rejects_wrong_image_size(reduced_files, tmp_path, capsys):

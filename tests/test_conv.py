@@ -117,9 +117,9 @@ def test_plaintext_kernel_costs():
     before = backend.ledger.snapshot()
     out = he_conv(backend, packed, plan)
     assert ledger_delta(backend, before) == {
-        "mul": 0, "cmul": 9 + 1, "rot": 9 - 1, "add": 9,
-        "consumed_bits": (9 + 1) * 20}
-    assert out.ct.budget_bits == 1200 - 2 * 20
+        "mul": 0, "cmul": 9, "rot": 9 - 1, "add": 9,
+        "consumed_bits": 9 * 20}
+    assert out.ct.budget_bits == 1200 - 20
 
 
 def test_encrypted_kernel_costs():
@@ -258,12 +258,11 @@ def test_conv_layer_property(case):
     params = backend.params
     taps = k * k
     mul = channels * taps if encrypted else 0
-    cmul = channels if encrypted else channels * (taps + 1)
+    cmul = channels if encrypted else channels * taps
     assert delta == {
         "mul": mul, "cmul": cmul, "rot": taps - 1, "add": channels * taps,
         "consumed_bits": mul * params.delta_bits + cmul * params.delta_c_bits}
-    depth = params.delta_c_bits + (params.delta_bits if encrypted
-                                   else params.delta_c_bits)
+    depth = params.delta_c_bits + (params.delta_bits if encrypted else 0)
     assert budgets == [params.log_q - depth] * channels
 
     _, par, par_delta, _ = run(2)

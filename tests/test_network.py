@@ -5,11 +5,13 @@ from scipy import signal
 
 from hepack import (
     ActSpec,
+    BackendParams,
     ConvSpec,
     DepthExhaustedError,
     EncodedMatrix,
     FcSpec,
     NetworkSpec,
+    SlotSimulator,
     STOCK_ACT1,
     STOCK_ACT2,
     apply_activation,
@@ -27,6 +29,7 @@ from hepack import (
     row_major_layout,
     stock_geometry,
 )
+from hepack.bench import check_depth_budget, predict_layer_costs
 from hepack.network import fc_schedule
 from common import ledger_delta, sim
 
@@ -53,10 +56,42 @@ def test_eval_poly_costs_full_depth_even_for_low_degree():
     for coeffs in [(0.0, 1.0, 0.0, 0.0), (1.0, 2.0, 3.0, 4.0)]:
         before = backend.ledger.snapshot()
         out = eval_poly(backend, backend.encrypt(np.ones(16)), coeffs)
-        assert out.budget_bits == 1200 - (2 * 45 + 20)
+        assert out.budget_bits == 1200 - 2 * 45
         assert ledger_delta(backend, before) == {
-            "mul": 2, "cmul": 3, "rot": 0, "add": 3,
-            "consumed_bits": 2 * 45 + 3 * 20}
+            "mul": 2, "cmul": 2, "rot": 0, "add": 3,
+            "consumed_bits": 2 * 45 + 2 * 20}
+
+
+_coeff = st.one_of(st.just(0.0), st.floats(-100, 100))
+
+
+@st.composite
+def _poly_params(draw):
+    dc = draw(st.integers(1, 40))
+    d = draw(st.integers(dc + 1, 60))
+    return BackendParams(log_n=draw(st.integers(1, 7)), delta_bits=d,
+                         delta_c_bits=dc,
+                         log_q=draw(st.integers(2 * d, 2 * d + 100)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.tuples(_coeff, _coeff, _coeff, _coeff), _poly_params(),
+       st.lists(st.floats(-8, 8), min_size=1, max_size=64))
+def test_eval_poly_property(coeffs, params, xs):
+    backend = SlotSimulator(params)
+    x = np.resize(np.array(xs), params.slots)
+    before = backend.ledger.snapshot()
+    out = eval_poly(backend, backend.encrypt(x), coeffs)
+    got = backend.decrypt(out)
+    # Relative to the size of the terms, so a sum that cancels is judged
+    # against what went into it.
+    scale = np.polyval(np.abs(coeffs[::-1]), np.abs(x))
+    assert np.all(np.abs(got - np.polyval(coeffs[::-1], x)) <= 1e-12 * scale)
+    d, dc = params.delta_bits, params.delta_c_bits
+    assert ledger_delta(backend, before) == {
+        "mul": 2, "cmul": 2, "rot": 0, "add": 3,
+        "consumed_bits": 2 * d + 2 * dc}
+    assert out.budget_bits == params.log_q - 2 * d
 
 
 def test_activation_constant_lands_on_pad_slots():
@@ -327,7 +362,7 @@ def test_pipeline_with_encrypted_kernels():
     res = infer_images(backend, net, images, geo["row_width"],
                        encrypted_kernels=True)
     assert np.max(np.abs(res.logits - reference_infer(net, images))) < 1e-6
-    assert res.depth_bits == 65 + 110 + 45 + 110 + 45
+    assert res.depth_bits == 65 + 90 + 45 + 90 + 45
 
 
 def test_depth_accounting_layer_by_layer():
@@ -337,9 +372,9 @@ def test_depth_accounting_layer_by_layer():
     backend = sim(geo["batch"] * geo["row_width"])
     res = infer_images(backend, net, images, geo["row_width"])
     assert res.layer_depths == [
-        ("conv-1", 40), ("act-1", 110), ("fc-1", 45),
-        ("act-2", 110), ("fc-2", 45)]
-    assert res.depth_bits == 350
+        ("conv-1", 20), ("act-1", 90), ("fc-1", 45),
+        ("act-2", 90), ("fc-2", 45)]
+    assert res.depth_bits == 290
     assert res.op_counts["consumed_bits"] > 0
 
 
@@ -359,6 +394,30 @@ def test_shallow_budget_fails_in_a_named_layer():
     backend = sim(geo["batch"] * geo["row_width"], log_q=100)
     with pytest.raises(DepthExhaustedError, match="in layer act-1"):
         infer_images(backend, net, images, geo["row_width"])
+
+
+@pytest.mark.parametrize("encrypted", [False, True])
+def test_budget_check_names_the_layer_a_run_fails_in(encrypted):
+    net, geo = reduced_net(seed=22)
+    rng = np.random.default_rng(23)
+    images = rng.uniform(size=(geo["batch"], geo["h"], geo["w"]))
+    m, f = geo["batch"], geo["row_width"]
+    depths = [c.depth_bits for c in predict_layer_costs(
+        net, m, f, BackendParams.for_slots(m * f), encrypted)]
+    edges = {int(e) + s for e in np.cumsum(depths) for s in (-1, 0)}
+    for log_q in sorted(q for q in edges if q > 45):
+        params = BackendParams.for_slots(m * f, log_q=log_q)
+        try:
+            check_depth_budget(net, m, f, params, encrypted)
+        except DepthExhaustedError as e:
+            layer = str(e).split(":")[0]
+            with pytest.raises(DepthExhaustedError, match=f"^{layer}:"):
+                infer_images(SlotSimulator(params), net, images, f,
+                             encrypted_kernels=encrypted)
+        else:
+            res = infer_images(SlotSimulator(params), net, images, f,
+                               encrypted_kernels=encrypted)
+            assert res.depth_bits == sum(depths) <= log_q
 
 
 def test_geometry_presets():
