@@ -2,15 +2,15 @@
 
 Same five-layer chain as the full model (conv, cubic, fc, cubic, fc) on
 an 8x8 grid so the whole thing runs in well under a second. The decrypted
-logits are compared against a plain numpy forward pass, and the per-layer
-budget spending is printed alongside the closed-form prediction.
+logits are compared against a plain numpy forward pass, and each layer's
+measured ops and budget bits are printed above the closed-form prediction.
 """
 
 import numpy as np
 
 from hepack import (BackendParams, SlotSimulator, infer_images,
-                    predict_layer_costs, predict_op_counts, random_network,
-                    reduced_geometry, reference_infer)
+                    predict_layer_costs, random_network, reduced_geometry,
+                    reference_infer)
 
 geo = reduced_geometry()
 print("geometry:", geo)
@@ -28,18 +28,11 @@ print(f"\nmax |logit error| vs plain forward pass: {np.abs(res.logits - ref).max
 print("argmax agreement:", (res.logits.argmax(1) == ref.argmax(1)).sum(),
       "/", geo["batch"])
 
-print(f"\n{'layer':<8}{'depth bits':>12}")
-for name, bits in res.layer_depths:
-    print(f"{name:<8}{bits:>12}")
-print(f"{'total':<8}{res.depth_bits:>12}  (budget {params.log_q})")
-
-want = predict_op_counts(net, geo["batch"], geo["row_width"], params)
-got = {key: res.op_counts[key] for key in want}
-print("\npredicted op counts:", want)
-print("measured  op counts:", got)
-print("closed form matches:", want == got)
-
-print(f"\n{'layer':<8}{'mul':>6}{'cmul':>6}{'rot':>6}{'add':>6}{'depth':>6}")
-for cost in predict_layer_costs(net, geo["batch"], geo["row_width"], params):
-    print(f"{cost.name:<8}{cost.mul:>6}{cost.cmul:>6}{cost.rot:>6}"
-          f"{cost.add:>6}{cost.depth_bits:>6}")
+predicted = predict_layer_costs(net, geo["batch"], geo["row_width"], params)
+print(f"\n{'':<10}{'layer':<8}{'mul':>6}{'cmul':>6}{'rot':>6}{'add':>6}{'depth':>6}")
+for label, costs in (("measured", res.layers), ("predicted", predicted)):
+    for cost in costs:
+        print(f"{label:<10}{cost.name:<8}{cost.mul:>6}{cost.cmul:>6}"
+              f"{cost.rot:>6}{cost.add:>6}{cost.depth_bits:>6}")
+print(f"depth {res.depth_bits} of {params.log_q} budget bits")
+print("closed form matches layer by layer:", res.layers == predicted)

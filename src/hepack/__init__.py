@@ -10,8 +10,7 @@ budget accounting.
 from .backend import (BackendParams, CapacityError, CipherVec,
                       DepthExhaustedError, ModulusLedger, SimdBackend,
                       SlotSimulator)
-from .bench import (BenchReport, LayerCost, predict_depth_bits,
-                    predict_layer_costs, predict_op_counts, run_bench)
+from .bench import predict_depth_bits, predict_layer_costs, predict_op_counts
 from .conv import KernelPlan, conv_layer, convolve_images, he_conv, span_kernel
 from .encodings import (EncodedMatrix, LayoutKind, MatrixLayout,
                         decode_diagonal, decrypt_rows, diagonal_layout,
@@ -25,9 +24,9 @@ from .matmul import (WeightGroup, column_group_widths, he_matmul,
                      split_weight_groups)
 from .mnist import (image_blocks, load_idx_images, load_idx_labels, load_mnist,
                     write_idx_images, write_idx_labels)
-from .network import (ActSpec, ConvSpec, FcSpec, InferenceResult, NetworkSpec,
-                      STOCK_ACT1, STOCK_ACT2, apply_activation, eval_poly,
-                      fc_layer, infer, infer_images, random_network,
+from .network import (ActSpec, ConvSpec, FcSpec, InferenceResult, LayerCost,
+                      NetworkSpec, STOCK_ACT1, STOCK_ACT2, apply_activation,
+                      eval_poly, fc_layer, infer, infer_images, random_network,
                       reduced_geometry, reference_infer, stock_geometry)
 from .verify import CheckResult, run_all
 from .weights_io import WeightsParseError, load_weights_csv, save_weights_csv

@@ -83,9 +83,6 @@ class CipherVec:
             raise DepthExhaustedError("budget_bits must be >= 0")
         self.slots.flags.writeable = False
 
-    def __len__(self) -> int:
-        return self.slots.shape[0]
-
 
 @dataclass
 class ModulusLedger:

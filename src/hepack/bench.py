@@ -1,4 +1,4 @@
-"""Closed-form cost model and benchmark runner.
+"""Closed-form cost model: one LayerCost per layer, as infer measures it.
 
 The schedule of every layer is deterministic, so operation counts and the
 budget depth of the data path can be predicted exactly from the geometry:
@@ -16,29 +16,15 @@ fc                   G input parts of n slots per row, output width p,
 Depth assumes weight ciphertexts are fresher than the data path (true
 whenever the weights are encrypted at full budget), so only the data-side
 rescales count: conv delta_c (or delta + delta_c encrypted), act
-2*delta, fc delta.
+2*delta, fc delta. `cost_mismatch` holds a run's InferenceResult.layers
+against these rows, field by field.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-
-import numpy as np
-
-from .backend import BackendParams, DepthExhaustedError, SlotSimulator
-from .network import (ActSpec, ConvSpec, InferenceResult, NetworkSpec,
-                      fc_schedule, infer_images, layer_names)
-
-
-@dataclass
-class LayerCost:
-    name: str
-    mul: int = 0
-    cmul: int = 0
-    rot: int = 0
-    add: int = 0
-    depth_bits: int = 0
+from .backend import BackendParams, DepthExhaustedError
+from .network import (OP_KINDS, ActSpec, ConvSpec, LayerCost, NetworkSpec,
+                      fc_schedule, layer_names)
 
 
 def predict_layer_costs(net: NetworkSpec, batch: int, row_width: int,
@@ -87,7 +73,7 @@ def predict_layer_costs(net: NetworkSpec, batch: int, row_width: int,
 
 def total_op_counts(costs) -> dict:
     """Per-layer op counts summed into one total per kind."""
-    return {k: sum(getattr(c, k) for c in costs) for k in ("mul", "cmul", "rot", "add")}
+    return {k: sum(getattr(c, k) for c in costs) for k in OP_KINDS}
 
 
 def predict_op_counts(net: NetworkSpec, batch: int, row_width: int,
@@ -127,46 +113,16 @@ def check_depth_budget(net: NetworkSpec, batch: int, row_width: int,
     return costs
 
 
-@dataclass
-class BenchReport:
-    result: InferenceResult
-    predicted: list
-    batch: int
-    row_width: int
-    threads: int
-    wall_seconds: float
-
-    @property
-    def counts_match(self) -> bool:
-        want = total_op_counts(self.predicted)
-        return all(self.result.op_counts[k] == want[k] for k in want)
-
-    @property
-    def depth_mismatch(self) -> str | None:
-        """The first layer whose measured depth differs from the closed form."""
-        for c, (name, bits) in zip(self.predicted, self.result.layer_depths):
-            if (c.name, c.depth_bits) != (name, bits):
-                return (f"layer {c.name}: measured {bits} depth bits, "
-                        f"closed form {c.depth_bits}")
-        want = sum(c.depth_bits for c in self.predicted)
-        if self.result.depth_bits != want:
-            return (f"total: measured {self.result.depth_bits} depth bits, "
-                    f"closed form {want}")
-        return None
-
-
-def run_bench(net: NetworkSpec, params: BackendParams, batch: int,
-              threads: int = 1, encrypted_kernels: bool = False,
-              seed: int = 0) -> BenchReport:
-    """One random batch through the network with timing and cost audit."""
-    row_width = params.slots // batch
-    predicted = check_depth_budget(net, batch, row_width, params,
-                                   encrypted_kernels)
-    rng = np.random.default_rng(seed)
-    images = rng.uniform(0.0, 1.0, size=(batch, net.input_h, net.input_w))
-    backend = SlotSimulator(params)
-    start = time.perf_counter()
-    result = infer_images(backend, net, images, row_width, threads=threads,
-                          encrypted_kernels=encrypted_kernels)
-    wall = time.perf_counter() - start
-    return BenchReport(result, predicted, batch, row_width, threads, wall)
+def cost_mismatch(measured, predicted) -> str | None:
+    """The first layer and field where measured costs leave the closed form."""
+    names = [c.name for c in measured]
+    if names != [c.name for c in predicted]:
+        return (f"layers: measured {names}, closed form "
+                f"{[c.name for c in predicted]}")
+    for got, want in zip(measured, predicted):
+        for k in OP_KINDS + ("depth_bits",):
+            if getattr(got, k) != getattr(want, k):
+                unit = "depth bits" if k == "depth_bits" else k
+                return (f"layer {got.name}: measured {getattr(got, k)} {unit}, "
+                        f"closed form {getattr(want, k)}")
+    return None

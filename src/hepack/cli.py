@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from .backend import BackendParams, DepthExhaustedError, SlotSimulator
-from .bench import check_depth_budget, run_bench, total_op_counts
+from .bench import check_depth_budget, cost_mismatch, total_op_counts
 from .mnist import image_blocks, load_idx_images, load_mnist
 from .network import infer_images, random_network, stock_geometry
 from .verify import run_all
@@ -111,28 +111,31 @@ def cmd_bench(args) -> int:
         g = stock_geometry()
         net = random_network(np.random.default_rng(args.seed), **g)
         source = f"random stock geometry (seed {args.seed})"
-    _row_width(params, args.batch)
-    report = run_bench(net, params, args.batch, threads=args.threads,
-                       encrypted_kernels=args.encrypted_kernels, seed=args.seed)
+    row_width = _row_width(params, args.batch)
+    predicted = check_depth_budget(net, args.batch, row_width, params,
+                                   args.encrypted_kernels)
+    images = np.random.default_rng(args.seed).uniform(
+        0.0, 1.0, size=(args.batch, net.input_h, net.input_w))
+    start = time.perf_counter()
+    res = infer_images(SlotSimulator(params), net, images, row_width,
+                       threads=args.threads,
+                       encrypted_kernels=args.encrypted_kernels)
+    wall = time.perf_counter() - start
     print(f"network: {source}")
-    print(f"batch {report.batch} x row_width {report.row_width} "
-          f"({params.slots} slots), threads {report.threads}")
+    print(f"batch {args.batch} x row_width {row_width} "
+          f"({params.slots} slots), threads {args.threads}")
     print(f"{'layer':<8}{'mul':>8}{'cmul':>8}{'rot':>8}{'add':>8}{'depth':>8}")
-    for c in report.predicted:
+    for c in predicted:
         print(f"{c.name:<8}{c.mul:>8}{c.cmul:>8}{c.rot:>8}{c.add:>8}{c.depth_bits:>8}")
-    want = total_op_counts(report.predicted)
-    got = report.result.op_counts
-    print(f"{'total':<8}{want['mul']:>8}{want['cmul']:>8}{want['rot']:>8}"
-          f"{want['add']:>8}{sum(c.depth_bits for c in report.predicted):>8}")
-    print(f"{'measured':<8}{got['mul']:>8}{got['cmul']:>8}{got['rot']:>8}"
-          f"{got['add']:>8}{report.result.depth_bits:>8}")
-    print("op counts match closed form" if report.counts_match
-          else "MISMATCH between measured and predicted op counts")
-    bad_depth = report.depth_mismatch
-    print(f"MISMATCH in {bad_depth}" if bad_depth
-          else "layer depths match closed form")
-    print(f"wall {report.wall_seconds:.2f}s")
-    return 0 if report.counts_match and not bad_depth else 1
+    for label, costs in (("total", predicted), ("measured", res.layers)):
+        ops = total_op_counts(costs)
+        print(f"{label:<8}{ops['mul']:>8}{ops['cmul']:>8}{ops['rot']:>8}"
+              f"{ops['add']:>8}{sum(c.depth_bits for c in costs):>8}")
+    bad = cost_mismatch(res.layers, predicted)
+    print(f"MISMATCH in {bad}" if bad
+          else "every layer's counts and depth match closed form")
+    print(f"wall {wall:.2f}s")
+    return 1 if bad else 0
 
 
 def main(argv=None) -> int:

@@ -38,8 +38,7 @@ from .backend import BackendParams, SimdBackend, SlotSimulator
 from .encodings import (EncodedMatrix, decode_diagonal, diagonal_layout,
                         encode_row_major, encode_transpose_extended,
                         row_major_layout)
-from .linalg import (broadcast_row_sums, make_group_filter, parallel_map,
-                     reduce_add, shift_rows)
+from .linalg import broadcast_row_sums, make_group_filter, reduce_add, shift_rows
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,7 @@ def _branch(backend: SimdBackend, a_parts, groups, step: int, p: int):
     """One step of one column group, summed over the input blocks.
 
     groups[g] is block g's encoding of the group; the products are added
-    in block order, so the result does not depend on the thread count.
+    in block order.
     """
     m, f = a_parts[0].layout.rows, a_parts[0].layout.row_width
     prods = (backend.mul(a.ct, shift_rows(backend, grp.enc, grp.width, step).ct)
@@ -69,8 +68,8 @@ def _branch(backend: SimdBackend, a_parts, groups, step: int, p: int):
                                                    lead.width, step))
 
 
-def he_matmul_partitioned(backend: SimdBackend, a_parts, b_blocks, p: int,
-                          threads: int = 1) -> EncodedMatrix:
+def he_matmul_partitioned(backend: SimdBackend, a_parts, b_blocks,
+                          p: int) -> EncodedMatrix:
     """Sum of per-block products, all placed in one diagonal(p) output.
 
     a_parts[g] is a row-major encoding of A's g-th column block; b_blocks[g]
@@ -98,11 +97,10 @@ def he_matmul_partitioned(backend: SimdBackend, a_parts, b_blocks, p: int,
     if [base for base, _ in tiling] != ends[:-1] or ends[-1] != p:
         raise ValueError("column groups must tile 0..p exactly")
 
-    jobs = [([groups[k] for groups in b_blocks], step)
-            for k, (_, width) in enumerate(tiling)
-            for step in range(width)]
-    branches = parallel_map(lambda j: _branch(backend, a_parts, j[0], j[1], p),
-                            jobs, threads)
+    branches = (_branch(backend, a_parts, [groups[k] for groups in b_blocks],
+                        step, p)
+                for k, (_, width) in enumerate(tiling)
+                for step in range(width))
     return EncodedMatrix(reduce_add(backend, branches), diagonal_layout(m, f, p))
 
 

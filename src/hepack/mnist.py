@@ -8,6 +8,7 @@ scaled to [0, 1].
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -23,38 +24,37 @@ def _read_be32(fh, path, what) -> int:
     return struct.unpack(">I", raw)[0]
 
 
+def _read_idx(path, kind: str, magic: int, dims) -> np.ndarray:
+    """Check the magic, read one 32-bit size per dim, then the uint8 payload."""
+    with open(path, "rb") as fh:
+        got = _read_be32(fh, path, "magic")
+        if got != magic:
+            raise ValueError(
+                f"{path}: bad {kind} magic 0x{got:08x}, want 0x{magic:08x}")
+        shape = tuple(_read_be32(fh, path, dim) for dim in dims)
+        size = math.prod(shape)
+        payload = fh.read(size)
+    if len(payload) != size:
+        raise ValueError(
+            f"{path}: truncated payload, want {size} bytes, got {len(payload)}")
+    return np.frombuffer(payload, dtype=np.uint8).reshape(shape)
+
+
+def _write_idx(path, magic: int, arr: np.ndarray):
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(f">{1 + arr.ndim}I", magic, *arr.shape))
+        fh.write(arr.tobytes())
+
+
 def load_idx_images(path) -> np.ndarray:
     """Read an IDX image file; returns (count, h, w) float64 in [0, 1]."""
-    with open(path, "rb") as fh:
-        magic = _read_be32(fh, path, "magic")
-        if magic != IMAGE_MAGIC:
-            raise ValueError(
-                f"{path}: bad image magic 0x{magic:08x}, want 0x{IMAGE_MAGIC:08x}")
-        count = _read_be32(fh, path, "count")
-        h = _read_be32(fh, path, "height")
-        w = _read_be32(fh, path, "width")
-        payload = fh.read(count * h * w)
-    if len(payload) != count * h * w:
-        raise ValueError(
-            f"{path}: truncated payload, want {count * h * w} bytes, "
-            f"got {len(payload)}")
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(count, h, w)
+    pixels = _read_idx(path, "image", IMAGE_MAGIC, ("count", "height", "width"))
     return pixels.astype(np.float64) / 255.0
 
 
 def load_idx_labels(path) -> np.ndarray:
     """Read an IDX label file; returns (count,) int64."""
-    with open(path, "rb") as fh:
-        magic = _read_be32(fh, path, "magic")
-        if magic != LABEL_MAGIC:
-            raise ValueError(
-                f"{path}: bad label magic 0x{magic:08x}, want 0x{LABEL_MAGIC:08x}")
-        count = _read_be32(fh, path, "count")
-        payload = fh.read(count)
-    if len(payload) != count:
-        raise ValueError(
-            f"{path}: truncated payload, want {count} bytes, got {len(payload)}")
-    return np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
+    return _read_idx(path, "label", LABEL_MAGIC, ("count",)).astype(np.int64)
 
 
 def load_mnist(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
@@ -70,17 +70,13 @@ def load_mnist(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
 def write_idx_images(path, images):
     """Write a uint8 (count, h, w) array as an IDX image file."""
     arr = np.asarray(images, dtype=np.uint8)
-    count, h, w = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IMAGE_MAGIC, count, h, w))
-        fh.write(arr.tobytes())
+    if arr.ndim != 3:
+        raise ValueError(f"images must be (count, h, w), got shape {arr.shape}")
+    _write_idx(path, IMAGE_MAGIC, arr)
 
 
 def write_idx_labels(path, labels):
-    arr = np.asarray(labels, dtype=np.uint8).reshape(-1)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">II", LABEL_MAGIC, arr.shape[0]))
-        fh.write(arr.tobytes())
+    _write_idx(path, LABEL_MAGIC, np.asarray(labels, dtype=np.uint8).reshape(-1))
 
 
 def image_blocks(images, batch: int) -> list[tuple[np.ndarray, int]]:

@@ -235,12 +235,32 @@ def fc_layer(backend: SimdBackend, parts, spec: FcSpec, valid_hw=None,
 
 # -------------------------------------------------------------- pipeline
 
+OP_KINDS = ("mul", "cmul", "rot", "add")  # the ops a LayerCost counts
+
+
+@dataclass
+class LayerCost:
+    """Ops and budget bits of one layer: measured by infer, predicted by bench."""
+
+    name: str
+    mul: int = 0
+    cmul: int = 0
+    rot: int = 0
+    add: int = 0
+    depth_bits: int = 0
+
+
 @dataclass
 class InferenceResult:
     logits: np.ndarray
     depth_bits: int  # log_q minus the result budget: depth along the data path
-    layer_depths: list = field(default_factory=list)  # (name, bits consumed)
+    layers: list = field(default_factory=list)  # one measured LayerCost each
     op_counts: dict = field(default_factory=dict)  # ledger deltas for this call
+
+    @property
+    def layer_depths(self) -> list[tuple[str, int]]:
+        """(name, bits consumed) of each layer."""
+        return [(c.name, c.depth_bits) for c in self.layers]
 
 
 def layer_names(net: NetworkSpec) -> list[str]:
@@ -262,12 +282,12 @@ def infer(backend: SimdBackend, net: NetworkSpec, packed: EncodedMatrix,
     if lay.kind is not LayoutKind.IMAGE_GRID or (lay.grid_h, lay.grid_w) != (
             net.input_h, net.input_w):
         raise ValueError("packed batch does not match the network geometry")
-    before = backend.ledger.snapshot()
+    start = before = backend.ledger.snapshot()
     parts = [packed]
     valid_hw = (net.input_h, net.input_w)
     names = layer_names(net)
     budget = min(p.ct.budget_bits for p in parts)
-    layer_depths = []
+    costs = []
     for name, layer in zip(names, net.layers):
         try:
             if isinstance(layer, ConvSpec):
@@ -285,15 +305,17 @@ def infer(backend: SimdBackend, net: NetworkSpec, packed: EncodedMatrix,
         except DepthExhaustedError as e:
             raise DepthExhaustedError(f"budget exhausted in layer {name}: {e}") from e
         now = min(p.ct.budget_bits for p in parts)
-        layer_depths.append((name, budget - now))
-        budget = now
+        after = backend.ledger.snapshot()
+        costs.append(LayerCost(name, depth_bits=budget - now,
+                               **{k: after[k] - before[k] for k in OP_KINDS}))
+        budget, before = now, after
     logits = decrypt_rows(backend, parts[0])[:, :net.classes]
     after = backend.ledger.snapshot()
     return InferenceResult(
         logits=logits,
         depth_bits=backend.params.log_q - budget,
-        layer_depths=layer_depths,
-        op_counts={k: after[k] - before[k] for k in after},
+        layers=costs,
+        op_counts={k: after[k] - start[k] for k in after},
     )
 
 

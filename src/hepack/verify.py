@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backend import BackendParams, SlotSimulator
-from .bench import predict_depth_bits, predict_op_counts
+from .bench import check_depth_budget, cost_mismatch
 from .conv import convolve_images
 from .encodings import decode_diagonal, encode_row_major, pack_image_batch
 from .linalg import rotate_within_rows
@@ -126,12 +126,10 @@ def check_cost_model(rng: np.random.Generator) -> CheckResult:
     params = BackendParams.for_slots(g["batch"] * g["row_width"])
     backend = SlotSimulator(params)
     res = infer_images(backend, net, imgs, g["row_width"])
-    want_ops = predict_op_counts(net, g["batch"], g["row_width"], params)
-    want_depth = predict_depth_bits(net, g["batch"], g["row_width"], params)
-    mism = sum(res.op_counts[key] != want_ops[key] for key in want_ops)
-    mism += res.depth_bits != want_depth
-    return CheckResult("cost model", float(mism), 0.0,
-                       detail=f"depth={res.depth_bits}")
+    bad = cost_mismatch(res.layers, check_depth_budget(
+        net, g["batch"], g["row_width"], params))
+    return CheckResult("cost model", float(bad is not None), 0.0,
+                       detail=bad or f"depth={res.depth_bits}")
 
 
 def run_all(seed: int = 0) -> list[CheckResult]:

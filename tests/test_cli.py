@@ -220,19 +220,20 @@ def test_verify_partitioned_check_runs_the_partitioned_product(monkeypatch):
     assert not check_matmul_partitioned(rng).passed
 
 
+def _row(text, label):
+    """The numbers of the bench table row that starts with `label`."""
+    line, = (ln for ln in text.splitlines() if ln.startswith(label))
+    return line.split()[1:]
+
+
 def test_bench_audits_op_counts(reduced_files, capsys):
     rc = main(["bench", "--weights", str(reduced_files["weights"]), *SMALL])
     assert rc == 0
     text = capsys.readouterr().out
-    assert "op counts match closed form" in text
+    assert "every layer's counts and depth match closed form" in text
     assert "conv-1" in text and "fc-2" in text
-    for line in text.splitlines():
-        if line.startswith("total"):
-            total = line.split()
-        if line.startswith("measured"):
-            measured = line.split()
-    assert total[1:] == measured[1:]
-    assert "layer depths match closed form" in text
+    assert _row(text, "total") == _row(text, "measured")
+    assert "MISMATCH" not in text
 
 
 def test_bench_names_the_first_layer_off_the_depth_model(reduced_files, capsys,
@@ -250,13 +251,45 @@ def test_bench_names_the_first_layer_off_the_depth_model(reduced_files, capsys,
     rc = main(["bench", "--weights", str(reduced_files["weights"]), *SMALL])
     assert rc == 1
     text = capsys.readouterr().out
-    assert "op counts match closed form" in text
     assert "MISMATCH in layer fc-1: measured 45 depth bits, closed form 46" in text
     assert "fc-2" not in text.split("MISMATCH")[1]
+
+
+def _cmul_moved_from_conv_to_act(monkeypatch):
+    """Patch the closed form so one conv-1 cmul is booked to act-1 instead."""
+    real = bench.predict_layer_costs
+
+    def moved(*args, **kw):
+        costs = real(*args, **kw)
+        by_name = {c.name: c for c in costs}
+        by_name["conv-1"].cmul -= 1
+        by_name["act-1"].cmul += 1
+        return costs
+
+    monkeypatch.setattr(bench, "predict_layer_costs", moved)
+
+
+def test_bench_names_a_layer_off_the_model_when_totals_agree(
+        reduced_files, capsys, monkeypatch):
+    _cmul_moved_from_conv_to_act(monkeypatch)
+    rc = main(["bench", "--weights", str(reduced_files["weights"]), *SMALL])
+    assert rc == 1
+    text = capsys.readouterr().out
+    assert _row(text, "total") == _row(text, "measured")
+    assert "MISMATCH in layer conv-1: measured 18 cmul, closed form 17" in text
+
+
+def test_verify_cost_model_fails_when_totals_agree(monkeypatch):
+    assert verify.check_cost_model(np.random.default_rng(0)).passed
+    _cmul_moved_from_conv_to_act(monkeypatch)
+    result = verify.check_cost_model(np.random.default_rng(0))
+    assert not result.passed
+    assert "layer conv-1" in result.detail
 
 
 def test_bench_encrypted_kernels(reduced_files, capsys):
     rc = main(["bench", "--weights", str(reduced_files["weights"]),
                "--encrypted-kernels", *SMALL])
     assert rc == 0
-    assert "op counts match closed form" in capsys.readouterr().out
+    assert ("every layer's counts and depth match closed form"
+            in capsys.readouterr().out)

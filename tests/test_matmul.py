@@ -170,26 +170,6 @@ def test_masked_shift_cost_contract():
     assert out.layout.period == 3
 
 
-def test_parallel_matches_sequential_bitwise():
-    rng = np.random.default_rng(11)
-    a = rng.normal(size=(8, 16))
-    b = rng.normal(size=(16, 12))  # two column groups: 8 + 4 branches
-
-    def run(threads):
-        backend = sim(8 * 16)
-        a_parts = [encode_row_major(backend, a[:, :8], 16),
-                   encode_row_major(backend, a[:, 8:], 16)]
-        b_blocks = [split_weight_groups(backend, b[:8], 8, 16),
-                    split_weight_groups(backend, b[8:], 8, 16)]
-        out = he_matmul_partitioned(backend, a_parts, b_blocks, 12, threads)
-        return backend.decrypt(out.ct), backend.ledger.snapshot()
-
-    (seq, seq_ops), (par, par_ops) = run(1), run(4)
-    assert np.array_equal(seq, par)
-    assert seq_ops == par_ops
-    assert np.max(np.abs(decode_diagonal(seq, 8, 16, 12) - a @ b)) < 1e-9
-
-
 def test_multiply_matrices_validation():
     with pytest.raises(ValueError, match="inner dimensions"):
         multiply_matrices(np.ones((2, 3)), np.ones((4, 2)))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import signal
 
 from hepack import (
@@ -77,6 +77,9 @@ def _poly_params(draw):
 @settings(max_examples=80, deadline=None)
 @given(st.tuples(_coeff, _coeff, _coeff, _coeff), _poly_params(),
        st.lists(st.floats(-8, 8), min_size=1, max_size=64))
+@example(coeffs=(0.0, 0.0, 2.0, 0.0),
+         params=BackendParams(log_n=1, log_q=4, delta_bits=2, delta_c_bits=1),
+         xs=[2.387765951560457e-161])  # a subnormal result
 def test_eval_poly_property(coeffs, params, xs):
     backend = SlotSimulator(params)
     x = np.resize(np.array(xs), params.slots)
@@ -84,9 +87,11 @@ def test_eval_poly_property(coeffs, params, xs):
     out = eval_poly(backend, backend.encrypt(x), coeffs)
     got = backend.decrypt(out)
     # Relative to the size of the terms, so a sum that cancels is judged
-    # against what went into it.
+    # against what went into it; the floor keeps subnormal results, whose
+    # relative tolerance underflows to 0, from failing on their last bit.
     scale = np.polyval(np.abs(coeffs[::-1]), np.abs(x))
-    assert np.all(np.abs(got - np.polyval(coeffs[::-1], x)) <= 1e-12 * scale)
+    tol = 1e-12 * scale + np.finfo(float).tiny
+    assert np.all(np.abs(got - np.polyval(coeffs[::-1], x)) <= tol)
     d, dc = params.delta_bits, params.delta_c_bits
     assert ledger_delta(backend, before) == {
         "mul": 2, "cmul": 2, "rot": 0, "add": 3,
@@ -376,6 +381,20 @@ def test_depth_accounting_layer_by_layer():
         ("act-2", 90), ("fc-2", 45)]
     assert res.depth_bits == 290
     assert res.op_counts["consumed_bits"] > 0
+
+
+@pytest.mark.parametrize("encrypted", [False, True])
+def test_measured_layers_equal_the_closed_form(encrypted):
+    net, geo = reduced_net(seed=17)
+    rng = np.random.default_rng(18)
+    images = rng.uniform(size=(geo["batch"], geo["h"], geo["w"]))
+    m, f = geo["batch"], geo["row_width"]
+    backend = sim(m * f)
+    res = infer_images(backend, net, images, f, encrypted_kernels=encrypted)
+    assert res.layers == predict_layer_costs(net, m, f, backend.params,
+                                             encrypted)
+    for kind in ("mul", "cmul", "rot", "add"):
+        assert res.op_counts[kind] == sum(getattr(c, kind) for c in res.layers)
 
 
 def test_infer_rejects_mismatched_batch():
