@@ -10,9 +10,8 @@ by one kernel weight and the valid-region mask, and summed.
 
 import numpy as np
 
-from hepack import (BackendParams, EncodedMatrix, SlotSimulator,
-                    convolve_images, he_conv, pack_image_batch, span_kernel,
-                    window_sums)
+from hepack import (BackendParams, SlotSimulator, convolve_images, he_conv,
+                    pack_image_batch, span_kernel, window_sums)
 
 np.set_printoptions(precision=2, suppress=True)
 

@@ -17,8 +17,8 @@ from .encodings import (EncodedMatrix, LayoutKind, MatrixLayout,
                         diagonal_slot_column, encode_diagonal_pattern,
                         encode_row_major, encode_transpose_extended,
                         grid_layout, pack_image_batch, row_major_layout)
-from .linalg import (broadcast_row_sums, compact_columns, parallel_map,
-                     reduce_add, rotate_within_rows, shift_rows, window_sums)
+from .linalg import (broadcast_row_sums, compact_columns, reduce_add,
+                     rotate_within_rows, shift_rows, window_sums)
 from .matmul import (WeightGroup, column_group_widths, he_matmul,
                      he_matmul_partitioned, multiply_matrices,
                      split_weight_groups)

@@ -24,9 +24,6 @@ def _add_common(sub: argparse.ArgumentParser):
                      help="bits burned per ciphertext-ciphertext mul")
     sub.add_argument("--delta-c", type=int, default=20,
                      help="bits burned per plaintext-mask mul")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="threads for the kernel and giant-step maps; "
-                          "bitwise equal to 1, not faster under the GIL")
     sub.add_argument("--encrypted-kernels", action="store_true",
                      help="encrypt conv kernels as ciphertexts, not masks")
 
@@ -65,7 +62,6 @@ def cmd_infer(args) -> int:
     depth_bits = 0
     for bi, (block, valid) in enumerate(blocks):
         res = infer_images(backend, net, block, row_width,
-                           threads=args.threads,
                            encrypted_kernels=args.encrypted_kernels)
         depth_bits = res.depth_bits
         guesses = res.logits.argmax(axis=1)
@@ -89,7 +85,7 @@ def cmd_infer(args) -> int:
     print(f"depth {depth_bits}/{params.log_q} bits; ledger "
           f"mul={totals['mul']} cmul={totals['cmul']} rot={totals['rot']} "
           f"add={totals['add']} rescale_bits={totals['consumed_bits']}")
-    print(f"wall {wall:.2f}s, threads {args.threads}")
+    print(f"wall {wall:.2f}s")
     return 0
 
 
@@ -118,12 +114,11 @@ def cmd_bench(args) -> int:
         0.0, 1.0, size=(args.batch, net.input_h, net.input_w))
     start = time.perf_counter()
     res = infer_images(SlotSimulator(params), net, images, row_width,
-                       threads=args.threads,
                        encrypted_kernels=args.encrypted_kernels)
     wall = time.perf_counter() - start
     print(f"network: {source}")
     print(f"batch {args.batch} x row_width {row_width} "
-          f"({params.slots} slots), threads {args.threads}")
+          f"({params.slots} slots)")
     print(f"{'layer':<8}{'mul':>8}{'cmul':>8}{'rot':>8}{'add':>8}{'depth':>8}")
     for c in predicted:
         print(f"{c.name:<8}{c.mul:>8}{c.cmul:>8}{c.rot:>8}{c.add:>8}{c.depth_bits:>8}")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .backend import BackendParams, SimdBackend, SlotSimulator
 from .encodings import EncodedMatrix, LayoutKind, pack_image_batch
-from .linalg import make_valid_region_mask, parallel_map, reduce_add
+from .linalg import make_valid_region_mask, reduce_add
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +82,7 @@ def span_kernel(kernel, bias: float, h: int, w: int, rows: int,
 
 
 def conv_layer(backend: SimdBackend, image: EncodedMatrix, plans,
-               encrypted_kernels: bool = False, threads: int = 1) -> list[EncodedMatrix]:
+               encrypted_kernels: bool = False) -> list[EncodedMatrix]:
     """Apply every kernel plan to the same batch, one output per channel.
 
     Each output keeps the input grid layout, with the result for anchor
@@ -120,7 +120,7 @@ def conv_layer(backend: SimdBackend, image: EncodedMatrix, plans,
         return EncodedMatrix(
             backend.add(valid, backend.encrypt(plan.bias_slots)), lay)
 
-    return list(parallel_map(per_kernel, plans, threads))
+    return [per_kernel(plan) for plan in plans]
 
 
 def he_conv(backend: SimdBackend, image: EncodedMatrix, plan: KernelPlan,

@@ -15,8 +15,7 @@ Filter masks are built once per shape, cached, and read-only.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterable
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -219,7 +218,7 @@ def reduce_add(backend: SimdBackend, cts: Iterable[CipherVec]) -> CipherVec:
     they cover equally many inputs and is folded from the top at the end.
     That makes the n - 1 adds, with the pairings, of a level-by-level tree,
     with at most floor(log2 n) + 1 partial sums alive; the result does not
-    depend on how the inputs were produced batch-wise or thread-wise.
+    depend on how the inputs were produced.
     """
     stack = []
     for n, ct in enumerate(cts, 1):
@@ -229,20 +228,3 @@ def reduce_add(backend: SimdBackend, cts: Iterable[CipherVec]) -> CipherVec:
     if not stack:
         raise ValueError("nothing to add")
     return reduce(lambda total, ct: backend.add(ct, total), reversed(stack))
-
-
-def parallel_map(fn, items, threads: int = 1) -> Iterator:
-    """Lazy ordered map; threads > 1 submit every item to a pool up front.
-
-    The thread count is checked at once, not when the first item is read.
-    """
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-    if threads == 1:
-        return map(fn, items)
-    return _pool_map(fn, items, threads)
-
-
-def _pool_map(fn, items, threads: int) -> Iterator:
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(fn, items)

@@ -25,7 +25,7 @@ from .backend import DepthExhaustedError, SimdBackend
 from .conv import conv_layer, span_kernel
 from .encodings import (EncodedMatrix, LayoutKind, decrypt_rows,
                         encode_row_major, pack_image_batch, row_major_layout)
-from .linalg import ceil_log2, parallel_map, reduce_add
+from .linalg import ceil_log2, reduce_add
 
 # Degree-three least-squares activation fits baked into the stock MNIST model.
 STOCK_ACT1 = (-0.00015120704, 0.4610149, 2.0225089, -1.4511951)
@@ -178,8 +178,8 @@ def _diagonal_rows(block: np.ndarray, f: int, baby: int) -> np.ndarray:
     return np.where((src >= 0) & (src < n), vals, 0.0)
 
 
-def fc_layer(backend: SimdBackend, parts, spec: FcSpec, valid_hw=None,
-             threads: int = 1) -> EncodedMatrix:
+def fc_layer(backend: SimdBackend, parts, spec: FcSpec,
+             valid_hw=None) -> EncodedMatrix:
     """Fully-connected layer over one or more packed input parts.
 
     Slot c of every row gathers sum_g sum_{d<p} D_{g,d}[c] * x_g[c-d], the
@@ -224,8 +224,7 @@ def fc_layer(backend: SimdBackend, parts, spec: FcSpec, valid_hw=None,
                 acc = term if acc is None else backend.add(acc, term)
         return backend.rot(acc, -baby * a) if a else acc
 
-    acc = reduce_add(backend, parallel_map(giant_step, range(-(-p // baby)),
-                                           threads))
+    acc = reduce_add(backend, map(giant_step, range(-(-p // baby))))
     for s in range(fold):
         acc = backend.add(acc, backend.rot(acc, p << s))
     bias = encode_row_major(backend, np.tile(spec.bias, (m, 1)), f)
@@ -275,8 +274,12 @@ def layer_names(net: NetworkSpec) -> list[str]:
 
 
 def infer(backend: SimdBackend, net: NetworkSpec, packed: EncodedMatrix,
-          threads: int = 1, encrypted_kernels: bool = False) -> InferenceResult:
-    """Run the network over a packed batch; logits come back per image."""
+          encrypted_kernels: bool = False) -> InferenceResult:
+    """Run the network over a packed batch; logits come back per image.
+
+    The per-layer rows and op_counts are differences of snapshots of the
+    backend's shared ledger, so a backend serves one infer at a time.
+    """
     net.validate()
     lay = packed.layout
     if lay.kind is not LayoutKind.IMAGE_GRID or (lay.grid_h, lay.grid_w) != (
@@ -295,13 +298,13 @@ def infer(backend: SimdBackend, net: NetworkSpec, packed: EncodedMatrix,
                                      net.input_h, net.input_w, lay.rows,
                                      lay.row_width)
                          for c in range(layer.channels)]
-                parts = conv_layer(backend, parts[0], plans, encrypted_kernels, threads)
+                parts = conv_layer(backend, parts[0], plans, encrypted_kernels)
                 valid_hw = (net.input_h - layer.k + 1, net.input_w - layer.k + 1)
             elif isinstance(layer, ActSpec):
                 parts = [apply_activation(backend, p, layer.coeffs)
                          for p in parts]
             else:
-                parts = [fc_layer(backend, parts, layer, valid_hw, threads)]
+                parts = [fc_layer(backend, parts, layer, valid_hw)]
         except DepthExhaustedError as e:
             raise DepthExhaustedError(f"budget exhausted in layer {name}: {e}") from e
         now = min(p.ct.budget_bits for p in parts)

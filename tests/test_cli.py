@@ -159,25 +159,17 @@ def test_infer_batch_must_be_positive(reduced_files, capsys, batch):
     assert "at least 1" in capsys.readouterr().err
 
 
-def test_threaded_and_sequential_predictions_are_identical(reduced_files):
-    out_a = reduced_files["tmp"] / "seq.csv"
-    out_b = reduced_files["tmp"] / "par.csv"
-    base = ["infer", "--weights", str(reduced_files["weights"]),
-            "--images", str(reduced_files["images"]), *SMALL]
-    assert main(base + ["--out", str(out_a), "--threads", "1"]) == 0
-    assert main(base + ["--out", str(out_b), "--threads", "4"]) == 0
-    assert out_a.read_bytes() == out_b.read_bytes()
-
-
 @pytest.mark.parametrize("command", ["infer", "bench"])
-def test_threads_must_be_positive(reduced_files, capsys, command):
+def test_threads_is_not_an_option(reduced_files, capsys, command):
     args = [command, "--weights", str(reduced_files["weights"]), *SMALL,
-            "--threads", "0"]
+            "--threads", "2"]
     if command == "infer":
         args += ["--images", str(reduced_files["images"]),
                  "--out", str(reduced_files["tmp"] / "p.csv")]
-    assert main(args) == 1
-    assert "threads must be at least 1, got 0" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 def test_infer_takes_no_seed(reduced_files, capsys):
@@ -199,7 +191,7 @@ def test_verify_passes_and_is_deterministic(capsys):
 
 
 def test_verify_takes_only_a_seed(capsys):
-    for flag, value in [("--logq", "10"), ("--threads", "-3"), ("--batch", "7")]:
+    for flag, value in [("--logq", "10"), ("--delta", "30"), ("--batch", "7")]:
         with pytest.raises(SystemExit) as exc:
             main(["verify", flag, value])
         assert exc.value.code == 2

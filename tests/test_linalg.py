@@ -20,11 +20,7 @@ from hepack import (
     shift_rows,
     window_sums,
 )
-from hepack.linalg import (
-    make_col_band_mask,
-    make_group_filter,
-    parallel_map,
-)
+from hepack.linalg import make_group_filter
 from common import ledger_delta, sim
 
 
@@ -414,25 +410,3 @@ def test_reduce_add_streams_a_balanced_tree(n, as_generator, seed):
         # made i - popcount(i) merges: the sum runs while it reads.
         assert adds_seen == [i - bin(i).count("1") for i in range(n)]
 
-
-def test_parallel_map_preserves_order():
-    items = list(range(20))
-    for threads in (1, 4):
-        out = parallel_map(lambda x: x * x, iter(items), threads=threads)
-        assert not isinstance(out, list)
-        assert list(out) == [x * x for x in items]
-        assert list(parallel_map(lambda x: x, [], threads=threads)) == []
-
-
-def test_parallel_map_is_lazy_with_one_thread():
-    seen = []
-    out = parallel_map(seen.append, range(3))
-    assert seen == []
-    next(out)
-    assert seen == [0]
-
-
-@pytest.mark.parametrize("threads", [0, -3])
-def test_parallel_map_rejects_fewer_than_one_thread(threads):
-    with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
-        parallel_map(lambda x: x, [1, 2], threads=threads)
