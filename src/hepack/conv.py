@@ -8,8 +8,8 @@ Halevi-Shoup hoisting). The valid-region mask zeroes anchors whose window
 crossed the grid edge, and the pad slots. A plaintext kernel folds it into
 its taps: each tap is cmul'd by w_uv * mask, so a kernel costs k*k cmul at
 depth delta_c. An encrypted kernel muls each tap by an encrypted w_uv and
-masks once after the sum, at depth delta + delta_c. Either way the bias
-comes in with one add of an encrypted, already masked vector.
+masks once after the sum, at depth delta + delta_c. Either way a plan's
+scalar bias comes in with one add of an encrypted bias * mask vector.
 
 `KernelPlan.spans` still shows the paper's k*k tiled span plaintexts;
 nothing on the data path reads them.
@@ -22,15 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backend import BackendParams, SimdBackend, SlotSimulator
-from .encodings import EncodedMatrix, LayoutKind, pack_image_batch
+from .encodings import EncodedMatrix, LayoutKind, decrypt_rows, pack_image_batch
 from .linalg import make_valid_region_mask, reduce_add
 
 
 @dataclass(frozen=True, eq=False)
 class KernelPlan:
-    """One kernel and its bias, ready for a given batch geometry.
+    """One kernel and its scalar bias, ready for a given batch geometry.
 
-    Plans compare and hash by identity: their array fields have no single
+    Plans compare and hash by identity: the kernel array has no single
     truth value, so field-wise equality could only raise.
     """
 
@@ -40,7 +40,7 @@ class KernelPlan:
     rows: int
     row_width: int
     kernel: np.ndarray  # (k, k), read-only
-    bias_slots: np.ndarray
+    bias: float
 
     @property
     def spans(self) -> tuple:
@@ -67,7 +67,7 @@ class KernelPlan:
 
 def span_kernel(kernel, bias: float, h: int, w: int, rows: int,
                 row_width: int) -> KernelPlan:
-    """Validate one kernel and build its plan and bias mask."""
+    """Validate one kernel and build its plan."""
     kern = np.array(kernel, dtype=np.float64)
     if kern.ndim != 2 or kern.shape[0] != kern.shape[1]:
         raise ValueError("kernel must be square")
@@ -77,8 +77,7 @@ def span_kernel(kernel, bias: float, h: int, w: int, rows: int,
     if h * w > row_width:
         raise ValueError("grid does not fit in row_width")
     kern.flags.writeable = False
-    bias_slots = float(bias) * make_valid_region_mask(rows, row_width, h, w, k)
-    return KernelPlan(k, h, w, rows, row_width, kern, bias_slots)
+    return KernelPlan(k, h, w, rows, row_width, kern, float(bias))
 
 
 def conv_layer(backend: SimdBackend, image: EncodedMatrix, plans,
@@ -118,7 +117,7 @@ def conv_layer(backend: SimdBackend, image: EncodedMatrix, plans,
             valid = reduce_add(backend, (backend.cmul(tap, wt * mask)
                                          for tap, wt in zip(taps, weights)))
         return EncodedMatrix(
-            backend.add(valid, backend.encrypt(plan.bias_slots)), lay)
+            backend.add(valid, backend.encrypt(plan.bias * mask)), lay)
 
     return [per_kernel(plan) for plan in plans]
 
@@ -146,5 +145,5 @@ def convolve_images(images, kernel, bias: float = 0.0,
     packed = pack_image_batch(backend, imgs, f)
     plan = span_kernel(kern, bias, h, w, m, f)
     out = he_conv(backend, packed, plan, encrypted_kernels)
-    grid = backend.decrypt(out.ct).reshape(m, f)[:, : h * w].reshape(m, h, w)
+    grid = decrypt_rows(backend, out)[:, : h * w].reshape(m, h, w)
     return grid[:, : h - k + 1, : w - k + 1]

@@ -8,9 +8,9 @@ diagonal      matmul output: C[i][j] sits at column (i + ((j - i) % p)) % f,
               where p is the layout period (the output column count).
 image-grid    row i holds image i flattened row-major in its first h*w slots.
 
-The transpose-extended encoding feeds the right-hand side of the matrix
-product: ciphertext row r holds column (r % p) of B laid out as a row, the
-column cycle repeating down the ciphertext.
+Transpose-extended (the right side of a product: row r holds column r % p
+of B) and image-grid are row-major encodings of a rearranged matrix, so
+encode_row_major builds every row-packed buffer.
 """
 
 from __future__ import annotations
@@ -55,10 +55,6 @@ class MatrixLayout:
             if self.grid_h * self.grid_w > self.row_width:
                 raise ValueError("grid does not fit in row_width")
 
-    @property
-    def slots(self) -> int:
-        return self.rows * self.row_width
-
 
 def row_major_layout(rows: int, row_width: int, logical_width: int) -> MatrixLayout:
     return MatrixLayout(rows, row_width, logical_width, LayoutKind.ROW_MAJOR)
@@ -78,13 +74,6 @@ class EncodedMatrix:
     layout: MatrixLayout
 
 
-def _check_geometry(backend: SimdBackend, rows: int, row_width: int):
-    if rows * row_width != backend.params.slots:
-        raise ValueError(
-            f"{rows} rows x {row_width} must fill the {backend.params.slots} slots exactly"
-        )
-
-
 def encode_row_major(backend: SimdBackend, matrix, row_width: int) -> EncodedMatrix:
     """Encrypt an m x n matrix, one matrix row per ciphertext row.
 
@@ -97,7 +86,10 @@ def encode_row_major(backend: SimdBackend, matrix, row_width: int) -> EncodedMat
     rows, n = m_arr.shape
     if n > row_width:
         raise ValueError(f"matrix width {n} exceeds row_width {row_width}")
-    _check_geometry(backend, rows, row_width)
+    if rows * row_width != backend.params.slots:
+        raise ValueError(
+            f"{rows} rows x {row_width} must fill the {backend.params.slots} slots exactly"
+        )
     buf = np.zeros((rows, row_width))
     buf[:, :n] = m_arr
     return EncodedMatrix(backend.encrypt(buf.reshape(-1)),
@@ -108,9 +100,9 @@ def encode_transpose_extended(backend: SimdBackend, matrix, rows: int,
                               row_width: int) -> EncodedMatrix:
     """Encrypt an n x p matrix B for the right side of a product.
 
-    Ciphertext row r holds column (r % p) of B as a row vector: slot
-    (r, j) = B[j][r % p] for j < n, zero pad beyond. The p columns must
-    all appear, so rows >= p is required.
+    Slot (r, j) = B[j][r % p] for j < n, zero pad beyond: the row-major
+    encoding of B^T with its rows cycled. The p columns must all appear,
+    so rows >= p is required.
     """
     b = np.asarray(matrix, dtype=np.float64)
     if b.ndim != 2:
@@ -118,14 +110,11 @@ def encode_transpose_extended(backend: SimdBackend, matrix, rows: int,
     n, p = b.shape
     if n > row_width:
         raise ValueError(f"matrix height {n} exceeds row_width {row_width}")
+    if p < 1:
+        raise ValueError("matrix has no columns")
     if rows < p:
         raise ValueError(f"need rows >= {p} to cover every column, got {rows}")
-    _check_geometry(backend, rows, row_width)
-    buf = np.zeros((rows, row_width))
-    for r in range(rows):
-        buf[r, :n] = b[:, r % p]
-    return EncodedMatrix(backend.encrypt(buf.reshape(-1)),
-                         row_major_layout(rows, row_width, n))
+    return encode_row_major(backend, b.T[np.arange(rows) % p], row_width)
 
 
 def pack_image_batch(backend: SimdBackend, images, row_width: int) -> EncodedMatrix:
@@ -143,11 +132,8 @@ def pack_image_batch(backend: SimdBackend, images, row_width: int) -> EncodedMat
     m, h, w = imgs.shape
     if h * w > row_width:
         raise ValueError(f"image of {h * w} pixels exceeds row_width {row_width}")
-    _check_geometry(backend, m, row_width)
-    buf = np.zeros((m, row_width))
-    buf[:, : h * w] = imgs.reshape(m, h * w)
-    return EncodedMatrix(backend.encrypt(buf.reshape(-1)),
-                         grid_layout(m, row_width, h, w))
+    enc = encode_row_major(backend, imgs.reshape(m, h * w), row_width)
+    return EncodedMatrix(enc.ct, grid_layout(m, row_width, h, w))
 
 
 def diagonal_slot_column(i: int, j: int, p: int, f: int) -> int:

@@ -72,13 +72,20 @@ class NetworkSpec:
     layers: tuple
 
     def validate(self) -> "NetworkSpec":
-        """Check layer chaining; returns self so calls can be inline."""
+        """Check layer shapes and chaining; returns self so calls can be inline."""
         h, w = self.input_h, self.input_w
         feats = None  # None while still an image grid
         for pos, layer in enumerate(self.layers):
             if isinstance(layer, ConvSpec):
                 if pos != 0:
                     raise ValueError("conv layer must come first")
+                shape = np.shape(layer.kernels)
+                if len(shape) != 3 or shape[1] != shape[2] or min(shape) < 1:
+                    raise ValueError(f"conv kernels must be (C, k, k) with C, k >= 1, "
+                                     f"got shape {shape}")
+                if np.shape(layer.biases) != shape[:1]:
+                    raise ValueError(f"conv needs {shape[0]} biases, one per kernel, "
+                                     f"got shape {np.shape(layer.biases)}")
                 if layer.k > min(h, w):
                     raise ValueError("kernel larger than image")
                 feats = layer.channels * (h - layer.k + 1) * (w - layer.k + 1)
@@ -90,6 +97,9 @@ class NetworkSpec:
                 if layer.in_dim != expect:
                     raise ValueError(
                         f"fc layer {pos} expects {expect} inputs, has {layer.in_dim}")
+                if np.shape(layer.bias) != (layer.out_dim,):
+                    raise ValueError(f"fc layer {pos} needs {layer.out_dim} biases, "
+                                     f"got shape {np.shape(layer.bias)}")
                 feats = layer.out_dim
             else:
                 raise ValueError(f"unknown layer type {type(layer).__name__}")

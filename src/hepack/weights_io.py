@@ -11,7 +11,7 @@ Sections in network order, each opened by a header line:
 
 Values are comma separated, UTF-8, LF lines, '.' decimal point, written
 with repr() so a save/load round trip is bitwise exact. Every value must
-be finite.
+be finite and every header size at least 1.
 """
 
 from __future__ import annotations
@@ -42,6 +42,12 @@ def _require_finite(vals, lineno: int):
     bad = vals[~np.isfinite(vals)]
     if bad.size:
         raise WeightsParseError(f"line {lineno}: non-finite value {float(bad[0])!r}")
+
+
+def _require_positive(sizes, tag: str, lineno: int):
+    if min(sizes) < 1:
+        raise WeightsParseError(
+            f"line {lineno}: {tag} sizes must be positive, got {sizes}")
 
 
 class _Lines:
@@ -84,6 +90,7 @@ def load_weights_csv(path) -> NetworkSpec:
             except ValueError:
                 raise WeightsParseError(
                     f"line {lineno}: non-integer #conv field") from None
+            _require_positive((k, h, w, channels), "#conv", lineno)
             kernels = np.zeros((channels, k, k))
             biases = np.zeros(channels)
             for c in range(channels):
@@ -111,6 +118,7 @@ def load_weights_csv(path) -> NetworkSpec:
             except ValueError:
                 raise WeightsParseError(
                     f"line {lineno}: non-integer #fc field") from None
+            _require_positive((rows, cols), "#fc", lineno)
             weight = np.zeros((rows, cols))
             for r in range(rows):
                 row, ln = reader.next_content("an fc weight row")

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hepack import (
     conv_layer,
     convolve_images,
+    decrypt_rows,
     he_conv,
     pack_image_batch,
     span_kernel,
@@ -44,13 +45,20 @@ def test_spans_tile_a_4x4_grid():
                                                   [0, 0, 0, 0]])
 
 
-def test_bias_covers_exactly_the_valid_region():
-    plan = span_kernel(KERNEL_2X2, 7.0, 4, 4, rows=1, row_width=16)
-    grid = plan.bias_slots[:16].reshape(4, 4)
-    assert np.array_equal(grid, [[7, 7, 7, 0],
-                                 [7, 7, 7, 0],
-                                 [7, 7, 7, 0],
-                                 [0, 0, 0, 0]])
+@pytest.mark.parametrize("encrypted", [False, True])
+def test_zero_batch_reads_the_bias_on_exactly_the_valid_region(encrypted):
+    backend = sim(64)
+    packed = pack_image_batch(backend, np.zeros((2, 4, 4)), row_width=32)
+    plans = [span_kernel(KERNEL_2X2, bias, 4, 4, rows=2, row_width=32)
+             for bias in (7.0, -2.5)]
+    outs = conv_layer(backend, packed, plans, encrypted_kernels=encrypted)
+    for bias, out in zip((7.0, -2.5), outs):
+        rows = decrypt_rows(backend, out)
+        valid = np.zeros((4, 4))
+        valid[:3, :3] = bias
+        for row in rows:
+            assert np.array_equal(row[:16].reshape(4, 4), valid)
+            assert not row[16:].any()  # pad slots
 
 
 @pytest.mark.parametrize("h,w,k", [(5, 6, 3), (4, 4, 2), (3, 7, 2)])

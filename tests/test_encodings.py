@@ -79,8 +79,31 @@ def test_transpose_extended_indexing_formula():
 
 def test_transpose_extended_needs_enough_rows():
     backend = sim(16)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need rows >= 8"):
         encode_transpose_extended(backend, np.zeros((2, 8)), rows=4, row_width=4)
+
+
+def test_transpose_extended_rejects_a_matrix_taller_than_a_row():
+    backend = sim(16)
+    with pytest.raises(ValueError, match="matrix height 5 exceeds row_width 4"):
+        encode_transpose_extended(backend, np.zeros((5, 2)), rows=4, row_width=4)
+
+
+def test_transpose_extended_rejects_a_matrix_without_columns():
+    with pytest.raises(ValueError, match="matrix has no columns"):
+        encode_transpose_extended(sim(16), np.zeros((2, 0)), rows=4, row_width=4)
+
+
+@pytest.mark.parametrize("encode", [
+    lambda be: encode_row_major(be, np.zeros((4, 5)), row_width=16),
+    lambda be: encode_transpose_extended(be, np.zeros((5, 2)), rows=4,
+                                         row_width=16),
+    lambda be: pack_image_batch(be, np.zeros((4, 3, 4)), row_width=16),
+], ids=["row_major", "transpose_extended", "image_batch"])
+def test_encoders_name_a_geometry_that_misses_the_slot_count(encode):
+    with pytest.raises(ValueError,
+                       match="4 rows x 16 must fill the 32 slots exactly"):
+        encode(sim(32))
 
 
 def test_pack_image_batch_layout():
@@ -112,7 +135,7 @@ def test_pack_image_batch_rejects_non_finite_pixels(monkeypatch):
 
 def test_pack_image_batch_rejects_oversized_grid():
     backend = sim(64)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="image of 20 pixels exceeds row_width 16"):
         pack_image_batch(backend, np.zeros((4, 5, 4)), row_width=16)
 
 

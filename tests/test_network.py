@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -305,6 +307,43 @@ def test_network_validation():
     with pytest.raises(ValueError, match="unknown layer"):
         NetworkSpec(4, 4, (conv, "relu", fc)).validate()
     assert NetworkSpec(4, 4, (conv, fc)).validate().classes == 2
+
+
+@pytest.mark.parametrize("kernels,biases,fc_shape,fc_bias,cause", [
+    ((2, 2, 2), 1, (2, 18), 2, "conv needs 2 biases, one per kernel"),
+    ((1, 0, 0), 1, (2, 25), 2, "conv kernels must be (C, k, k)"),
+    ((0, 2, 2), 0, (2, 0), 2, "conv kernels must be (C, k, k)"),
+    ((1, 2, 3), 1, (2, 9), 2, "conv kernels must be (C, k, k)"),
+    ((1, 2, 2), 1, (2, 9), 1, "fc layer 1 needs 2 biases"),
+], ids=["short-conv-bias", "zero-k", "no-kernels", "non-square", "short-fc-bias"])
+def test_validate_names_a_layer_of_the_wrong_shape(kernels, biases, fc_shape,
+                                                  fc_bias, cause):
+    net = NetworkSpec(4, 4, (ConvSpec(np.ones(kernels), np.zeros(biases)),
+                             FcSpec(np.ones(fc_shape), np.zeros(fc_bias))))
+    with pytest.raises(ValueError, match=re.escape(cause)):
+        net.validate()
+
+
+@pytest.mark.parametrize("pos,cause", [(0, "conv needs 2 biases"),
+                                       (4, "fc layer 4 needs 4 biases")],
+                         ids=["conv-1", "fc-2"])
+def test_short_bias_fails_before_any_op(pos, cause):
+    net, geo = reduced_net()
+    layers = list(net.layers)
+    if pos == 0:
+        layers[0] = ConvSpec(layers[0].kernels, layers[0].biases[:1])
+    else:
+        layers[pos] = FcSpec(layers[pos].weight, layers[pos].bias[:1])
+    bad = NetworkSpec(net.input_h, net.input_w, tuple(layers))
+    backend = sim(geo["batch"] * geo["row_width"])
+    images = np.zeros((geo["batch"], geo["h"], geo["w"]))
+    packed = pack_image_batch(backend, images, geo["row_width"])
+    before = backend.ledger.snapshot()
+    with pytest.raises(ValueError, match=cause):
+        infer(backend, bad, packed)
+    assert backend.ledger.snapshot() == before
+    with pytest.raises(ValueError, match=cause):
+        reference_infer(bad, images)
 
 
 def test_reference_infer_against_scipy():

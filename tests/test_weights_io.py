@@ -126,3 +126,17 @@ def test_non_integer_header_field(tmp_path):
     path = write(tmp_path, "#conv 2 3 3 one\n1,0,0,1,0.5\n" + GOOD_TAIL)
     with pytest.raises(WeightsParseError, match="non-integer"):
         load_weights_csv(path)
+
+
+ZERO_K_CONV = ("#conv 0 4 4 1\n0.5\n#fc 2 25\n" + ",".join(["0"] * 25) + "\n"
+               + ",".join(["0"] * 25) + "\n0.1,0.2\n")
+
+
+@pytest.mark.parametrize("text,cause", [
+    (ZERO_K_CONV, r"line 1: #conv sizes must be positive, got \(0, 4, 4, 1\)"),
+    ("#conv 3 4 4 -1\n" + GOOD_TAIL, r"line 1: #conv sizes must be positive"),
+    (GOOD_HEAD + "#fc -2 9\n", r"line 3: #fc sizes must be positive"),
+], ids=["zero-k", "negative-channels", "negative-fc-rows"])
+def test_non_positive_header_size_names_its_line(tmp_path, text, cause):
+    with pytest.raises(WeightsParseError, match=cause):
+        load_weights_csv(write(tmp_path, text))
