@@ -77,17 +77,14 @@ def total_op_counts(costs) -> dict:
 
 
 def predict_op_counts(net: NetworkSpec, batch: int, row_width: int,
-                      params: BackendParams,
-                      encrypted_kernels: bool = False) -> dict:
-    return total_op_counts(predict_layer_costs(net, batch, row_width, params,
-                                               encrypted_kernels))
+                      params: BackendParams) -> dict:
+    return total_op_counts(predict_layer_costs(net, batch, row_width, params))
 
 
 def predict_depth_bits(net: NetworkSpec, batch: int, row_width: int,
-                       params: BackendParams,
-                       encrypted_kernels: bool = False) -> int:
+                       params: BackendParams) -> int:
     return sum(c.depth_bits for c in predict_layer_costs(
-        net, batch, row_width, params, encrypted_kernels))
+        net, batch, row_width, params))
 
 
 def check_depth_budget(net: NetworkSpec, batch: int, row_width: int,

@@ -76,6 +76,8 @@ def span_kernel(kernel, bias: float, h: int, w: int, rows: int,
         raise ValueError(f"kernel {k} does not fit a {h}x{w} grid")
     if h * w > row_width:
         raise ValueError("grid does not fit in row_width")
+    if not (np.isfinite(kern).all() and np.isfinite(bias)):
+        raise ValueError("kernel and bias must be finite")
     kern.flags.writeable = False
     return KernelPlan(k, h, w, rows, row_width, kern, float(bias))
 
@@ -129,19 +131,20 @@ def he_conv(backend: SimdBackend, image: EncodedMatrix, plan: KernelPlan,
 
 
 def convolve_images(images, kernel, bias: float = 0.0,
-                    row_width: int | None = None,
-                    backend: SimdBackend | None = None,
                     encrypted_kernels: bool = False) -> np.ndarray:
-    """Pack, convolve homomorphically, decrypt the valid region."""
+    """Pack, convolve homomorphically, decrypt the valid region.
+
+    Each image takes a row of h*w slots rounded up to a power of two, on a
+    fresh backend with one row per image.
+    """
     imgs = np.asarray(images, dtype=np.float64)
     m, h, w = imgs.shape
     if m & (m - 1):
         raise ValueError("batch size must be a power of two")
     kern = np.asarray(kernel, dtype=np.float64)
     k = kern.shape[0]
-    f = row_width or 1 << (h * w - 1).bit_length()
-    if backend is None:
-        backend = SlotSimulator(BackendParams.for_slots(m * f))
+    f = 1 << (h * w - 1).bit_length()
+    backend = SlotSimulator(BackendParams.for_slots(m * f))
     packed = pack_image_batch(backend, imgs, f)
     plan = span_kernel(kern, bias, h, w, m, f)
     out = he_conv(backend, packed, plan, encrypted_kernels)

@@ -25,12 +25,13 @@ the data path.
 When the output width p exceeds the row count m, no single encoding of B
 covers every column; the partitioned form splits B's columns into groups
 of at most m, cycles each group separately, and places every result
-straight into the final period-p diagonal pattern.
+straight into the final period-p diagonal pattern. The tiling depends on
+(p, m) alone: group k covers columns k*m .. k*m + width - 1, with the
+widths of column_group_widths(p, m), so a B block is just its list of
+group encodings.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,31 +42,21 @@ from .encodings import (EncodedMatrix, decode_diagonal, diagonal_layout,
 from .linalg import broadcast_row_sums, make_group_filter, reduce_add, shift_rows
 
 
-@dataclass(frozen=True)
-class WeightGroup:
-    """One column group of a right-hand matrix: columns base..base+width-1."""
+def _branch(backend: SimdBackend, a_parts, encs, base: int, width: int,
+            step: int, p: int):
+    """One step of the column group base..base+width-1, summed over blocks.
 
-    base: int
-    width: int
-    enc: EncodedMatrix
-
-
-def _branch(backend: SimdBackend, a_parts, groups, step: int, p: int):
-    """One step of one column group, summed over the input blocks.
-
-    groups[g] is block g's encoding of the group; the products are added
-    in block order.
+    encs[g] is block g's encoding of the group; the products are added in
+    block order.
     """
     m, f = a_parts[0].layout.rows, a_parts[0].layout.row_width
-    prods = (backend.mul(a.ct, shift_rows(backend, grp.enc, grp.width, step).ct)
-             for a, grp in zip(a_parts, groups))
-    span = max(grp.enc.layout.logical_width for grp in groups)
+    prods = (backend.mul(a.ct, shift_rows(backend, enc, width, step).ct)
+             for a, enc in zip(a_parts, encs))
+    span = max(enc.layout.logical_width for enc in encs)
     total = EncodedMatrix(reduce_add(backend, prods),
                           row_major_layout(m, f, span))
     sums = broadcast_row_sums(backend, total, min(f, m + p - 1))
-    lead = groups[0]
-    return backend.cmul(sums.ct, make_group_filter(m, f, p, lead.base,
-                                                   lead.width, step))
+    return backend.cmul(sums.ct, make_group_filter(m, f, p, base, width, step))
 
 
 def he_matmul_partitioned(backend: SimdBackend, a_parts, b_blocks,
@@ -73,13 +64,13 @@ def he_matmul_partitioned(backend: SimdBackend, a_parts, b_blocks,
     """Sum of per-block products, all placed in one diagonal(p) output.
 
     a_parts[g] is a row-major encoding of A's g-th column block; b_blocks[g]
-    is the list of WeightGroup encoding the matching rows of B, as
-    split_weight_groups makes it (one group unless p > rows). Every block
-    must use the same column tiling. With one block and one group this is
+    lists the transpose-extended encodings of the matching rows of B, one
+    per group of column_group_widths(p, rows), as split_weight_groups makes
+    them (one group unless p > rows). With one block and one group this is
     the plain product.
     """
     a_parts = list(a_parts)
-    b_blocks = [sorted(groups, key=lambda g: g.base) for groups in b_blocks]
+    b_blocks = list(b_blocks)
     if len(a_parts) != len(b_blocks):
         raise ValueError(f"{len(a_parts)} A parts vs {len(b_blocks)} B blocks")
     if not a_parts:
@@ -90,16 +81,14 @@ def he_matmul_partitioned(backend: SimdBackend, a_parts, b_blocks,
     for a in a_parts:
         if (a.layout.rows, a.layout.row_width) != (m, f):
             raise ValueError("A parts disagree on geometry")
-    tiling = [(g.base, g.width) for g in b_blocks[0]]
-    if any([(g.base, g.width) for g in groups] != tiling for groups in b_blocks):
-        raise ValueError("B blocks must share one column tiling")
-    ends = [0] + [base + width for base, width in tiling]
-    if [base for base, _ in tiling] != ends[:-1] or ends[-1] != p:
-        raise ValueError("column groups must tile 0..p exactly")
+    widths = column_group_widths(p, m)
+    if any(len(encs) != len(widths) for encs in b_blocks):
+        raise ValueError(f"each B block needs {len(widths)} column groups "
+                         f"for p={p} over {m} rows")
 
-    branches = (_branch(backend, a_parts, [groups[k] for groups in b_blocks],
-                        step, p)
-                for k, (_, width) in enumerate(tiling)
+    branches = (_branch(backend, a_parts, [encs[k] for encs in b_blocks],
+                        k * m, width, step, p)
+                for k, width in enumerate(widths)
                 for step in range(width))
     return EncodedMatrix(reduce_add(backend, branches), diagonal_layout(m, f, p))
 
@@ -114,7 +103,7 @@ def he_matmul(backend: SimdBackend, a: EncodedMatrix, b: EncodedMatrix,
     if p > a.layout.rows:
         raise ValueError(
             f"output width {p} exceeds {a.layout.rows} rows; pad A or split columns")
-    return he_matmul_partitioned(backend, [a], [[WeightGroup(0, p, b)]], p)
+    return he_matmul_partitioned(backend, [a], [[b]], p)
 
 
 def column_group_widths(p: int, rows: int) -> list[int]:
@@ -123,17 +112,14 @@ def column_group_widths(p: int, rows: int) -> list[int]:
 
 
 def split_weight_groups(backend: SimdBackend, matrix, rows: int,
-                        row_width: int) -> list[WeightGroup]:
+                        row_width: int) -> list[EncodedMatrix]:
     """Encode an n x p matrix as column groups of at most `rows` columns."""
     b = np.asarray(matrix, dtype=np.float64)
-    _, p = b.shape
-    groups, base = [], 0
-    for width in column_group_widths(p, rows):
-        enc = encode_transpose_extended(backend, b[:, base:base + width],
-                                        rows, row_width)
-        groups.append(WeightGroup(base, width, enc))
-        base += width
-    return groups
+    if b.ndim != 2:
+        raise ValueError(f"weight matrix must be 2-D, got shape {b.shape}")
+    return [encode_transpose_extended(backend, b[:, base:base + rows], rows,
+                                      row_width)
+            for base in range(0, b.shape[1], rows)]
 
 
 def _next_pow2(n: int) -> int:
@@ -150,6 +136,9 @@ def multiply_matrices(a, b, row_width: int | None = None,
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
+    for name, x in (("A", a), ("B", b)):
+        if x.ndim != 2:
+            raise ValueError(f"{name} must be 2-D, got shape {x.shape}")
     m, n = a.shape
     n2, p = b.shape
     if n != n2:

@@ -65,6 +65,11 @@ class FcSpec:
         return self.weight.shape[1]
 
 
+def _require_finite(what: str, values):
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} must be finite, found NaN or inf")
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     input_h: int
@@ -72,7 +77,10 @@ class NetworkSpec:
     layers: tuple
 
     def validate(self) -> "NetworkSpec":
-        """Check layer shapes and chaining; returns self so calls can be inline."""
+        """Check layer shapes, finite values and chaining before any op runs.
+
+        Returns self so calls can be inline.
+        """
         h, w = self.input_h, self.input_w
         feats = None  # None while still an image grid
         for pos, layer in enumerate(self.layers):
@@ -88,11 +96,17 @@ class NetworkSpec:
                                      f"got shape {np.shape(layer.biases)}")
                 if layer.k > min(h, w):
                     raise ValueError("kernel larger than image")
+                _require_finite(f"conv layer {pos} kernels", layer.kernels)
+                _require_finite(f"conv layer {pos} biases", layer.biases)
                 feats = layer.channels * (h - layer.k + 1) * (w - layer.k + 1)
             elif isinstance(layer, ActSpec):
                 if len(layer.coeffs) != 4:
                     raise ValueError("activation needs 4 coefficients")
+                _require_finite(f"act layer {pos} coefficients", layer.coeffs)
             elif isinstance(layer, FcSpec):
+                if np.ndim(layer.weight) != 2:
+                    raise ValueError(f"fc layer {pos} weight must be 2-D (out, in), "
+                                     f"got shape {np.shape(layer.weight)}")
                 expect = feats if feats is not None else h * w
                 if layer.in_dim != expect:
                     raise ValueError(
@@ -100,6 +114,8 @@ class NetworkSpec:
                 if np.shape(layer.bias) != (layer.out_dim,):
                     raise ValueError(f"fc layer {pos} needs {layer.out_dim} biases, "
                                      f"got shape {np.shape(layer.bias)}")
+                _require_finite(f"fc layer {pos} weights", layer.weight)
+                _require_finite(f"fc layer {pos} biases", layer.bias)
                 feats = layer.out_dim
             else:
                 raise ValueError(f"unknown layer type {type(layer).__name__}")
@@ -391,9 +407,14 @@ def reduced_geometry() -> dict:
 
 def random_network(rng: np.random.Generator, h: int = 28, w: int = 28,
                    k: int = 3, channels: int = 4, hidden: int = 64,
-                   classes: int = 10, act1=STOCK_ACT1,
-                   act2=STOCK_ACT2, **_ignored) -> NetworkSpec:
-    """Random weights at fan-in scale so the cubics keep values tame."""
+                   classes: int = 10, batch: int | None = None,
+                   row_width: int | None = None) -> NetworkSpec:
+    """Random weights at fan-in scale so the cubics keep values tame.
+
+    The weights do not depend on `batch` or `row_width`; they are accepted
+    so a whole geometry dict (stock_geometry(), reduced_geometry()) can be
+    passed as keywords.
+    """
     def uni(shape, fan_in):
         s = 1.0 / np.sqrt(fan_in)
         return rng.uniform(-s, s, size=shape)
@@ -402,8 +423,8 @@ def random_network(rng: np.random.Generator, h: int = 28, w: int = 28,
     fc1_in = channels * oh * ow
     return NetworkSpec(h, w, (
         ConvSpec(uni((channels, k, k), k * k), uni((channels,), k * k)),
-        ActSpec(tuple(act1)),
+        ActSpec(STOCK_ACT1),
         FcSpec(uni((hidden, fc1_in), fc1_in), uni((hidden,), fc1_in)),
-        ActSpec(tuple(act2)),
+        ActSpec(STOCK_ACT2),
         FcSpec(uni((classes, hidden), hidden), uni((classes,), hidden)),
     )).validate()

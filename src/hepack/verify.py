@@ -89,8 +89,8 @@ def check_conv_sweep(rng: np.random.Generator) -> CheckResult:
     return CheckResult("conv sweep", worst, 1e-9, detail=f"runs={runs}")
 
 
-def check_vrot(rng: np.random.Generator, h: int = 4, w: int = 5,
-               batch: int = 4, row_width: int = 32) -> CheckResult:
+def check_vrot(rng: np.random.Generator) -> CheckResult:
+    h, w, batch, row_width = 4, 5, 4, 32
     backend = SlotSimulator(BackendParams.for_slots(batch * row_width))
     imgs = rng.normal(size=(batch, h, w))
     packed = pack_image_batch(backend, imgs, row_width)

@@ -25,12 +25,12 @@ class WeightsParseError(ValueError):
     """Malformed weight file; message carries the offending line number."""
 
 
-def _floats(text: str, lineno: int, expect: int | None = None) -> np.ndarray:
+def _floats(text: str, lineno: int, expect: int) -> np.ndarray:
     try:
         vals = np.array(text.split(","), dtype=np.float64)
     except ValueError:
         raise WeightsParseError(f"line {lineno}: non-numeric value in {text!r}") from None
-    if expect is not None and len(vals) != expect:
+    if len(vals) != expect:
         raise WeightsParseError(
             f"line {lineno}: expected {expect} values, found {len(vals)}")
     _require_finite(vals, lineno)

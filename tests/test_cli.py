@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -285,3 +290,16 @@ def test_bench_encrypted_kernels(reduced_files, capsys):
     assert rc == 0
     assert ("every layer's counts and depth match closed form"
             in capsys.readouterr().out)
+
+
+def test_verify_needs_numpy_alone(tmp_path):
+    # scipy and hypothesis are test extras; None in sys.modules makes any
+    # import of them raise ImportError, as if they were not installed.
+    code = ("import sys; sys.modules['scipy'] = sys.modules['hypothesis'] = None; "
+            "from hepack.cli import main; sys.exit(main(['verify']))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "6/6 checks passed" in proc.stdout

@@ -85,6 +85,12 @@ def test_span_kernel_validation():
         span_kernel(np.ones((5, 5)), 0.0, 4, 4, 1, 16)
     with pytest.raises(ValueError):
         span_kernel(np.ones((2, 2)), 0.0, 5, 5, 1, 16)
+    with pytest.raises(ValueError, match="must be finite"):
+        span_kernel([[1.0, np.nan], [0.0, 0.0]], 0.0, 4, 4, 1, 16)
+    with pytest.raises(ValueError, match="must be finite"):
+        span_kernel(np.ones((2, 2)), np.inf, 4, 4, 1, 16)
+    with pytest.raises(ValueError, match="must be finite"):
+        convolve_images(np.ones((2, 4, 4)), [[1.0, np.nan], [0.0, 0.0]])
 
 
 @pytest.mark.parametrize("mode", ["plain", "encrypted"])

@@ -15,7 +15,6 @@ from hepack import (
     he_matmul_partitioned,
     multiply_matrices,
     split_weight_groups,
-    WeightGroup,
     row_major_layout,
 )
 from hepack.linalg import ceil_log2
@@ -71,7 +70,7 @@ def test_column_groups_cover_wide_outputs():
     backend = sim(8 * 32)
     enc_a = encode_row_major(backend, a, 32)
     groups = split_weight_groups(backend, b, rows=8, row_width=32)
-    assert [(g.base, g.width) for g in groups] == [(0, 8), (8, 8), (16, 8), (24, 8)]
+    assert len(groups) == len(column_group_widths(32, 8)) == 4
     out = he_matmul_partitioned(backend, [enc_a], [groups], 32)
     got = decode_diagonal(backend.decrypt(out.ct), 8, 32, 32)
     assert np.max(np.abs(got - a @ b)) < 1e-9
@@ -84,41 +83,31 @@ def test_column_groups_with_uneven_tail():
     backend = sim(4 * 16)
     enc_a = encode_row_major(backend, a, 16)
     groups = split_weight_groups(backend, b, rows=4, row_width=16)
-    assert [(g.base, g.width) for g in groups] == [(0, 4), (4, 4), (8, 2)]
+    assert column_group_widths(10, 4) == [4, 4, 2]
+    assert len(groups) == 3
     out = he_matmul_partitioned(backend, [enc_a], [groups], 10)
     got = decode_diagonal(backend.decrypt(out.ct), 4, 16, 10)
     assert np.max(np.abs(got - a @ b)) < 1e-9
 
 
-def test_group_tiling_is_validated():
-    backend = sim(64)
-    a = encode_row_major(backend, np.ones((8, 4)), 8)
-    b = encode_transpose_extended(backend, np.ones((4, 4)), 8, 8)
-    hole = [WeightGroup(0, 4, b)]
-    with pytest.raises(ValueError, match="tile"):
-        he_matmul_partitioned(backend, [a], [hole], 8)
-    overlap = [WeightGroup(0, 4, b), WeightGroup(2, 4, b)]
-    with pytest.raises(ValueError, match="tile"):
-        he_matmul_partitioned(backend, [a], [overlap], 6)
-
-
-def test_blocks_must_share_one_column_tiling():
-    rng = np.random.default_rng(11)
+def test_block_needs_one_encoding_per_column_group():
     backend = sim(4 * 8)
-    a = [rng.normal(size=(4, 3)) for _ in range(2)]
-    b = [rng.normal(size=(3, 8)) for _ in range(2)]
-    a_parts = [encode_row_major(backend, x, 8) for x in a]
-    first, second = (split_weight_groups(backend, x, 4, 8) for x in b)
-    assert [(g.base, g.width) for g in first] == [(0, 4), (4, 4)]
-    enc = encode_transpose_extended(backend, b[1][:, :2], 4, 8)
-    other = [WeightGroup(0, 2, enc), WeightGroup(2, 4, second[0].enc),
-             WeightGroup(6, 2, enc)]
-    with pytest.raises(ValueError, match="share one column tiling"):
-        he_matmul_partitioned(backend, a_parts, [first, other], 8)
-    # The same tiling listed in another order is still one tiling.
-    out = he_matmul_partitioned(backend, a_parts, [first, second[::-1]], 8)
-    got = decode_diagonal(backend.decrypt(out.ct), 4, 8, 8)
-    assert np.max(np.abs(got - (a[0] @ b[0] + a[1] @ b[1]))) < 1e-9
+    a = encode_row_major(backend, np.ones((4, 3)), 8)
+    groups = split_weight_groups(backend, np.ones((3, 8)), 4, 8)
+    for wrong in (groups[:1], groups + groups[:1]):
+        with pytest.raises(ValueError,
+                           match=r"needs 2 column groups for p=8 over 4 rows"):
+            he_matmul_partitioned(backend, [a, a], [groups, wrong], 8)
+
+
+def test_weight_operands_must_be_2d():
+    backend = sim(64)
+    with pytest.raises(ValueError, match="weight matrix must be 2-D"):
+        split_weight_groups(backend, np.ones(4), 8, 8)
+    with pytest.raises(ValueError, match="A must be 2-D"):
+        multiply_matrices(np.ones(4), np.ones((4, 2)))
+    with pytest.raises(ValueError, match="B must be 2-D"):
+        multiply_matrices(np.ones((2, 4)), np.ones((4, 2, 1)))
 
 
 def test_partitioned_argument_validation():

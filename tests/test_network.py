@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -315,13 +316,27 @@ def test_network_validation():
     ((0, 2, 2), 0, (2, 0), 2, "conv kernels must be (C, k, k)"),
     ((1, 2, 3), 1, (2, 9), 2, "conv kernels must be (C, k, k)"),
     ((1, 2, 2), 1, (2, 9), 1, "fc layer 1 needs 2 biases"),
-], ids=["short-conv-bias", "zero-k", "no-kernels", "non-square", "short-fc-bias"])
+    ((1, 2, 2), 1, (9,), 9, "fc layer 1 weight must be 2-D (out, in)"),
+], ids=["short-conv-bias", "zero-k", "no-kernels", "non-square", "short-fc-bias",
+        "1-d-fc-weight"])
 def test_validate_names_a_layer_of_the_wrong_shape(kernels, biases, fc_shape,
                                                   fc_bias, cause):
     net = NetworkSpec(4, 4, (ConvSpec(np.ones(kernels), np.zeros(biases)),
                              FcSpec(np.ones(fc_shape), np.zeros(fc_bias))))
     with pytest.raises(ValueError, match=re.escape(cause)):
         net.validate()
+
+
+def assert_fails_before_any_op(net, geo, cause):
+    backend = sim(geo["batch"] * geo["row_width"])
+    images = np.zeros((geo["batch"], geo["h"], geo["w"]))
+    packed = pack_image_batch(backend, images, geo["row_width"])
+    before = backend.ledger.snapshot()
+    with pytest.raises(ValueError, match=cause):
+        infer(backend, net, packed)
+    assert backend.ledger.snapshot() == before
+    with pytest.raises(ValueError, match=cause):
+        reference_infer(net, images)
 
 
 @pytest.mark.parametrize("pos,cause", [(0, "conv needs 2 biases"),
@@ -335,15 +350,30 @@ def test_short_bias_fails_before_any_op(pos, cause):
     else:
         layers[pos] = FcSpec(layers[pos].weight, layers[pos].bias[:1])
     bad = NetworkSpec(net.input_h, net.input_w, tuple(layers))
-    backend = sim(geo["batch"] * geo["row_width"])
-    images = np.zeros((geo["batch"], geo["h"], geo["w"]))
-    packed = pack_image_batch(backend, images, geo["row_width"])
-    before = backend.ledger.snapshot()
-    with pytest.raises(ValueError, match=cause):
-        infer(backend, bad, packed)
-    assert backend.ledger.snapshot() == before
-    with pytest.raises(ValueError, match=cause):
-        reference_infer(bad, images)
+    assert_fails_before_any_op(bad, geo, cause)
+
+
+@pytest.mark.parametrize("pos,field,value,cause", [
+    (0, "kernels", np.nan, "conv layer 0 kernels must be finite"),
+    (0, "biases", np.inf, "conv layer 0 biases must be finite"),
+    (1, "coeffs", np.inf, "act layer 1 coefficients must be finite"),
+    (2, "weight", np.nan, "fc layer 2 weights must be finite"),
+    (4, "bias", -np.inf, "fc layer 4 biases must be finite"),
+], ids=["conv-tap", "conv-bias", "act-coeff", "fc-1-weight", "fc-2-bias"])
+def test_non_finite_values_fail_before_any_op(pos, field, value, cause):
+    net, geo = reduced_net()
+    layers = list(net.layers)
+    poisoned = np.array(getattr(layers[pos], field), dtype=np.float64)
+    poisoned.flat[0] = value
+    layers[pos] = dataclasses.replace(layers[pos], **{field: poisoned})
+    bad = NetworkSpec(net.input_h, net.input_w, tuple(layers))
+    assert_fails_before_any_op(bad, geo, cause)
+
+
+def test_random_network_rejects_misspelt_geometry_keys():
+    rng = np.random.default_rng(0)
+    with pytest.raises(TypeError):
+        random_network(rng, chanels=8, hiden=16)
 
 
 def test_reference_infer_against_scipy():
