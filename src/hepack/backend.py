@@ -84,39 +84,34 @@ class CipherVec:
         self.slots.flags.writeable = False
 
 
+OP_KINDS = ("mul", "cmul", "rot", "add")  # the ops the ledger counts
+
+
 @dataclass
 class ModulusLedger:
-    """Shared operation counter. Safe to bump from worker threads."""
+    """Shared op counter, one `counts` entry per OP_KINDS kind; thread-safe."""
 
     delta_bits: int
     delta_c_bits: int
-    count_mul: int = 0
-    count_cmul: int = 0
-    count_rot: int = 0
-    count_add: int = 0
+    counts: dict = field(default_factory=lambda: dict.fromkeys(OP_KINDS, 0))
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def bump(self, kind: str):
         with self._lock:
-            setattr(self, "count_" + kind, getattr(self, "count_" + kind) + 1)
+            self.counts[kind] += 1
 
     @property
     def consumed_bits(self) -> int:
         """Total rescale work: every mul and cmul summed, not depth."""
-        return self.count_mul * self.delta_bits + self.count_cmul * self.delta_c_bits
+        return (self.counts["mul"] * self.delta_bits
+                + self.counts["cmul"] * self.delta_c_bits)
 
     def snapshot(self) -> dict:
-        return {
-            "mul": self.count_mul,
-            "cmul": self.count_cmul,
-            "rot": self.count_rot,
-            "add": self.count_add,
-            "consumed_bits": self.consumed_bits,
-        }
+        return {**self.counts, "consumed_bits": self.consumed_bits}
 
     def reset(self):
         with self._lock:
-            self.count_mul = self.count_cmul = self.count_rot = self.count_add = 0
+            self.counts = dict.fromkeys(OP_KINDS, 0)
 
 
 class SimdBackend(ABC):
@@ -195,7 +190,7 @@ class SlotSimulator(SimdBackend):
             raise DepthExhaustedError(
                 f"cmul needs {self.params.delta_c_bits} bits, only {a.budget_bits} left"
             )
-        if np.isscalar(mask):
+        if np.ndim(mask) == 0:
             m = float(mask)
         else:
             m = self._pad(mask, "mask")

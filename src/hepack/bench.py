@@ -22,9 +22,9 @@ against these rows, field by field.
 
 from __future__ import annotations
 
-from .backend import BackendParams, DepthExhaustedError
-from .network import (OP_KINDS, ActSpec, ConvSpec, LayerCost, NetworkSpec,
-                      fc_schedule, layer_names)
+from .backend import OP_KINDS, BackendParams, DepthExhaustedError
+from .network import (ActSpec, ConvSpec, LayerCost, NetworkSpec, fc_schedule,
+                      layer_names)
 
 
 def predict_layer_costs(net: NetworkSpec, batch: int, row_width: int,

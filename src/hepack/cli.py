@@ -28,25 +28,22 @@ def _add_common(sub: argparse.ArgumentParser):
                      help="encrypt conv kernels as ciphertexts, not masks")
 
 
-def _params(args) -> BackendParams:
-    return BackendParams(log_n=args.logn, log_q=args.logq,
-                         delta_bits=args.delta, delta_c_bits=args.delta_c)
-
-
-def _row_width(params: BackendParams, batch: int) -> int:
-    if batch < 1:
-        raise ValueError(f"batch must be at least 1, got {batch}")
-    if params.slots % batch:
-        raise ValueError(f"batch {batch} must divide {params.slots} slots")
-    return params.slots // batch
+def _preflight(args, net) -> tuple[BackendParams, int, list]:
+    """Backend params, row width and the layer costs, checked against log_q."""
+    params = BackendParams(log_n=args.logn, log_q=args.logq,
+                           delta_bits=args.delta, delta_c_bits=args.delta_c)
+    if args.batch < 1:
+        raise ValueError(f"batch must be at least 1, got {args.batch}")
+    if params.slots % args.batch:
+        raise ValueError(f"batch {args.batch} must divide {params.slots} slots")
+    row_width = params.slots // args.batch
+    return params, row_width, check_depth_budget(
+        net, args.batch, row_width, params, args.encrypted_kernels)
 
 
 def cmd_infer(args) -> int:
     net = load_weights_csv(args.weights)
-    params = _params(args)
-    row_width = _row_width(params, args.batch)
-    check_depth_budget(net, args.batch, row_width, params,
-                       args.encrypted_kernels)
+    params, row_width, _ = _preflight(args, net)
     if args.labels:
         images, labels = load_mnist(args.images, args.labels)
     else:
@@ -99,7 +96,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    params = _params(args)
     if args.weights:
         net = load_weights_csv(args.weights)
         source = args.weights
@@ -107,9 +103,7 @@ def cmd_bench(args) -> int:
         g = stock_geometry()
         net = random_network(np.random.default_rng(args.seed), **g)
         source = f"random stock geometry (seed {args.seed})"
-    row_width = _row_width(params, args.batch)
-    predicted = check_depth_budget(net, args.batch, row_width, params,
-                                   args.encrypted_kernels)
+    params, row_width, predicted = _preflight(args, net)
     images = np.random.default_rng(args.seed).uniform(
         0.0, 1.0, size=(args.batch, net.input_h, net.input_w))
     start = time.perf_counter()

@@ -23,7 +23,7 @@ import numpy as np
 
 from .backend import BackendParams, SimdBackend, SlotSimulator
 from .encodings import EncodedMatrix, LayoutKind, decrypt_rows, pack_image_batch
-from .linalg import make_valid_region_mask, reduce_add
+from .linalg import ceil_log2, make_valid_region_mask, reduce_add
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,15 +138,15 @@ def convolve_images(images, kernel, bias: float = 0.0,
     fresh backend with one row per image.
     """
     imgs = np.asarray(images, dtype=np.float64)
+    if imgs.ndim != 3:
+        raise ValueError(f"images must be (batch, h, w), got shape {imgs.shape}")
     m, h, w = imgs.shape
     if m & (m - 1):
         raise ValueError("batch size must be a power of two")
-    kern = np.asarray(kernel, dtype=np.float64)
-    k = kern.shape[0]
-    f = 1 << (h * w - 1).bit_length()
+    f = 1 << ceil_log2(h * w)
+    plan = span_kernel(kernel, bias, h, w, m, f)
     backend = SlotSimulator(BackendParams.for_slots(m * f))
     packed = pack_image_batch(backend, imgs, f)
-    plan = span_kernel(kern, bias, h, w, m, f)
     out = he_conv(backend, packed, plan, encrypted_kernels)
     grid = decrypt_rows(backend, out)[:, : h * w].reshape(m, h, w)
-    return grid[:, : h - k + 1, : w - k + 1]
+    return grid[:, : h - plan.k + 1, : w - plan.k + 1]

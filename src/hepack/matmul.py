@@ -39,7 +39,8 @@ from .backend import BackendParams, SimdBackend, SlotSimulator
 from .encodings import (EncodedMatrix, decode_diagonal, diagonal_layout,
                         encode_row_major, encode_transpose_extended,
                         row_major_layout)
-from .linalg import broadcast_row_sums, make_group_filter, reduce_add, shift_rows
+from .linalg import (broadcast_row_sums, ceil_log2, make_group_filter,
+                     reduce_add, shift_rows)
 
 
 def _branch(backend: SimdBackend, a_parts, encs, base: int, width: int,
@@ -122,10 +123,6 @@ def split_weight_groups(backend: SimdBackend, matrix, rows: int,
             for base in range(0, b.shape[1], rows)]
 
 
-def _next_pow2(n: int) -> int:
-    return 1 << max(0, (n - 1).bit_length())
-
-
 def multiply_matrices(a, b, row_width: int | None = None,
                       backend: SimdBackend | None = None) -> np.ndarray:
     """Encode, multiply homomorphically, decode. Oracle-checkable one-call form.
@@ -143,8 +140,8 @@ def multiply_matrices(a, b, row_width: int | None = None,
     n2, p = b.shape
     if n != n2:
         raise ValueError(f"inner dimensions differ: {n} vs {n2}")
-    rows = _next_pow2(max(m, p))
-    f = row_width or _next_pow2(max(n, p))
+    rows = 1 << ceil_log2(max(m, p))
+    f = row_width or 1 << ceil_log2(max(n, p))
     if f < max(n, p):
         raise ValueError(f"row_width {f} too small for n={n}, p={p}")
     if backend is None:

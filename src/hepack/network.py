@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backend import DepthExhaustedError, SimdBackend
+from .backend import OP_KINDS, DepthExhaustedError, SimdBackend
 from .conv import conv_layer, span_kernel
 from .encodings import (EncodedMatrix, LayoutKind, decrypt_rows,
                         encode_row_major, pack_image_batch, row_major_layout)
@@ -259,9 +259,6 @@ def fc_layer(backend: SimdBackend, parts, spec: FcSpec,
 
 
 # -------------------------------------------------------------- pipeline
-
-OP_KINDS = ("mul", "cmul", "rot", "add")  # the ops a LayerCost counts
-
 
 @dataclass
 class LayerCost:

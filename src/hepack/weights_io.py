@@ -11,7 +11,8 @@ Sections in network order, each opened by a header line:
 
 Values are comma separated, UTF-8, LF lines, '.' decimal point, written
 with repr() so a save/load round trip is bitwise exact. Every value must
-be finite and every header size at least 1.
+be finite and every header size at least 1. Only #conv records the input
+size, so a file, and a network to save, must start with a conv layer.
 """
 
 from __future__ import annotations
@@ -44,10 +45,19 @@ def _require_finite(vals, lineno: int):
         raise WeightsParseError(f"line {lineno}: non-finite value {float(bad[0])!r}")
 
 
-def _require_positive(sizes, tag: str, lineno: int):
+def _sizes(head, lineno: int, names: str) -> tuple:
+    """The header's integer sizes, one per name in `names`, each at least 1."""
+    tag = "#" + head[0]
+    if len(head) != 1 + len(names.split()):
+        raise WeightsParseError(f"line {lineno}: {tag} needs {names}")
+    try:
+        sizes = tuple(int(x) for x in head[1:])
+    except ValueError:
+        raise WeightsParseError(f"line {lineno}: non-integer {tag} field") from None
     if min(sizes) < 1:
         raise WeightsParseError(
             f"line {lineno}: {tag} sizes must be positive, got {sizes}")
+    return sizes
 
 
 class _Lines:
@@ -82,15 +92,7 @@ def load_weights_csv(path) -> NetworkSpec:
         head = line[1:].split()
         tag = head[0] if head else ""
         if tag == "conv":
-            if len(head) != 5:
-                raise WeightsParseError(
-                    f"line {lineno}: #conv needs k h w out_channels")
-            try:
-                k, h, w, channels = (int(x) for x in head[1:])
-            except ValueError:
-                raise WeightsParseError(
-                    f"line {lineno}: non-integer #conv field") from None
-            _require_positive((k, h, w, channels), "#conv", lineno)
+            k, h, w, channels = _sizes(head, lineno, "k h w out_channels")
             kernels = np.zeros((channels, k, k))
             biases = np.zeros(channels)
             for c in range(channels):
@@ -111,14 +113,7 @@ def load_weights_csv(path) -> NetworkSpec:
             _require_finite(coeffs, lineno)
             layers.append(ActSpec(coeffs))
         elif tag == "fc":
-            if len(head) != 3:
-                raise WeightsParseError(f"line {lineno}: #fc needs rows cols")
-            try:
-                rows, cols = int(head[1]), int(head[2])
-            except ValueError:
-                raise WeightsParseError(
-                    f"line {lineno}: non-integer #fc field") from None
-            _require_positive((rows, cols), "#fc", lineno)
+            rows, cols = _sizes(head, lineno, "rows cols")
             weight = np.zeros((rows, cols))
             for r in range(rows):
                 row, ln = reader.next_content("an fc weight row")
@@ -139,7 +134,14 @@ def load_weights_csv(path) -> NetworkSpec:
 
 
 def save_weights_csv(net: NetworkSpec, path):
-    """Write a NetworkSpec in the section format above."""
+    """Write a NetworkSpec in the section format above.
+
+    Only a #conv header records the input size, so the first layer must be
+    a conv layer; otherwise this raises ValueError before opening `path`.
+    """
+    if not net.layers or not isinstance(net.layers[0], ConvSpec):
+        raise ValueError("cannot save a network whose first layer is not a "
+                         "conv layer: only a #conv header records the input size")
     def fmt(values) -> str:
         return ",".join(repr(float(v)) for v in np.asarray(values).reshape(-1))
 

@@ -9,6 +9,7 @@ from hepack import (
     DepthExhaustedError,
     SlotSimulator,
 )
+from hepack.backend import OP_KINDS
 from common import sim
 
 
@@ -121,6 +122,14 @@ def test_cmul_scalar_and_vector_masks():
     assert np.array_equal(backend.decrypt(masked), [1, 0, 3, 0, 0, 0, 0, 0])
 
 
+def test_cmul_by_a_0d_array_scales_every_slot():
+    # A 0-d array is a scalar, not a one-slot mask that zeroes the rest.
+    backend = sim(8)
+    ct = backend.encrypt(np.arange(1.0, 9.0))
+    doubled = backend.cmul(ct, np.array(2.0))
+    assert np.array_equal(backend.decrypt(doubled), 2 * np.arange(1.0, 9.0))
+
+
 def test_cmul_short_mask_pads_with_zeros():
     backend = sim(8)
     ct = backend.encrypt(np.ones(8))
@@ -192,6 +201,15 @@ def test_ledger_counts_and_consumed_bits():
     assert snap["consumed_bits"] == 45 + 2 * 20
     backend.ledger.reset()
     assert backend.ledger.snapshot()["consumed_bits"] == 0
+
+
+def test_ledger_counts_are_keyed_by_op_kinds():
+    backend = sim(8)
+    ct = backend.encrypt(np.ones(8))
+    backend.rot(backend.add(ct, ct), 1)
+    assert backend.ledger.counts == {"mul": 0, "cmul": 0, "rot": 1, "add": 1}
+    assert tuple(backend.ledger.counts) == OP_KINDS
+    assert not any(name.startswith("count_") for name in vars(backend.ledger))
 
 
 def test_ledger_is_thread_safe():

@@ -61,6 +61,14 @@ def test_infer_end_to_end(reduced_files, capsys):
         assert 0 <= int(cells[-1]) < 4
 
 
+def test_infer_prints_the_ledger_line(reduced_files, capsys):
+    main(["infer", "--weights", str(reduced_files["weights"]),
+          "--images", str(reduced_files["images"]),
+          "--out", str(reduced_files["tmp"] / "pred.csv"), *SMALL])
+    assert ("depth 290/1200 bits; ledger mul=78 cmul=72 rot=63 add=159 "
+            "rescale_bits=4950\n") in capsys.readouterr().out
+
+
 def test_infer_predictions_match_the_plain_model(reduced_files):
     out = reduced_files["tmp"] / "pred.csv"
     main(["infer", "--weights", str(reduced_files["weights"]),
@@ -229,6 +237,8 @@ def test_bench_audits_op_counts(reduced_files, capsys):
     text = capsys.readouterr().out
     assert "every layer's counts and depth match closed form" in text
     assert "conv-1" in text and "fc-2" in text
+    assert ("\nlayer        mul    cmul     rot     add   depth\n"
+            "conv-1         0      18       8      18      20\n") in text
     assert _row(text, "total") == _row(text, "measured")
     assert "MISMATCH" not in text
 

@@ -195,6 +195,16 @@ def test_convolve_images_requires_power_of_two_batch():
         convolve_images(np.ones((3, 4, 4)), np.ones((2, 2)))
 
 
+@pytest.mark.parametrize("images,kernel,cause", [
+    (np.ones((2, 4, 4)), 1.0, "kernel must be square"),
+    (np.ones((4, 4)), np.ones((2, 2)),
+     r"images must be \(batch, h, w\), got shape \(4, 4\)"),
+], ids=["scalar-kernel", "2-d-images"])
+def test_convolve_images_names_a_bad_operand(images, kernel, cause):
+    with pytest.raises(ValueError, match=cause):
+        convolve_images(images, kernel)
+
+
 def test_encrypted_kernel_sum_streams_its_tap_products():
     # 25 shared taps must stay alive; the 25 tap products must not.
     m, f, h = 32, 1024, 28

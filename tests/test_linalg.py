@@ -398,13 +398,13 @@ def test_reduce_add_streams_a_balanced_tree(n, as_generator, seed):
 
     def feed():
         for ct in cts:
-            adds_seen.append(backend.ledger.count_add - start)
+            adds_seen.append(backend.ledger.counts["add"] - start)
             yield ct
 
-    start = backend.ledger.count_add
+    start = backend.ledger.counts["add"]
     out = reduce_add(backend, feed() if as_generator else cts)
     assert np.array_equal(backend.decrypt(out), expect)
-    assert backend.ledger.count_add - start == n - 1
+    assert backend.ledger.counts["add"] - start == n - 1
     if as_generator:
         # Before input i (0-based) is read, the i inputs already read have
         # made i - popcount(i) merges: the sum runs while it reads.

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from hepack import (
+    FcSpec,
+    NetworkSpec,
     WeightsParseError,
     load_weights_csv,
     random_network,
@@ -107,6 +109,16 @@ def test_network_must_open_with_conv(tmp_path):
     path = write(tmp_path, "#fc 2 4\n1,0,0,0\n0,1,0,0\n0.1,0.2\n")
     with pytest.raises(WeightsParseError, match="#conv"):
         load_weights_csv(path)
+
+
+def test_save_needs_a_leading_conv_layer(tmp_path):
+    # Only a #conv header records the input size, so such a file could
+    # not be loaded back.
+    net = NetworkSpec(2, 2, (FcSpec(np.eye(4)[:2], np.zeros(2)),)).validate()
+    path = tmp_path / "w.csv"
+    with pytest.raises(ValueError, match="first layer is not a conv layer"):
+        save_weights_csv(net, path)
+    assert not path.exists()
 
 
 def test_bad_act_arity(tmp_path):
