@@ -139,6 +139,13 @@ class SimdBackend(ABC):
     def rot(self, a: CipherVec, amount: int) -> CipherVec: ...
 
 
+def _require_finite(values, what: str):
+    """No leveled scheme can encode NaN or inf, so a plaintext must be finite."""
+    if not np.isfinite(values).all():
+        bad = int(np.count_nonzero(~np.isfinite(values)))
+        raise ValueError(f"{what} has {bad} non-finite values (NaN or inf)")
+
+
 class SlotSimulator(SimdBackend):
     """Exact plaintext simulator of a leveled SIMD scheme."""
 
@@ -153,20 +160,14 @@ class SlotSimulator(SimdBackend):
             raise CapacityError(
                 f"{what} has {arr.shape[0]} values but backend has {n} slots"
             )
+        _require_finite(arr, what)
         if arr.shape[0] < n:
             arr = np.concatenate([arr, np.zeros(n - arr.shape[0])])
         return arr
 
     def encrypt(self, message) -> CipherVec:
-        """Fresh ciphertext at full budget; short messages are zero-padded.
-
-        NaN and inf are rejected: no leveled scheme can encode them.
-        """
-        slots = self._pad(message, "message")
-        if not np.isfinite(slots).all():
-            bad = int(np.count_nonzero(~np.isfinite(slots)))
-            raise ValueError(f"message has {bad} non-finite values (NaN or inf)")
-        return CipherVec(slots, self.params.log_q)
+        """Fresh ciphertext at full budget of a finite message, zero-padded."""
+        return CipherVec(self._pad(message, "message"), self.params.log_q)
 
     def decrypt(self, ct: CipherVec) -> np.ndarray:
         return ct.slots.copy()
@@ -185,13 +186,14 @@ class SlotSimulator(SimdBackend):
         return CipherVec(a.slots * b.slots, lvl - self.params.delta_bits)
 
     def cmul(self, a: CipherVec, mask) -> CipherVec:
-        """Product with a plaintext mask (vector, zero-padded, or scalar)."""
+        """Product with a finite plaintext mask (vector, zero-padded, or scalar)."""
         if a.budget_bits < self.params.delta_c_bits:
             raise DepthExhaustedError(
                 f"cmul needs {self.params.delta_c_bits} bits, only {a.budget_bits} left"
             )
         if np.ndim(mask) == 0:
             m = float(mask)
+            _require_finite(m, "mask")
         else:
             m = self._pad(mask, "mask")
         self.ledger.bump("cmul")

@@ -1,7 +1,8 @@
 """IDX image/label files and batch slicing.
 
 Big-endian format: magic, then dimension sizes as 32-bit words, then the
-payload bytes. Image files use magic 0x00000803 with dims (count, h, w);
+payload bytes, which must end the file: bytes past it are an error, not
+ignored. Image files use magic 0x00000803 with dims (count, h, w);
 label files 0x00000801 with dims (count,). Pixels come back as float64
 scaled to [0, 1].
 """
@@ -34,9 +35,12 @@ def _read_idx(path, kind: str, magic: int, dims) -> np.ndarray:
         shape = tuple(_read_be32(fh, path, dim) for dim in dims)
         size = math.prod(shape)
         payload = fh.read(size)
+        extra = len(fh.read())
     if len(payload) != size:
         raise ValueError(
             f"{path}: truncated payload, want {size} bytes, got {len(payload)}")
+    if extra:
+        raise ValueError(f"{path}: {extra} bytes past the {size}-byte payload")
     return np.frombuffer(payload, dtype=np.uint8).reshape(shape)
 
 

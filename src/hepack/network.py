@@ -104,9 +104,10 @@ class NetworkSpec:
                     raise ValueError("activation needs 4 coefficients")
                 _require_finite(f"act layer {pos} coefficients", layer.coeffs)
             elif isinstance(layer, FcSpec):
-                if np.ndim(layer.weight) != 2:
-                    raise ValueError(f"fc layer {pos} weight must be 2-D (out, in), "
-                                     f"got shape {np.shape(layer.weight)}")
+                shape = np.shape(layer.weight)
+                if len(shape) != 2 or shape[0] < 1:
+                    raise ValueError(f"fc layer {pos} weight must be 2-D (out, in) with "
+                                     f"out >= 1, got shape {shape}")
                 expect = feats if feats is not None else h * w
                 if layer.in_dim != expect:
                     raise ValueError(

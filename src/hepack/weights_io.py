@@ -4,18 +4,21 @@ Sections in network order, each opened by a header line:
 
   #conv k h w out_channels   then one line per channel: k*k kernel values
                              row-major, then the channel bias (k*k+1 values)
-  #act c0 c1 c2 c3           coefficients ride on the header itself
+  #act c0 c1 c2 c3           coefficients ride on the header, space separated
   #fc rows cols              then `rows` weight lines of `cols` values
                              (row o = weights of output o), then one line
                              of `rows` bias values
 
 Values are comma separated, UTF-8, LF lines, '.' decimal point, written
-with repr() so a save/load round trip is bitwise exact. Every value must
-be finite and every header size at least 1. Only #conv records the input
+with repr() so a save/load round trip is bitwise exact. Blank lines are
+skipped. Every value, #act coefficients included, must be numeric and
+finite, and every header size at least 1. Only #conv records the input
 size, so a file, and a network to save, must start with a conv layer.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 import numpy as np
 
@@ -26,23 +29,19 @@ class WeightsParseError(ValueError):
     """Malformed weight file; message carries the offending line number."""
 
 
-def _floats(text: str, lineno: int, expect: int) -> np.ndarray:
+def _floats(text: str, lineno: int, expect: int, sep: str | None = ",") -> np.ndarray:
+    """The `expect` finite numbers of one line, cells split on `sep`."""
     try:
-        vals = np.array(text.split(","), dtype=np.float64)
+        vals = np.array(text.split(sep), dtype=np.float64)
     except ValueError:
         raise WeightsParseError(f"line {lineno}: non-numeric value in {text!r}") from None
     if len(vals) != expect:
         raise WeightsParseError(
             f"line {lineno}: expected {expect} values, found {len(vals)}")
-    _require_finite(vals, lineno)
+    if not np.isfinite(vals).all():
+        bad = vals[~np.isfinite(vals)][0]
+        raise WeightsParseError(f"line {lineno}: non-finite value {float(bad)!r}")
     return vals
-
-
-def _require_finite(vals, lineno: int):
-    vals = np.asarray(vals, dtype=np.float64)
-    bad = vals[~np.isfinite(vals)]
-    if bad.size:
-        raise WeightsParseError(f"line {lineno}: non-finite value {float(bad[0])!r}")
 
 
 def _sizes(head, lineno: int, names: str) -> tuple:
@@ -60,32 +59,20 @@ def _sizes(head, lineno: int, names: str) -> tuple:
     return sizes
 
 
-class _Lines:
-    def __init__(self, text: str):
-        self.lines = text.split("\n")
-        self.pos = 0
-
-    def next_content(self, need: str) -> tuple[str, int]:
-        while self.pos < len(self.lines):
-            line = self.lines[self.pos].strip()
-            self.pos += 1
-            if line:
-                return line, self.pos
-        raise WeightsParseError(
-            f"line {self.pos}: file ended inside {need}")
-
-    def exhausted(self) -> bool:
-        return all(not line.strip() for line in self.lines[self.pos:])
-
-
 def load_weights_csv(path) -> NetworkSpec:
     """Parse a weight file into a validated NetworkSpec."""
     with open(path, "r", encoding="utf-8") as fh:
-        reader = _Lines(fh.read())
-    layers = []
-    geom = None
-    while not reader.exhausted():
-        line, lineno = reader.next_content("a section header")
+        raw = fh.read().split("\n")
+    lines = ((n, s.strip()) for n, s in enumerate(raw, 1) if s.strip())
+
+    def take(count: int, expect: int, need: str) -> np.ndarray:
+        rows = [_floats(row, n, expect) for n, row in islice(lines, count)]
+        if len(rows) < count:
+            raise WeightsParseError(f"line {len(raw)}: file ended inside {need}")
+        return np.array(rows)
+
+    layers, geom = [], None
+    for lineno, line in lines:
         if not line.startswith("#"):
             raise WeightsParseError(
                 f"line {lineno}: expected a section header, found {line!r}")
@@ -93,40 +80,22 @@ def load_weights_csv(path) -> NetworkSpec:
         tag = head[0] if head else ""
         if tag == "conv":
             k, h, w, channels = _sizes(head, lineno, "k h w out_channels")
-            kernels = np.zeros((channels, k, k))
-            biases = np.zeros(channels)
-            for c in range(channels):
-                row, ln = reader.next_content("a conv channel line")
-                vals = _floats(row, ln, k * k + 1)
-                kernels[c] = np.array(vals[: k * k]).reshape(k, k)
-                biases[c] = vals[-1]
-            layers.append(ConvSpec(kernels, biases))
+            vals = take(channels, k * k + 1, "a conv channel line")
+            layers.append(ConvSpec(vals[:, :-1].reshape(channels, k, k), vals[:, -1]))
             geom = (h, w)
         elif tag == "act":
             if len(head) != 5:
                 raise WeightsParseError(f"line {lineno}: #act needs c0 c1 c2 c3")
-            try:
-                coeffs = tuple(float(x) for x in head[1:])
-            except ValueError:
-                raise WeightsParseError(
-                    f"line {lineno}: non-numeric #act coefficient") from None
-            _require_finite(coeffs, lineno)
-            layers.append(ActSpec(coeffs))
+            coeffs = _floats(" ".join(head[1:]), lineno, 4, sep=None)
+            layers.append(ActSpec(tuple(coeffs.tolist())))
         elif tag == "fc":
             rows, cols = _sizes(head, lineno, "rows cols")
-            weight = np.zeros((rows, cols))
-            for r in range(rows):
-                row, ln = reader.next_content("an fc weight row")
-                weight[r] = _floats(row, ln, cols)
-            brow, ln = reader.next_content("the fc bias line")
-            bias = np.array(_floats(brow, ln, rows))
-            layers.append(FcSpec(weight, bias))
+            weight = take(rows, cols, "an fc weight row")
+            layers.append(FcSpec(weight, take(1, rows, "the fc bias line")[0]))
         else:
             raise WeightsParseError(f"line {lineno}: unknown section {line!r}")
     if geom is None:
         raise WeightsParseError("weight file must start with a #conv section")
-    if not layers:
-        raise WeightsParseError("weight file holds no sections")
     try:
         return NetworkSpec(geom[0], geom[1], tuple(layers)).validate()
     except ValueError as e:

@@ -1,3 +1,4 @@
+import re
 import threading
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hepack import (
     BackendParams,
     CapacityError,
+    CipherVec,
     DepthExhaustedError,
     SlotSimulator,
 )
@@ -62,6 +64,28 @@ def test_encrypt_rejects_non_finite_values():
         backend.encrypt(np.full(8, -np.inf)[:1])
     assert np.array_equal(backend.decrypt(backend.encrypt([1e308, -1e308])),
                           [1e308, -1e308, 0, 0, 0, 0, 0, 0])
+
+
+@pytest.mark.parametrize("mask,cause", [
+    (np.nan, "mask has 1 non-finite values (NaN or inf)"),
+    (np.array(-np.inf), "mask has 1 non-finite values (NaN or inf)"),
+    ([1.0, np.nan, np.inf], "mask has 2 non-finite values (NaN or inf)"),
+], ids=["scalar-nan", "0-d-inf", "vector"])
+def test_cmul_rejects_non_finite_masks(mask, cause):
+    # The same rule as encrypt's; the depth check still comes first.
+    backend = sim(8)
+    ct = backend.encrypt(np.ones(8))
+    before = backend.ledger.snapshot()
+    with pytest.raises(ValueError, match=re.escape(cause)):
+        backend.cmul(ct, mask)
+    assert backend.ledger.snapshot() == before
+    with pytest.raises(DepthExhaustedError):
+        backend.cmul(CipherVec(ct.slots, 0), mask)
+
+
+def test_encrypt_checks_capacity_before_finiteness():
+    with pytest.raises(CapacityError):
+        sim(8).encrypt(np.full(9, np.nan))
 
 
 def test_stock_ring_capacity_boundary():

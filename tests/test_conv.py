@@ -8,6 +8,7 @@ from hepack import (
     conv_layer,
     convolve_images,
     decrypt_rows,
+    encode_row_major,
     he_conv,
     pack_image_batch,
     span_kernel,
@@ -188,6 +189,14 @@ def test_conv_layer_rejects_mixed_kernel_sizes():
         conv_layer(backend, packed, plans)
     with pytest.raises(ValueError, match="at least one"):
         conv_layer(backend, packed, [])
+
+
+def test_conv_layer_needs_an_image_grid():
+    backend = sim(2 * 32)
+    rows = encode_row_major(backend, np.ones((2, 25)), 32)
+    plan = span_kernel(np.ones((2, 2)), 0.0, 5, 5, 2, 32)
+    with pytest.raises(ValueError, match="conv_layer needs an image-grid layout"):
+        conv_layer(backend, rows, [plan])
 
 
 def test_convolve_images_requires_power_of_two_batch():

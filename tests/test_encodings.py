@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,29 @@ def test_layout_validation():
         MatrixLayout(4, 8, 8, LayoutKind.IMAGE_GRID)
     with pytest.raises(ValueError):
         grid_layout(4, 8, 3, 4)  # 12 > 8
+
+
+@pytest.mark.parametrize("make,cause", [
+    (lambda: MatrixLayout(0, 8, 4, LayoutKind.ROW_MAJOR),
+     "rows and row_width must be positive"),
+    (lambda: MatrixLayout(4, 8, 4, LayoutKind.IMAGE_GRID, grid_h=3, grid_w=4),
+     "grid does not fit in row_width"),
+    (lambda: grid_layout(4, 8, 1, 9), "logical_width must fit in row_width"),
+], ids=["zero-rows", "grid-past-the-row", "grid-layout-wider-than-the-row"])
+def test_layout_validation_names_the_cause(make, cause):
+    with pytest.raises(ValueError, match=re.escape(cause)):
+        make()
+
+
+@pytest.mark.parametrize("encode,cause", [
+    (lambda be: pack_image_batch(be, np.zeros((4, 16)), row_width=16),
+     "images must have shape (m, h, w)"),
+    (lambda be: encode_transpose_extended(be, np.zeros(4), rows=4, row_width=16),
+     "matrix must be 2-D"),
+], ids=["2-d-images", "1-d-weight"])
+def test_encoders_name_an_operand_of_the_wrong_rank(encode, cause):
+    with pytest.raises(ValueError, match=re.escape(cause)):
+        encode(sim(64))
 
 
 def test_diagonal_slot_column_examples():

@@ -270,6 +270,14 @@ def test_rotate_within_rows_costs():
     assert out.ct.budget_bits == 1200 - 20
 
 
+@pytest.mark.parametrize("amount", [6, -1])
+def test_rotate_within_rows_rejects_an_amount_outside_the_window(amount):
+    backend = sim(32)
+    enc = encode_row_major(backend, np.ones((4, 6)), 8)
+    with pytest.raises(ValueError, match=f"amount must be in 0..5, got {amount}"):
+        rotate_within_rows(backend, enc, amount)
+
+
 # ------------------------------------------------------ compact_columns
 
 @pytest.mark.parametrize("m,f,p", [(4, 8, 4), (4, 8, 2), (8, 16, 4), (4, 8, 8)])

@@ -120,6 +120,9 @@ def test_partitioned_argument_validation():
         he_matmul_partitioned(backend, [a, a], [b], 4)
     with pytest.raises(ValueError):
         he_matmul_partitioned(backend, [a], [b], 16)  # wider than a row
+    other = encode_row_major(backend, np.ones((4, 4)), 16)
+    with pytest.raises(ValueError, match="A parts disagree on geometry"):
+        he_matmul_partitioned(backend, [a, other], [b, b], 4)
 
 
 def test_fast_path_cost_contract():

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -62,6 +63,27 @@ def test_truncated_files_are_rejected(tmp_path):
     path.write_bytes(struct.pack(">II", 0x00000803, 1))
     with pytest.raises(ValueError, match="truncated"):
         load_idx_images(path)
+
+
+@pytest.mark.parametrize("load,header,payload", [
+    (load_idx_images, struct.pack(">IIII", 0x00000803, 2, 3, 3), 18),
+    (load_idx_labels, struct.pack(">II", 0x00000801, 4), 4),
+], ids=["images", "labels"])
+def test_bytes_past_the_payload_are_rejected(tmp_path, load, header, payload):
+    # A count too small in the header would otherwise drop data silently.
+    path = tmp_path / "long"
+    path.write_bytes(header + bytes(payload + 3))
+    cause = f"{path}: 3 bytes past the {payload}-byte payload"
+    with pytest.raises(ValueError, match=re.escape(cause)):
+        load(path)
+    path.write_bytes(header + bytes(payload))
+    assert load(path).size == payload
+
+
+def test_write_idx_images_needs_three_dims(tmp_path):
+    cause = "images must be (count, h, w), got shape (2, 2)"
+    with pytest.raises(ValueError, match=re.escape(cause)):
+        write_idx_images(tmp_path / "i", np.zeros((2, 2)))
 
 
 def test_image_blocks_pads_the_tail():

@@ -13,6 +13,7 @@ from hepack import (
     DepthExhaustedError,
     EncodedMatrix,
     FcSpec,
+    LayerCost,
     NetworkSpec,
     SlotSimulator,
     STOCK_ACT1,
@@ -32,7 +33,7 @@ from hepack import (
     row_major_layout,
     stock_geometry,
 )
-from hepack.bench import (check_depth_budget, predict_layer_costs,
+from hepack.bench import (check_depth_budget, cost_mismatch, predict_layer_costs,
                           predict_op_counts)
 from hepack.network import fc_schedule
 from common import ledger_delta, sim
@@ -317,14 +318,31 @@ def test_network_validation():
     ((1, 2, 3), 1, (2, 9), 2, "conv kernels must be (C, k, k)"),
     ((1, 2, 2), 1, (2, 9), 1, "fc layer 1 needs 2 biases"),
     ((1, 2, 2), 1, (9,), 9, "fc layer 1 weight must be 2-D (out, in)"),
+    ((1, 2, 2), 1, (0, 9), 0,
+     "fc layer 1 weight must be 2-D (out, in) with out >= 1, got shape (0, 9)"),
+    ((1, 5, 5), 1, (2, 1), 2, "kernel larger than image"),
 ], ids=["short-conv-bias", "zero-k", "no-kernels", "non-square", "short-fc-bias",
-        "1-d-fc-weight"])
+        "1-d-fc-weight", "no-fc-outputs", "kernel-larger-than-image"])
 def test_validate_names_a_layer_of_the_wrong_shape(kernels, biases, fc_shape,
                                                   fc_bias, cause):
     net = NetworkSpec(4, 4, (ConvSpec(np.ones(kernels), np.zeros(biases)),
                              FcSpec(np.ones(fc_shape), np.zeros(fc_bias))))
     with pytest.raises(ValueError, match=re.escape(cause)):
         net.validate()
+
+
+def test_fc_layer_needs_valid_hw_for_a_grid_part():
+    backend = sim(4 * 16)
+    packed = pack_image_batch(backend, np.ones((4, 3, 3)), 16)
+    with pytest.raises(ValueError, match="grid input parts need valid_hw"):
+        fc_layer(backend, [packed], FcSpec(np.ones((2, 9)), np.zeros(2)))
+
+
+def test_cost_mismatch_names_layer_lists_that_differ():
+    measured = [LayerCost("conv-1"), LayerCost("fc-1")]
+    predicted = [LayerCost("conv-1"), LayerCost("act-1"), LayerCost("fc-1")]
+    assert cost_mismatch(measured, predicted) == (
+        "layers: measured ['conv-1', 'fc-1'], closed form ['conv-1', 'act-1', 'fc-1']")
 
 
 def assert_fails_before_any_op(net, geo, cause):

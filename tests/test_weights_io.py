@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,16 @@ def test_non_numeric_cell_names_its_line(tmp_path):
         load_weights_csv(path)
 
 
+@pytest.mark.parametrize("act", ["0.0 zap 1.0 2.0", "0.0 1.0,2.0 3.0 4.0"],
+                         ids=["word", "comma"])
+def test_non_numeric_act_coefficient_names_its_line(tmp_path, act):
+    # #act cells are whitespace separated, so a comma makes a cell non-numeric.
+    path = write(tmp_path, GOOD_HEAD + f"#act {act}\n" + GOOD_TAIL)
+    cause = f"line 3: non-numeric value in '{act}'"
+    with pytest.raises(WeightsParseError, match=re.escape(cause)):
+        load_weights_csv(path)
+
+
 @pytest.mark.parametrize("text,where", [
     (GOOD_HEAD + "#fc 2 4\n1.0,nan,0.0,0.0\n0.0,1.0,0.0,0.0\n0.1,0.2\n", "line 4"),
     (GOOD_HEAD + "#act 0.0 1.0 inf 0.0\n" + GOOD_TAIL, "line 3"),
@@ -84,6 +96,13 @@ def test_wrong_value_count_names_its_line(tmp_path):
 def test_truncated_fc_section_names_what_was_missing(tmp_path):
     path = write(tmp_path, GOOD_HEAD + "#fc 2 4\n1.0,0.0,0.0,0.0\n")
     with pytest.raises(WeightsParseError, match="fc weight row"):
+        load_weights_csv(path)
+
+
+def test_file_ended_names_the_last_line(tmp_path):
+    path = write(tmp_path, "#conv 2 3 3 2\n\n1.0,0.0,0.0,1.0,0.5")
+    with pytest.raises(WeightsParseError,
+                       match="line 3: file ended inside a conv channel line"):
         load_weights_csv(path)
 
 
@@ -125,6 +144,15 @@ def test_bad_act_arity(tmp_path):
     path = write(tmp_path, GOOD_HEAD + "#act 1.0 2.0\n" + GOOD_TAIL)
     with pytest.raises(WeightsParseError, match="act needs"):
         load_weights_csv(path)
+
+
+@pytest.mark.parametrize("text,cause", [
+    ("#conv 2 3 3\n" + GOOD_TAIL, "line 1: #conv needs k h w out_channels"),
+    (GOOD_HEAD + "#fc 2\n", "line 3: #fc needs rows cols"),
+], ids=["conv-three-sizes", "fc-one-size"])
+def test_header_with_the_wrong_field_count_names_its_line(tmp_path, text, cause):
+    with pytest.raises(WeightsParseError, match=cause):
+        load_weights_csv(write(tmp_path, text))
 
 
 def test_inconsistent_dimensions_are_caught(tmp_path):
