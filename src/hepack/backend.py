@@ -14,7 +14,7 @@ be dropped in behind the same six operations.
 
 from __future__ import annotations
 
-import threading
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -89,16 +89,14 @@ OP_KINDS = ("mul", "cmul", "rot", "add")  # the ops the ledger counts
 
 @dataclass
 class ModulusLedger:
-    """Shared op counter, one `counts` entry per OP_KINDS kind; thread-safe."""
+    """Plain op counter, one `counts` entry per OP_KINDS kind; one backend per thread."""
 
     delta_bits: int
     delta_c_bits: int
     counts: dict = field(default_factory=lambda: dict.fromkeys(OP_KINDS, 0))
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def bump(self, kind: str):
-        with self._lock:
-            self.counts[kind] += 1
+        self.counts[kind] += 1
 
     @property
     def consumed_bits(self) -> int:
@@ -110,8 +108,7 @@ class ModulusLedger:
         return {**self.counts, "consumed_bits": self.consumed_bits}
 
     def reset(self):
-        with self._lock:
-            self.counts = dict.fromkeys(OP_KINDS, 0)
+        self.counts = dict.fromkeys(OP_KINDS, 0)
 
 
 class SimdBackend(ABC):
@@ -139,8 +136,8 @@ class SimdBackend(ABC):
     def rot(self, a: CipherVec, amount: int) -> CipherVec: ...
 
 
-def _require_finite(values, what: str):
-    """No leveled scheme can encode NaN or inf, so a plaintext must be finite."""
+def require_finite(values, what: str):
+    """The one NaN/inf rule: no leveled scheme can encode them. `what` names the operand."""
     if not np.isfinite(values).all():
         bad = int(np.count_nonzero(~np.isfinite(values)))
         raise ValueError(f"{what} has {bad} non-finite values (NaN or inf)")
@@ -160,7 +157,7 @@ class SlotSimulator(SimdBackend):
             raise CapacityError(
                 f"{what} has {arr.shape[0]} values but backend has {n} slots"
             )
-        _require_finite(arr, what)
+        require_finite(arr, what)
         if arr.shape[0] < n:
             arr = np.concatenate([arr, np.zeros(n - arr.shape[0])])
         return arr
@@ -193,13 +190,17 @@ class SlotSimulator(SimdBackend):
             )
         if np.ndim(mask) == 0:
             m = float(mask)
-            _require_finite(m, "mask")
+            require_finite(m, "mask")
         else:
             m = self._pad(mask, "mask")
         self.ledger.bump("cmul")
         return CipherVec(a.slots * m, a.budget_bits - self.params.delta_c_bits)
 
     def rot(self, a: CipherVec, amount: int) -> CipherVec:
-        """Cyclic rotation; positive moves slot i+amount into slot i."""
+        """Cyclic rotation by a whole amount; positive moves slot i+amount into slot i."""
+        try:
+            amount = operator.index(amount)
+        except TypeError:
+            raise ValueError(f"rotation amount must be an integer, got {amount}") from None
         self.ledger.bump("rot")
         return CipherVec(np.roll(a.slots, -amount), a.budget_bits)

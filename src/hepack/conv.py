@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import BackendParams, SimdBackend, SlotSimulator
+from .backend import BackendParams, SimdBackend, SlotSimulator, require_finite
 from .encodings import EncodedMatrix, LayoutKind, decrypt_rows, pack_image_batch
 from .linalg import ceil_log2, make_valid_region_mask, reduce_add
 
@@ -76,8 +76,8 @@ def span_kernel(kernel, bias: float, h: int, w: int, rows: int,
         raise ValueError(f"kernel {k} does not fit a {h}x{w} grid")
     if h * w > row_width:
         raise ValueError("grid does not fit in row_width")
-    if not (np.isfinite(kern).all() and np.isfinite(bias)):
-        raise ValueError("kernel and bias must be finite")
+    require_finite(kern, "conv kernel")
+    require_finite(bias, "conv bias")
     kern.flags.writeable = False
     return KernelPlan(k, h, w, rows, row_width, kern, float(bias))
 

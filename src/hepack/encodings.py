@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import CipherVec, SimdBackend
+from .backend import CipherVec, SimdBackend, require_finite
 
 
 class LayoutKind(enum.Enum):
@@ -31,6 +31,11 @@ class LayoutKind(enum.Enum):
 
 @dataclass(frozen=True)
 class MatrixLayout:
+    """A ciphertext seen as rows x row_width slots, both powers of two.
+
+    An image grid's logical_width is grid_h * grid_w.
+    """
+
     rows: int
     row_width: int
     logical_width: int
@@ -42,8 +47,9 @@ class MatrixLayout:
     def __post_init__(self):
         if self.rows < 1 or self.row_width < 1:
             raise ValueError("rows and row_width must be positive")
-        if self.rows & (self.rows - 1):
-            raise ValueError(f"rows must be a power of two, got {self.rows}")
+        for name, n in (("rows", self.rows), ("row_width", self.row_width)):
+            if n & (n - 1):
+                raise ValueError(f"{name} must be a power of two, got {n}")
         if not 0 < self.logical_width <= self.row_width:
             raise ValueError("logical_width must fit in row_width")
         if self.kind is LayoutKind.DIAGONAL:
@@ -52,8 +58,8 @@ class MatrixLayout:
         if self.kind is LayoutKind.IMAGE_GRID:
             if not self.grid_h or not self.grid_w:
                 raise ValueError("image-grid layout needs grid_h and grid_w")
-            if self.grid_h * self.grid_w > self.row_width:
-                raise ValueError("grid does not fit in row_width")
+            if self.logical_width != self.grid_h * self.grid_w:
+                raise ValueError("image-grid layout needs logical_width == grid_h * grid_w")
 
 
 def row_major_layout(rows: int, row_width: int, logical_width: int) -> MatrixLayout:
@@ -126,9 +132,7 @@ def pack_image_batch(backend: SimdBackend, images, row_width: int) -> EncodedMat
     imgs = np.asarray(images, dtype=np.float64)
     if imgs.ndim != 3:
         raise ValueError("images must have shape (m, h, w)")
-    bad = int(np.count_nonzero(~np.isfinite(imgs)))
-    if bad:
-        raise ValueError(f"images hold {bad} non-finite (NaN or inf) pixel values")
+    require_finite(imgs, "images")
     m, h, w = imgs.shape
     if h * w > row_width:
         raise ValueError(f"image of {h * w} pixels exceeds row_width {row_width}")
@@ -162,6 +166,8 @@ def encode_diagonal_pattern(matrix, rows: int, row_width: int, p: int) -> np.nda
 
 def decode_diagonal(slot_values, m: int, row_width: int, p: int) -> np.ndarray:
     """Read an m x p matrix back out of a diagonal-layout slot vector."""
+    if not 1 <= p <= row_width:
+        raise ValueError(f"period p must be in 1..{row_width}, got {p}")
     grid = np.asarray(slot_values, dtype=np.float64).reshape(-1, row_width)
     if m > grid.shape[0]:
         raise ValueError(f"asked for {m} rows, slot vector has {grid.shape[0]}")

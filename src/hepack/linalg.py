@@ -78,13 +78,6 @@ def make_col_band_mask(rows: int, row_width: int, c0: int, c1: int) -> np.ndarra
 
 # ----------------------------------------------------------- primitives
 
-def _log2(n: int, what: str) -> int:
-    b = n.bit_length() - 1
-    if n <= 0 or 1 << b != n:
-        raise ValueError(f"{what} must be a power of two, got {n}")
-    return b
-
-
 def ceil_log2(n: int) -> int:
     """Doubling steps needed to span n columns."""
     return (n - 1).bit_length()
@@ -124,10 +117,10 @@ def broadcast_row_sums(backend: SimdBackend, enc: EncodedMatrix,
     must be zero; columns past 0 pick up wrapped garbage. Column 0 is
     masked out and broadcast back by a reverse doubling ladder that
     reaches `reach` columns (default: the whole row); columns past its
-    last step stay zero.
+    last step stay zero. MatrixLayout holds row_width to a power of two,
+    so the ladder's 2^ceil_log2(reach) columns stay inside the row.
     """
     m, f = enc.layout.rows, enc.layout.row_width
-    _log2(f, "row_width")
     reach = f if reach is None else reach
     if not 0 < reach <= f:
         raise ValueError(f"reach must be in 1..{f}, got {reach}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backend import OP_KINDS, DepthExhaustedError, SimdBackend
+from .backend import OP_KINDS, DepthExhaustedError, SimdBackend, require_finite
 from .conv import conv_layer, span_kernel
 from .encodings import (EncodedMatrix, LayoutKind, decrypt_rows,
                         encode_row_major, pack_image_batch, row_major_layout)
@@ -65,11 +65,6 @@ class FcSpec:
         return self.weight.shape[1]
 
 
-def _require_finite(what: str, values):
-    if not np.isfinite(values).all():
-        raise ValueError(f"{what} must be finite, found NaN or inf")
-
-
 @dataclass(frozen=True)
 class NetworkSpec:
     input_h: int
@@ -96,13 +91,13 @@ class NetworkSpec:
                                      f"got shape {np.shape(layer.biases)}")
                 if layer.k > min(h, w):
                     raise ValueError("kernel larger than image")
-                _require_finite(f"conv layer {pos} kernels", layer.kernels)
-                _require_finite(f"conv layer {pos} biases", layer.biases)
+                require_finite(layer.kernels, f"conv layer {pos} kernels")
+                require_finite(layer.biases, f"conv layer {pos} biases")
                 feats = layer.channels * (h - layer.k + 1) * (w - layer.k + 1)
             elif isinstance(layer, ActSpec):
                 if len(layer.coeffs) != 4:
                     raise ValueError("activation needs 4 coefficients")
-                _require_finite(f"act layer {pos} coefficients", layer.coeffs)
+                require_finite(layer.coeffs, f"act layer {pos} coefficients")
             elif isinstance(layer, FcSpec):
                 shape = np.shape(layer.weight)
                 if len(shape) != 2 or shape[0] < 1:
@@ -115,8 +110,8 @@ class NetworkSpec:
                 if np.shape(layer.bias) != (layer.out_dim,):
                     raise ValueError(f"fc layer {pos} needs {layer.out_dim} biases, "
                                      f"got shape {np.shape(layer.bias)}")
-                _require_finite(f"fc layer {pos} weights", layer.weight)
-                _require_finite(f"fc layer {pos} biases", layer.bias)
+                require_finite(layer.weight, f"fc layer {pos} weights")
+                require_finite(layer.bias, f"fc layer {pos} biases")
                 feats = layer.out_dim
             else:
                 raise ValueError(f"unknown layer type {type(layer).__name__}")
@@ -224,6 +219,8 @@ def fc_layer(backend: SimdBackend, parts, spec: FcSpec,
     zero weights ignore.
     """
     parts = list(parts)
+    if not parts:
+        raise ValueError("fc_layer needs at least one input part")
     m, f = parts[0].layout.rows, parts[0].layout.row_width
     if any((x.layout.rows, x.layout.row_width) != (m, f) for x in parts):
         raise ValueError("input parts disagree on rows and row width")

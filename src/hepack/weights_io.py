@@ -106,11 +106,13 @@ def save_weights_csv(net: NetworkSpec, path):
     """Write a NetworkSpec in the section format above.
 
     Only a #conv header records the input size, so the first layer must be
-    a conv layer; otherwise this raises ValueError before opening `path`.
+    a conv layer, and the network must pass validate(), as a loaded one
+    does; otherwise this raises ValueError before opening `path`.
     """
     if not net.layers or not isinstance(net.layers[0], ConvSpec):
         raise ValueError("cannot save a network whose first layer is not a "
                          "conv layer: only a #conv header records the input size")
+    net.validate()
     def fmt(values) -> str:
         return ",".join(repr(float(v)) for v in np.asarray(values).reshape(-1))
 

@@ -1,5 +1,4 @@
 import re
-import threading
 
 import numpy as np
 import pytest
@@ -168,7 +167,22 @@ def test_rot_moves_higher_slots_down():
                           [2, 3, 4, 5, 6, 7, 0, 1])
     assert np.array_equal(backend.decrypt(backend.rot(ct, -2)),
                           [6, 7, 0, 1, 2, 3, 4, 5])
+    assert np.array_equal(backend.decrypt(backend.rot(ct, np.int64(2))),
+                          [2, 3, 4, 5, 6, 7, 0, 1])
+    assert np.array_equal(backend.decrypt(backend.rot(ct, np.int32(-2))),
+                          [6, 7, 0, 1, 2, 3, 4, 5])
     assert np.array_equal(backend.decrypt(backend.rot(ct, 0)), backend.decrypt(ct))
+
+
+@pytest.mark.parametrize("amount", [1.5, 1.9, np.float64(2.0), "1"],
+                         ids=["1.5", "1.9", "float64-2.0", "str"])
+def test_rot_rejects_an_amount_that_is_not_an_integer(amount):
+    backend = sim(8)
+    ct = backend.encrypt(np.arange(8.0))
+    with pytest.raises(ValueError, match=re.escape(
+            f"rotation amount must be an integer, got {amount}")):
+        backend.rot(ct, amount)
+    assert backend.ledger.counts["rot"] == 0
 
 
 def test_rot_composes_additively():
@@ -236,20 +250,14 @@ def test_ledger_counts_are_keyed_by_op_kinds():
     assert not any(name.startswith("count_") for name in vars(backend.ledger))
 
 
-def test_ledger_is_thread_safe():
-    backend = sim(8)
-    ct = backend.encrypt(np.ones(8))
-
-    def spin():
-        for _ in range(200):
-            backend.rot(ct, 1)
-
-    workers = [threading.Thread(target=spin) for _ in range(8)]
-    for t in workers:
-        t.start()
-    for t in workers:
-        t.join()
-    assert backend.ledger.snapshot()["rot"] == 1600
+def test_ledgers_compare_by_deltas_and_counts():
+    a, b = sim(8), sim(8)
+    assert a.ledger == b.ledger
+    a.rot(a.encrypt(np.ones(8)), 1)
+    assert a.ledger != b.ledger
+    b.rot(b.encrypt(np.ones(8)), 3)
+    assert a.ledger == b.ledger
+    assert a.ledger != SlotSimulator(BackendParams(log_n=4, delta_bits=40)).ledger
 
 
 def test_random_program_matches_plaintext_replay():

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -86,11 +87,13 @@ def test_span_kernel_validation():
         span_kernel(np.ones((5, 5)), 0.0, 4, 4, 1, 16)
     with pytest.raises(ValueError):
         span_kernel(np.ones((2, 2)), 0.0, 5, 5, 1, 16)
-    with pytest.raises(ValueError, match="must be finite"):
+    with pytest.raises(ValueError, match=re.escape(
+            "conv kernel has 1 non-finite values (NaN or inf)")):
         span_kernel([[1.0, np.nan], [0.0, 0.0]], 0.0, 4, 4, 1, 16)
-    with pytest.raises(ValueError, match="must be finite"):
+    with pytest.raises(ValueError, match=re.escape(
+            "conv bias has 1 non-finite values (NaN or inf)")):
         span_kernel(np.ones((2, 2)), np.inf, 4, 4, 1, 16)
-    with pytest.raises(ValueError, match="must be finite"):
+    with pytest.raises(ValueError, match="conv kernel has 1 non-finite"):
         convolve_images(np.ones((2, 4, 4)), [[1.0, np.nan], [0.0, 0.0]])
 
 

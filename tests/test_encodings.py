@@ -131,7 +131,8 @@ def test_pack_image_batch_rejects_non_finite_pixels(monkeypatch):
         raise AssertionError("encrypted before validating the pixels")
 
     monkeypatch.setattr(backend, "encrypt", no_encrypt)
-    with pytest.raises(ValueError, match="2 non-finite"):
+    with pytest.raises(ValueError, match=re.escape(
+            "images has 2 non-finite values (NaN or inf)")):
         pack_image_batch(backend, images, row_width=16)
 
 
@@ -158,9 +159,13 @@ def test_layout_validation():
     (lambda: MatrixLayout(0, 8, 4, LayoutKind.ROW_MAJOR),
      "rows and row_width must be positive"),
     (lambda: MatrixLayout(4, 8, 4, LayoutKind.IMAGE_GRID, grid_h=3, grid_w=4),
-     "grid does not fit in row_width"),
+     "image-grid layout needs logical_width == grid_h * grid_w"),
     (lambda: grid_layout(4, 8, 1, 9), "logical_width must fit in row_width"),
-], ids=["zero-rows", "grid-past-the-row", "grid-layout-wider-than-the-row"])
+    (lambda: MatrixLayout(4, 16, 8, LayoutKind.IMAGE_GRID, grid_h=3, grid_w=4),
+     "image-grid layout needs logical_width == grid_h * grid_w"),
+    (lambda: row_major_layout(4, 12, 4), "row_width must be a power of two, got 12"),
+], ids=["zero-rows", "grid-past-the-row", "grid-layout-wider-than-the-row",
+        "grid-cells-not-its-width", "row-width-not-a-power-of-two"])
 def test_layout_validation_names_the_cause(make, cause):
     with pytest.raises(ValueError, match=re.escape(cause)):
         make()
@@ -194,6 +199,13 @@ def test_diagonal_pattern_round_trip():
         slots = encode_diagonal_pattern(c, rows=m, row_width=f, p=p)
         back = decode_diagonal(slots.reshape(m, f), m, f, p)
         assert np.array_equal(back, c)
+
+
+@pytest.mark.parametrize("p", [0, 6])
+def test_decode_diagonal_rejects_a_period_outside_the_row(p):
+    # At f=4, p=6 entries (0, 0) and (0, 4) would both read slot 0.
+    with pytest.raises(ValueError, match=re.escape(f"period p must be in 1..4, got {p}")):
+        decode_diagonal(np.arange(16.0), 4, 4, p)
 
 
 def test_diagonal_pattern_positions():

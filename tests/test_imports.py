@@ -1,0 +1,43 @@
+"""Every name a module imports is used in it.
+
+A leftover import (a module the code stopped needing) is dead weight that
+hides what a file depends on. `__init__.py` files re-export names, and
+`from __future__` imports switch on language features, so neither counts.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py")
+               if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_the_scan_sees_every_tree():
+    assert {p.relative_to(ROOT).parts[0] for p in FILES} == {"src", "tests", "demos"}
+
+
+def test_the_scan_flags_a_leftover_import():
+    assert unused_imports("import threading\nimport numpy as np\nnp.zeros(1)\n") == [
+        "line 1: threading"]
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

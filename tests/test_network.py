@@ -191,6 +191,11 @@ def test_fc_layer_checks_feature_count():
         fc_layer(backend, [enc], FcSpec(np.ones((2, 5)), np.zeros(2)))
 
 
+def test_fc_layer_needs_an_input_part():
+    with pytest.raises(ValueError, match="fc_layer needs at least one input part"):
+        fc_layer(sim(4 * 8), [], FcSpec(np.ones((2, 3)), np.zeros(2)))
+
+
 def test_fc_layer_parts_must_share_rows():
     backend = sim(4 * 8)
     parts = [encode_row_major(backend, np.ones((4, 3)), 8),
@@ -350,10 +355,10 @@ def assert_fails_before_any_op(net, geo, cause):
     images = np.zeros((geo["batch"], geo["h"], geo["w"]))
     packed = pack_image_batch(backend, images, geo["row_width"])
     before = backend.ledger.snapshot()
-    with pytest.raises(ValueError, match=cause):
+    with pytest.raises(ValueError, match=re.escape(cause)):
         infer(backend, net, packed)
     assert backend.ledger.snapshot() == before
-    with pytest.raises(ValueError, match=cause):
+    with pytest.raises(ValueError, match=re.escape(cause)):
         reference_infer(net, images)
 
 
@@ -372,11 +377,11 @@ def test_short_bias_fails_before_any_op(pos, cause):
 
 
 @pytest.mark.parametrize("pos,field,value,cause", [
-    (0, "kernels", np.nan, "conv layer 0 kernels must be finite"),
-    (0, "biases", np.inf, "conv layer 0 biases must be finite"),
-    (1, "coeffs", np.inf, "act layer 1 coefficients must be finite"),
-    (2, "weight", np.nan, "fc layer 2 weights must be finite"),
-    (4, "bias", -np.inf, "fc layer 4 biases must be finite"),
+    (0, "kernels", np.nan, "conv layer 0 kernels has 1 non-finite values (NaN or inf)"),
+    (0, "biases", np.inf, "conv layer 0 biases has 1 non-finite values (NaN or inf)"),
+    (1, "coeffs", np.inf, "act layer 1 coefficients has 1 non-finite values (NaN or inf)"),
+    (2, "weight", np.nan, "fc layer 2 weights has 1 non-finite values (NaN or inf)"),
+    (4, "bias", -np.inf, "fc layer 4 biases has 1 non-finite values (NaN or inf)"),
 ], ids=["conv-tap", "conv-bias", "act-coeff", "fc-1-weight", "fc-2-bias"])
 def test_non_finite_values_fail_before_any_op(pos, field, value, cause):
     net, geo = reduced_net()

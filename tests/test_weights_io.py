@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -137,6 +138,18 @@ def test_save_needs_a_leading_conv_layer(tmp_path):
     path = tmp_path / "w.csv"
     with pytest.raises(ValueError, match="first layer is not a conv layer"):
         save_weights_csv(net, path)
+    assert not path.exists()
+
+
+def test_save_refuses_a_network_that_load_would_refuse(tmp_path):
+    net = random_network(np.random.default_rng(0), **reduced_geometry())
+    kernels = net.layers[0].kernels.copy()
+    kernels[0, 1, 1] = np.nan
+    layers = (dataclasses.replace(net.layers[0], kernels=kernels),) + net.layers[1:]
+    path = tmp_path / "w.csv"
+    with pytest.raises(ValueError, match=re.escape(
+            "conv layer 0 kernels has 1 non-finite values (NaN or inf)")):
+        save_weights_csv(NetworkSpec(net.input_h, net.input_w, layers), path)
     assert not path.exists()
 
 
