@@ -138,8 +138,12 @@ class SimdBackend(ABC):
 
 def require_finite(values, what: str):
     """The one NaN/inf rule: no leveled scheme can encode them. `what` names the operand."""
-    if not np.isfinite(values).all():
-        bad = int(np.count_nonzero(~np.isfinite(values)))
+    try:
+        finite = np.isfinite(values)
+    except TypeError:
+        raise ValueError(f"{what} must be numeric") from None
+    if not finite.all():
+        bad = int(np.count_nonzero(~finite))
         raise ValueError(f"{what} has {bad} non-finite values (NaN or inf)")
 
 

@@ -22,25 +22,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backend import BackendParams, SimdBackend, SlotSimulator, require_finite
-from .encodings import EncodedMatrix, LayoutKind, decrypt_rows, pack_image_batch
+from .encodings import (EncodedMatrix, LayoutKind, MatrixLayout, decrypt_rows,
+                        grid_layout, pack_image_batch)
 from .linalg import ceil_log2, make_valid_region_mask, reduce_add
 
 
 @dataclass(frozen=True, eq=False)
 class KernelPlan:
-    """One kernel and its scalar bias, ready for a given batch geometry.
+    """One kernel, its scalar bias and the image-grid layout of its batch.
 
     Plans compare and hash by identity: the kernel array has no single
     truth value, so field-wise equality could only raise.
     """
 
-    k: int
-    h: int
-    w: int
-    rows: int
-    row_width: int
     kernel: np.ndarray  # (k, k), read-only
     bias: float
+    layout: MatrixLayout
+
+    @property
+    def k(self) -> int:
+        return self.kernel.shape[0]
 
     @property
     def spans(self) -> tuple:
@@ -49,7 +50,7 @@ class KernelPlan:
         Span (di, dj) tiles the kernel across the grid with its first tile
         anchored at (di, dj); cells outside complete tiles are zero.
         """
-        k, h, w = self.k, self.h, self.w
+        k, h, w = self.k, self.layout.grid_h, self.layout.grid_w
         spans = []
         for di in range(k):
             for dj in range(k):
@@ -57,9 +58,9 @@ class KernelPlan:
                 for a in range(di, h - k + 1, k):
                     for b in range(dj, w - k + 1, k):
                         grid[a:a + k, b:b + k] = self.kernel
-                row = np.zeros(self.row_width)
+                row = np.zeros(self.layout.row_width)
                 row[: h * w] = grid.reshape(-1)
-                span = np.tile(row, self.rows)
+                span = np.tile(row, self.layout.rows)
                 span.flags.writeable = False
                 spans.append((di, dj, span))
         return tuple(spans)
@@ -67,27 +68,26 @@ class KernelPlan:
 
 def span_kernel(kernel, bias: float, h: int, w: int, rows: int,
                 row_width: int) -> KernelPlan:
-    """Validate one kernel and build its plan."""
+    """Validate one kernel and plan it for grid_layout(rows, row_width, h, w)."""
     kern = np.array(kernel, dtype=np.float64)
     if kern.ndim != 2 or kern.shape[0] != kern.shape[1]:
         raise ValueError("kernel must be square")
     k = kern.shape[0]
     if not 1 <= k <= min(h, w):
         raise ValueError(f"kernel {k} does not fit a {h}x{w} grid")
-    if h * w > row_width:
-        raise ValueError("grid does not fit in row_width")
+    layout = grid_layout(rows, row_width, h, w)
     require_finite(kern, "conv kernel")
     require_finite(bias, "conv bias")
     kern.flags.writeable = False
-    return KernelPlan(k, h, w, rows, row_width, kern, float(bias))
+    return KernelPlan(kern, float(bias), layout)
 
 
 def conv_layer(backend: SimdBackend, image: EncodedMatrix, plans,
                encrypted_kernels: bool = False) -> list[EncodedMatrix]:
     """Apply every kernel plan to the same batch, one output per channel.
 
-    Each output keeps the input grid layout, with the result for anchor
-    (a, b) at grid slot a*w + b for a <= h-k, b <= w-k and zeros elsewhere.
+    Plans hold the batch's layout and outputs keep it: anchor (a, b) sits at
+    grid slot a*w + b for a <= h-k, b <= w-k, with zeros elsewhere.
     Tap products are made one at a time and streamed into reduce_add.
     """
     plans = list(plans)
@@ -96,17 +96,15 @@ def conv_layer(backend: SimdBackend, image: EncodedMatrix, plans,
         raise ValueError("conv_layer needs an image-grid layout")
     if not plans:
         raise ValueError("conv_layer needs at least one kernel plan")
-    for plan in plans:
-        if (plan.h, plan.w, plan.rows, plan.row_width) != (
-                lay.grid_h, lay.grid_w, lay.rows, lay.row_width):
-            raise ValueError("plan geometry does not match the packed batch")
+    if any(plan.layout != lay for plan in plans):
+        raise ValueError("plan geometry does not match the packed batch")
     sizes = sorted({plan.k for plan in plans})
     if len(sizes) > 1:
         raise ValueError(f"kernel plans mix sizes {sizes}; shared taps need one k")
     k, w = sizes[0], lay.grid_w
     taps = [image.ct if u == v == 0 else backend.rot(image.ct, u * w + v)
             for u in range(k) for v in range(k)]
-    mask = make_valid_region_mask(lay.rows, lay.row_width, lay.grid_h, w, k)
+    mask = make_valid_region_mask(lay, k)
     slots = backend.params.slots
 
     def per_kernel(plan):
@@ -141,8 +139,6 @@ def convolve_images(images, kernel, bias: float = 0.0,
     if imgs.ndim != 3:
         raise ValueError(f"images must be (batch, h, w), got shape {imgs.shape}")
     m, h, w = imgs.shape
-    if m & (m - 1):
-        raise ValueError("batch size must be a power of two")
     f = 1 << ceil_log2(h * w)
     plan = span_kernel(kernel, bias, h, w, m, f)
     backend = SlotSimulator(BackendParams.for_slots(m * f))

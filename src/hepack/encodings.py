@@ -141,7 +141,7 @@ def pack_image_batch(backend: SimdBackend, images, row_width: int) -> EncodedMat
 
 
 def diagonal_slot_column(i: int, j: int, p: int, f: int) -> int:
-    """Column where output entry C[i][j] sits in the diagonal layout."""
+    """Column where output entry C[i][j] sits in the diagonal layout; i, j may be arrays."""
     return (i + ((j - i) % p)) % f
 
 
@@ -168,14 +168,14 @@ def decode_diagonal(slot_values, m: int, row_width: int, p: int) -> np.ndarray:
     """Read an m x p matrix back out of a diagonal-layout slot vector."""
     if not 1 <= p <= row_width:
         raise ValueError(f"period p must be in 1..{row_width}, got {p}")
-    grid = np.asarray(slot_values, dtype=np.float64).reshape(-1, row_width)
+    vals = np.asarray(slot_values, dtype=np.float64)
+    if vals.size % row_width:
+        raise ValueError(f"{vals.size} slot values are not whole rows of {row_width}")
+    grid = vals.reshape(-1, row_width)
     if m > grid.shape[0]:
         raise ValueError(f"asked for {m} rows, slot vector has {grid.shape[0]}")
-    out = np.empty((m, p))
-    for i in range(m):
-        for j in range(p):
-            out[i, j] = grid[i, diagonal_slot_column(i, j, p, row_width)]
-    return out
+    i, j = np.ogrid[:m, :p]
+    return grid[i, diagonal_slot_column(i, j, p, row_width)]
 
 
 def decrypt_rows(backend: SimdBackend, enc: EncodedMatrix) -> np.ndarray:

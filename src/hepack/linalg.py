@@ -16,13 +16,13 @@ Filter masks are built once per shape, cached, and read-only.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
 from .backend import CipherVec, SimdBackend
-from .encodings import (EncodedMatrix, LayoutKind, diagonal_slot_column,
-                        row_major_layout)
+from .encodings import (EncodedMatrix, LayoutKind, MatrixLayout,
+                        diagonal_slot_column, row_major_layout)
 
 
 # ---------------------------------------------------------------- masks
@@ -51,10 +51,10 @@ def make_group_filter(rows: int, row_width: int, period: int, base: int,
 
 
 @lru_cache(maxsize=None)
-def make_valid_region_mask(rows: int, row_width: int, h: int, w: int,
-                           k: int) -> np.ndarray:
-    """1 at every grid anchor where a k x k window fits, else 0."""
-    buf = np.zeros((rows, row_width))
+def make_valid_region_mask(grid: MatrixLayout, k: int) -> np.ndarray:
+    """1 at every anchor of an image-grid layout where a k x k window fits, else 0."""
+    h, w = grid.grid_h, grid.grid_w
+    buf = np.zeros((grid.rows, grid.row_width))
     for a in range(h - k + 1):
         buf[:, a * w: a * w + (w - k + 1)] = 1.0
     return _frozen(buf)
@@ -156,7 +156,7 @@ def window_sums(backend: SimdBackend, enc: EncodedMatrix, k: int) -> EncodedMatr
     for _ in range(k - 1):
         spun = backend.rot(spun, w)
         acc = backend.add(acc, spun)
-    acc = backend.cmul(acc, make_valid_region_mask(lay.rows, lay.row_width, h, w, k))
+    acc = backend.cmul(acc, make_valid_region_mask(lay, k))
     return EncodedMatrix(acc, lay)
 
 
@@ -205,19 +205,15 @@ def compact_columns(backend: SimdBackend, enc: EncodedMatrix) -> EncodedMatrix:
 # ----------------------------------------------------- reduce / schedule
 
 def reduce_add(backend: SimdBackend, cts: Iterable[CipherVec]) -> CipherVec:
-    """Deterministic sum of any iterable of ciphertexts, as a balanced tree.
+    """Sum any iterable of ciphertexts left to right, as it is read.
 
-    Streamed: a binary-counter stack merges its top two partial sums while
-    they cover equally many inputs and is folded from the top at the end.
-    That makes the n - 1 adds, with the pairings, of a level-by-level tree,
-    with at most floor(log2 n) + 1 partial sums alive; the result does not
-    depend on how the inputs were produced.
+    n - 1 adds with one partial sum alive; one input comes back as it is.
+    Adds cost no budget, so the order of the sum costs nothing.
     """
-    stack = []
-    for n, ct in enumerate(cts, 1):
-        for _ in range((n & -n).bit_length() - 1):  # trailing zeros of n
-            ct = backend.add(stack.pop(), ct)
-        stack.append(ct)
-    if not stack:
+    it = iter(cts)
+    total = next(it, None)
+    if total is None:
         raise ValueError("nothing to add")
-    return reduce(lambda total, ct: backend.add(ct, total), reversed(stack))
+    for ct in it:
+        total = backend.add(total, ct)
+    return total

@@ -213,10 +213,10 @@ def fc_layer(backend: SimdBackend, parts, spec: FcSpec,
     steps); each giant step a sums its products against diagonals
     pre-rotated left by B*a and is rotated right by B*a. Each diagonal is
     encrypted, as m equal rows, just before its mul, so only one is alive
-    per giant step; the giant steps stream into reduce_add. Folding with
-    strides p*2^s adds the bands into columns 0..p-1, where the bias is
-    added. Slots past p keep partial band sums, which the next fc layer's
-    zero weights ignore.
+    per giant step; its products, and the giant steps, stream into
+    reduce_add. Folding with strides p*2^s adds the bands into columns
+    0..p-1, where the bias is added. Slots past p keep partial band sums,
+    which the next fc layer's zero weights ignore.
     """
     parts = list(parts)
     if not parts:
@@ -239,13 +239,11 @@ def fc_layer(backend: SimdBackend, parts, spec: FcSpec,
             for part in parts]
 
     def giant_step(a: int):
-        acc = None
-        for rows, steps in zip(diags, spun):
-            for b in range(min(baby, p - baby * a)):
-                diag = encode_row_major(
-                    backend, np.broadcast_to(rows[baby * a + b], (m, f)), f)
-                term = backend.mul(steps[b], diag.ct)
-                acc = term if acc is None else backend.add(acc, term)
+        acc = reduce_add(backend, (
+            backend.mul(steps[b], encode_row_major(
+                backend, np.broadcast_to(rows[baby * a + b], (m, f)), f).ct)
+            for rows, steps in zip(diags, spun)
+            for b in range(min(baby, p - baby * a))))
         return backend.rot(acc, -baby * a) if a else acc
 
     acc = reduce_add(backend, map(giant_step, range(-(-p // baby))))

@@ -23,7 +23,8 @@ KERNEL_2X2 = np.array([[1.0, 2.0], [3.0, 4.0]])
 def span_grid(plan, di, dj):
     for sdi, sdj, span in plan.spans:
         if (sdi, sdj) == (di, dj):
-            return span[: plan.h * plan.w].reshape(plan.h, plan.w)
+            h, w = plan.layout.grid_h, plan.layout.grid_w
+            return span[: h * w].reshape(h, w)
     raise AssertionError("span not found")
 
 
@@ -87,6 +88,8 @@ def test_span_kernel_validation():
         span_kernel(np.ones((5, 5)), 0.0, 4, 4, 1, 16)
     with pytest.raises(ValueError):
         span_kernel(np.ones((2, 2)), 0.0, 5, 5, 1, 16)
+    with pytest.raises(ValueError, match="rows must be a power of two, got 3"):
+        span_kernel(np.ones((2, 2)), 0.0, 3, 4, 3, 12)
     with pytest.raises(ValueError, match=re.escape(
             "conv kernel has 1 non-finite values (NaN or inf)")):
         span_kernel([[1.0, np.nan], [0.0, 0.0]], 0.0, 4, 4, 1, 16)

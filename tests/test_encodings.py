@@ -208,6 +208,11 @@ def test_decode_diagonal_rejects_a_period_outside_the_row(p):
         decode_diagonal(np.arange(16.0), 4, 4, p)
 
 
+def test_decode_diagonal_rejects_a_partial_row():
+    with pytest.raises(ValueError, match="10 slot values are not whole rows of 4"):
+        decode_diagonal(np.arange(10.0), 2, 4, 2)
+
+
 def test_diagonal_pattern_positions():
     c = np.arange(8.0).reshape(4, 2)
     slots = encode_diagonal_pattern(c, rows=4, row_width=4, p=2).reshape(4, 4)

@@ -393,6 +393,15 @@ def test_non_finite_values_fail_before_any_op(pos, field, value, cause):
     assert_fails_before_any_op(bad, geo, cause)
 
 
+@pytest.mark.parametrize("coeff", ["a", None], ids=["str", "none"])
+def test_non_numeric_values_fail_before_any_op(coeff):
+    net, geo = reduced_net()
+    layers = list(net.layers)
+    layers[1] = dataclasses.replace(layers[1], coeffs=(coeff, 1.0, 2.0, 3.0))
+    bad = NetworkSpec(net.input_h, net.input_w, tuple(layers))
+    assert_fails_before_any_op(bad, geo, "act layer 1 coefficients must be numeric")
+
+
 def test_random_network_rejects_misspelt_geometry_keys():
     rng = np.random.default_rng(0)
     with pytest.raises(TypeError):
