@@ -13,7 +13,7 @@ import numpy as np
 from hepack import (BackendParams, EncodedMatrix, SlotSimulator,
                     broadcast_row_sums, compact_columns, decode_diagonal,
                     decrypt_rows, encode_row_major, encode_transpose_extended,
-                    he_matmul, shift_rows)
+                    he_matmul_partitioned, shift_rows)
 
 np.set_printoptions(precision=1, suppress=True)
 
@@ -41,7 +41,7 @@ prod = backend.mul(enc_a.ct, enc_b.ct)
 sums = broadcast_row_sums(backend, EncodedMatrix(prod, enc_a.layout))
 print(decrypt_rows(backend, sums))
 
-out = he_matmul(backend, enc_a, enc_b, p)
+out = he_matmul_partitioned(backend, [enc_a], [[enc_b]], p)
 print("\ndiagonal output pattern after all steps:")
 print(decrypt_rows(backend, out))
 print("decoded:\n", decode_diagonal(backend.decrypt(out.ct), m, f, p))

@@ -19,7 +19,7 @@ from .encodings import (EncodedMatrix, LayoutKind, MatrixLayout,
                         grid_layout, pack_image_batch, row_major_layout)
 from .linalg import (broadcast_row_sums, compact_columns, reduce_add,
                      rotate_within_rows, shift_rows, window_sums)
-from .matmul import (column_group_widths, he_matmul, he_matmul_partitioned,
+from .matmul import (column_group_widths, he_matmul_partitioned,
                      multiply_matrices, split_weight_groups)
 from .mnist import (image_blocks, load_idx_images, load_idx_labels, load_mnist,
                     write_idx_images, write_idx_labels)

@@ -3,7 +3,7 @@
 All helpers take the backend first and an EncodedMatrix, and return a new
 EncodedMatrix. Costs per call (asserted by the test suite):
 
-shift_rows            1 rot (fast path), or 2 rot + 2 cmul + 1 add; step 0 free
+shift_rows            1 rot; step 0 free
 broadcast_row_sums    (ceil(log2 n) + ceil(log2 reach)) rot and add + 1 cmul,
                       n the logical width, reach f unless given
 window_sums           2*(k-1) rot + 2*(k-1) add + 1 cmul
@@ -61,14 +61,6 @@ def make_valid_region_mask(grid: MatrixLayout, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def make_row_band_mask(rows: int, row_width: int, r0: int, r1: int) -> np.ndarray:
-    """1 on whole rows r0..r1-1."""
-    buf = np.zeros((rows, row_width))
-    buf[r0:r1, :] = 1.0
-    return _frozen(buf)
-
-
-@lru_cache(maxsize=None)
 def make_col_band_mask(rows: int, row_width: int, c0: int, c1: int) -> np.ndarray:
     """1 on columns c0..c1-1 of every row."""
     buf = np.zeros((rows, row_width))
@@ -88,24 +80,17 @@ def shift_rows(backend: SimdBackend, enc: EncodedMatrix, period: int,
     """Advance a transpose-extended encoding by `step` columns.
 
     Input row r holds column (r % period) of the source matrix; output
-    row r holds column ((r + step) % period). When period divides the row
-    count a single row rotation is exact; otherwise the wrapped tail rows
-    are patched from one extra rotation under band masks.
+    row r holds column ((r + step) % period). The period must divide the
+    row count, so one row rotation is exact.
     """
     m, f = enc.layout.rows, enc.layout.row_width
-    if not 0 < period <= m:
-        raise ValueError(f"period must be in 1..{m}, got {period}")
+    if period < 1 or m % period:
+        raise ValueError(f"period must divide the {m} rows, got {period}")
     if not 0 <= step < period:
         raise ValueError(f"step must be in 0..{period - 1}, got {step}")
     if step == 0:
         return EncodedMatrix(enc.ct, enc.layout)
-    if m % period == 0:
-        return EncodedMatrix(backend.rot(enc.ct, step * f), enc.layout)
-    head = backend.cmul(backend.rot(enc.ct, step * f),
-                        make_row_band_mask(m, f, 0, m - step))
-    tail = backend.cmul(backend.rot(enc.ct, (step - period) * f),
-                        make_row_band_mask(m, f, m - step, m))
-    return EncodedMatrix(backend.add(head, tail), enc.layout)
+    return EncodedMatrix(backend.rot(enc.ct, step * f), enc.layout)
 
 
 def broadcast_row_sums(backend: SimdBackend, enc: EncodedMatrix,

@@ -16,22 +16,19 @@ doubling half spans the n columns of B's encoding (B's pad slots are
 zero, so the product is zero past n, whatever A holds there), and its
 broadcast half only reaches the widest diagonal column, m + p - 2.
 
-Cost with G blocks, up = ceil(log2 n), down = ceil(log2 min(f, m+p-1)):
-G*p mul, 2p cmul, p*(up + down) rot, p*(up + down) + G*p - 1 add, plus one
-shift_rows per block and nonzero step (1 rot, or 2 rot + 2 cmul + 1 add
-when the group width does not divide m). Depth is delta + 2*delta_c on
-the data path.
+B is encoded once per group of column_group_widths(p, m): power-of-two
+widths that divide m, so advancing a group is one rotation. The tiling
+depends on (p, m) alone, so a B block is its list of group encodings;
+one encoding, as in the paper, when p is a power of two no wider than m.
 
-When the output width p exceeds the row count m, no single encoding of B
-covers every column; the partitioned form splits B's columns into groups
-of at most m, cycles each group separately, and places every result
-straight into the final period-p diagonal pattern. The tiling depends on
-(p, m) alone: group k covers columns k*m .. k*m + width - 1, with the
-widths of column_group_widths(p, m), so a B block is just its list of
-group encodings.
+Cost with G blocks and K groups, u = ceil(log2 n) + ceil(log2 min(f, m+p-1)):
+G*p mul, 2p cmul, p*u + G*(p - K) rot, p*u + G*p - 1 add, depth
+delta + 2*delta_c on the data path.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -67,8 +64,8 @@ def he_matmul_partitioned(backend: SimdBackend, a_parts, b_blocks,
     a_parts[g] is a row-major encoding of A's g-th column block; b_blocks[g]
     lists the transpose-extended encodings of the matching rows of B, one
     per group of column_group_widths(p, rows), as split_weight_groups makes
-    them (one group unless p > rows). With one block and one group this is
-    the plain product.
+    them. Each must share its A part's rows, row_width and logical width.
+    With one block and one group this is the plain product.
     """
     a_parts = list(a_parts)
     b_blocks = list(b_blocks)
@@ -79,48 +76,54 @@ def he_matmul_partitioned(backend: SimdBackend, a_parts, b_blocks,
     m, f = a_parts[0].layout.rows, a_parts[0].layout.row_width
     if not 0 < p <= f:
         raise ValueError(f"output width {p} must be in 1..{f}")
-    for a in a_parts:
+    groups = _column_groups(p, m)
+    for g, (a, encs) in enumerate(zip(a_parts, b_blocks)):
         if (a.layout.rows, a.layout.row_width) != (m, f):
             raise ValueError("A parts disagree on geometry")
-    widths = column_group_widths(p, m)
-    if any(len(encs) != len(widths) for encs in b_blocks):
-        raise ValueError(f"each B block needs {len(widths)} column groups "
-                         f"for p={p} over {m} rows")
+        if len(encs) != len(groups):
+            raise ValueError(f"each B block needs {len(groups)} column groups "
+                             f"for p={p} over {m} rows")
+        n = a.layout.logical_width
+        if any((e.layout.rows, e.layout.row_width, e.layout.logical_width)
+               != (m, f, n) for e in encs):
+            raise ValueError(f"B block {g} must match its A part: {m} rows, "
+                             f"row_width {f}, logical width {n}")
 
     branches = (_branch(backend, a_parts, [encs[k] for encs in b_blocks],
-                        k * m, width, step, p)
-                for k, width in enumerate(widths)
+                        base, width, step, p)
+                for k, (base, width) in enumerate(groups)
                 for step in range(width))
     return EncodedMatrix(reduce_add(backend, branches), diagonal_layout(m, f, p))
 
 
-def he_matmul(backend: SimdBackend, a: EncodedMatrix, b: EncodedMatrix,
-              p: int) -> EncodedMatrix:
-    """Product against a single transpose-extended encoding; needs rows >= p.
-
-    For a wider output either pad A with zero rows before encoding or use
-    he_matmul_partitioned with column groups.
-    """
-    if p > a.layout.rows:
-        raise ValueError(
-            f"output width {p} exceeds {a.layout.rows} rows; pad A or split columns")
-    return he_matmul_partitioned(backend, [a], [[b]], p)
-
-
 def column_group_widths(p: int, rows: int) -> list[int]:
-    """Widths of the column groups that p output columns split into."""
-    return [min(rows, p - base) for base in range(0, p, rows)]
+    """Power-of-two widths, each dividing `rows`, that p columns tile into.
+
+    Whole groups of `rows` first, then the binary digits of p % rows:
+    12 over 16 rows gives [8, 4].
+    """
+    if rows < 1 or rows & (rows - 1):
+        raise ValueError(f"rows must be a power of two, got {rows}")
+    whole, rest = divmod(max(p, 0), rows)
+    return [rows] * whole + [1 << b for b in reversed(range(rest.bit_length()))
+                             if rest >> b & 1]
+
+
+def _column_groups(p: int, rows: int) -> list[tuple[int, int]]:
+    """(first column, width) of each group of column_group_widths(p, rows)."""
+    widths = column_group_widths(p, rows)
+    return list(zip(accumulate(widths, initial=0), widths))
 
 
 def split_weight_groups(backend: SimdBackend, matrix, rows: int,
                         row_width: int) -> list[EncodedMatrix]:
-    """Encode an n x p matrix as column groups of at most `rows` columns."""
+    """Encode an n x p matrix once per group of column_group_widths(p, rows)."""
     b = np.asarray(matrix, dtype=np.float64)
     if b.ndim != 2:
         raise ValueError(f"weight matrix must be 2-D, got shape {b.shape}")
-    return [encode_transpose_extended(backend, b[:, base:base + rows], rows,
+    return [encode_transpose_extended(backend, b[:, base:base + width], rows,
                                       row_width)
-            for base in range(0, b.shape[1], rows)]
+            for base, width in _column_groups(b.shape[1], rows)]
 
 
 def multiply_matrices(a, b, row_width: int | None = None,
@@ -141,7 +144,7 @@ def multiply_matrices(a, b, row_width: int | None = None,
     if n != n2:
         raise ValueError(f"inner dimensions differ: {n} vs {n2}")
     rows = 1 << ceil_log2(max(m, p))
-    f = row_width or 1 << ceil_log2(max(n, p))
+    f = 1 << ceil_log2(max(n, p)) if row_width is None else row_width
     if f < max(n, p):
         raise ValueError(f"row_width {f} too small for n={n}, p={p}")
     if backend is None:
@@ -149,6 +152,6 @@ def multiply_matrices(a, b, row_width: int | None = None,
     if rows > m:
         a = np.vstack([a, np.zeros((rows - m, n))])
     enc_a = encode_row_major(backend, a, f)
-    enc_b = encode_transpose_extended(backend, b, rows, f)
-    out = he_matmul(backend, enc_a, enc_b, p)
+    groups = split_weight_groups(backend, b, rows, f)
+    out = he_matmul_partitioned(backend, [enc_a], [groups], p)
     return decode_diagonal(backend.decrypt(out.ct), rows, f, p)[:m]

@@ -26,7 +26,7 @@ from common import ledger_delta, sim
 
 # ------------------------------------------------------------- shift_rows
 
-@pytest.mark.parametrize("m,p", [(8, 4), (8, 8), (8, 3), (8, 5), (4, 2), (16, 6)])
+@pytest.mark.parametrize("m,p", [(8, 4), (8, 8), (4, 2)])
 def test_shift_rows_oracle(m, p):
     rng = np.random.default_rng(m * 31 + p)
     f = 8
@@ -54,19 +54,12 @@ def test_shift_rows_costs():
     assert ledger_delta(backend, before) == {
         "mul": 0, "cmul": 0, "rot": 1, "add": 0, "consumed_bits": 0}
 
-    enc3 = encode_transpose_extended(backend, np.ones((3, 3)), rows=8, row_width=8)
-    before = backend.ledger.snapshot()
-    out = shift_rows(backend, enc3, 3, 2)  # 3 does not divide 8: patched tail
-    assert ledger_delta(backend, before) == {
-        "mul": 0, "cmul": 2, "rot": 2, "add": 1, "consumed_bits": 40}
-    assert out.ct.budget_bits == 1200 - 20
-
 
 @st.composite
 def _shift_cases(draw):
     m = draw(st.sampled_from([1, 2, 4, 8, 16]))
     f = draw(st.sampled_from([2, 4, 8, 16]))
-    period = draw(st.integers(1, m))
+    period = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
     return (m, f, period, draw(st.integers(0, period - 1)),
             draw(st.integers(1, f)), draw(st.integers(0, 2**32 - 1)))
 
@@ -84,16 +77,9 @@ def test_shift_rows_property(case):
     for r in range(m):
         assert np.array_equal(rows[r, :n], b[:, (r + step) % period])
     assert not rows[:, n:].any()
-    dc = backend.params.delta_c_bits
-    if step == 0:
-        want = dict(cmul=0, rot=0, add=0)
-    elif m % period == 0:
-        want = dict(cmul=0, rot=1, add=0)
-    else:
-        want = dict(cmul=2, rot=2, add=1)
     assert ledger_delta(backend, before) == dict(
-        mul=0, **want, consumed_bits=want["cmul"] * dc)
-    assert out.ct.budget_bits == 1200 - (dc if want["cmul"] else 0)
+        mul=0, cmul=0, rot=int(step > 0), add=0, consumed_bits=0)
+    assert out.ct.budget_bits == 1200
 
 
 def test_shift_rows_rejects_bad_arguments():
@@ -105,6 +91,8 @@ def test_shift_rows_rejects_bad_arguments():
         shift_rows(backend, enc, 4, -1)
     with pytest.raises(ValueError):
         shift_rows(backend, enc, 16, 1)
+    with pytest.raises(ValueError, match="period must divide the 8 rows, got 3"):
+        shift_rows(backend, enc, 3, 1)
 
 
 # -------------------------------------------------------------- row sums

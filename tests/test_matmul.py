@@ -6,12 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 import hepack.matmul
 from hepack import (
+    BackendParams,
     EncodedMatrix,
+    SlotSimulator,
     column_group_widths,
     encode_row_major,
     encode_transpose_extended,
     decode_diagonal,
-    he_matmul,
+    decrypt_rows,
     he_matmul_partitioned,
     multiply_matrices,
     split_weight_groups,
@@ -38,14 +40,6 @@ def test_small_frozen_product():
     a = [[1.0, 2.0], [3.0, 4.0]]
     b = [[2.0, 0.0], [1.0, 3.0]]
     assert np.allclose(multiply_matrices(a, b), [[4, 6], [10, 12]], atol=1e-12)
-
-
-def test_he_matmul_needs_enough_rows():
-    backend = sim(64)
-    a = encode_row_major(backend, np.ones((8, 4)), 8)
-    b = encode_transpose_extended(backend, np.ones((4, 8)), 8, 8)
-    with pytest.raises(ValueError, match="pad A or split"):
-        he_matmul(backend, a, b, 16)
 
 
 def test_partitioned_inner_dimension_split():
@@ -90,6 +84,35 @@ def test_column_groups_with_uneven_tail():
     assert np.max(np.abs(got - a @ b)) < 1e-9
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 200), st.sampled_from([1, 2, 4, 8, 16, 32]))
+def test_column_group_widths_property(p, rows):
+    widths = column_group_widths(p, rows)
+    assert all(w & (w - 1) == 0 and rows % w == 0 for w in widths)
+    assert sum(widths) == p
+    assert len(widths) == p // rows + bin(p % rows).count("1")
+
+
+def test_column_group_widths_edges():
+    assert column_group_widths(12, 16) == [8, 4]
+    assert column_group_widths(28, 32) == [16, 8, 4]
+    assert column_group_widths(0, 8) == column_group_widths(-3, 8) == []
+    for rows in (0, -4, 6):
+        with pytest.raises(ValueError, match="rows must be a power of two"):
+            column_group_widths(5, rows)
+
+
+def test_groups_start_after_earlier_widths():
+    # 12 columns over 16 rows: group 1 starts at column 8, not at 1 * 16.
+    rng = np.random.default_rng(11)
+    b = rng.normal(size=(5, 12))
+    backend = sim(16 * 16)
+    groups = split_weight_groups(backend, b, 16, 16)
+    for enc, cols in zip(groups, (b[:, :8], b[:, 8:])):
+        rows = decrypt_rows(backend, enc)
+        assert np.array_equal(rows[:, :5], cols.T[np.arange(16) % cols.shape[1]])
+
+
 def test_block_needs_one_encoding_per_column_group():
     backend = sim(4 * 8)
     a = encode_row_major(backend, np.ones((4, 3)), 8)
@@ -125,6 +148,21 @@ def test_partitioned_argument_validation():
         he_matmul_partitioned(backend, [a, other], [b, b], 4)
 
 
+def test_partitioned_rejects_mismatched_b():
+    # Each B encoding must share its A part's rows, row_width and inner
+    # width; a mismatch would otherwise give a silently wrong product.
+    backend = sim(64)
+    a = encode_row_major(backend, np.ones((8, 4)), 8)
+    wide = encode_transpose_extended(backend, np.ones((4, 4)), 4, 16)
+    with pytest.raises(ValueError, match=r"B block 0 must match its A part: "
+                       r"8 rows, row_width 8, logical width 4"):
+        he_matmul_partitioned(backend, [a], [[wide]], 4)
+    short = split_weight_groups(backend, np.ones((3, 4)), 8, 8)
+    good = split_weight_groups(backend, np.ones((4, 4)), 8, 8)
+    with pytest.raises(ValueError, match="B block 1 must match its A part"):
+        he_matmul_partitioned(backend, [a, a], [good, short], 4)
+
+
 def test_fast_path_cost_contract():
     # m=8, f=16, n=8, p=4 with p | m: per column one rotation-shift, one
     # mul, one row-sum ladder trimmed to log2(8) doubling steps and
@@ -135,31 +173,69 @@ def test_fast_path_cost_contract():
     a = encode_row_major(backend, rng.normal(size=(8, 8)), 16)
     b = encode_transpose_extended(backend, rng.normal(size=(8, 4)), 8, 16)
     before = backend.ledger.snapshot()
-    out = he_matmul(backend, a, b, 4)
+    out = he_matmul_partitioned(backend, [a], [[b]], 4)
     assert ledger_delta(backend, before) == {
         "mul": 4, "cmul": 8, "rot": 3 + 4 * (3 + 4), "add": 4 * (3 + 4) + 3,
         "consumed_bits": 4 * (45 + 2 * 20)}
     assert out.ct.budget_bits == 1200 - (45 + 2 * 20)
 
 
-def test_masked_shift_cost_contract():
-    # p=3 does not divide m=8: steps 1 and 2 each pay the patched-tail
-    # shift (2 rot + 2 cmul + 1 add) on top of the fast-path work.
+def test_tiled_groups_cost_contract():
+    # p=3 over m=8 tiles into groups [2, 1], B in two encodings: group 0's
+    # step 1 is one rotation-shift, group 1 has none. Per column one mul,
+    # a ladder of log2(8) doubling and ceil(log2(min(8, 10))) broadcast
+    # steps plus its mask cmul, and one filter cmul; 2 adds join the 3.
     rng = np.random.default_rng(10)
     backend = sim(8 * 8)
     a = rng.normal(size=(8, 5))
     b = rng.normal(size=(5, 3))
     enc_a = encode_row_major(backend, a, 8)
-    enc_b = encode_transpose_extended(backend, b, 8, 8)
+    groups = split_weight_groups(backend, b, 8, 8)
+    assert column_group_widths(3, 8) == [2, 1] and len(groups) == 2
     before = backend.ledger.snapshot()
-    out = he_matmul(backend, enc_a, enc_b, 3)
+    out = he_matmul_partitioned(backend, [enc_a], [groups], 3)
     assert ledger_delta(backend, before) == {
-        "mul": 3, "cmul": 2 * 3 + 2 * 2, "rot": 2 * 2 + 2 * 3 * 3,
-        "add": 2 * 3 * 3 + 2 + 2,
-        "consumed_bits": 3 * (45 + 2 * 20) + 2 * 2 * 20}
+        "mul": 3, "cmul": 6, "rot": 1 + 3 * (3 + 3), "add": 3 * (3 + 3) + 2,
+        "consumed_bits": 3 * 45 + 6 * 20}
+    assert out.ct.budget_bits == 1200 - (45 + 2 * 20)
     got = decode_diagonal(backend.decrypt(out.ct), 8, 8, 3)
     assert np.max(np.abs(got - a @ b)) < 1e-9
     assert out.layout.period == 3
+
+
+class _CountingSim(SlotSimulator):
+    """SlotSimulator that counts encryptions and keeps the last decrypted budget."""
+
+    encryptions = 0
+
+    def encrypt(self, message):
+        self.encryptions += 1
+        return super().encrypt(message)
+
+    def decrypt(self, ct):
+        self.decrypted_budget = ct.budget_bits
+        return super().decrypt(ct)
+
+
+@pytest.mark.parametrize("m,n,p", [(12, 20, 12), (3, 5, 6), (6, 9, 24), (8, 4, 8)])
+def test_multiply_matrices_with_caller_backend(m, n, p):
+    # The caller sizes the backend by the documented rule pow2(max(m, p))
+    # rows of width pow2(max(n, p)); B takes one encoding per column group.
+    rng = np.random.default_rng(m * 100 + n + p)
+    a, b = rng.normal(size=(m, n)), rng.normal(size=(n, p))
+    rows, f = 1 << ceil_log2(max(m, p)), 1 << ceil_log2(max(n, p))
+    backend = _CountingSim(BackendParams.for_slots(rows * f))
+    got = multiply_matrices(a, b, row_width=f, backend=backend)
+    assert np.max(np.abs(got - a @ b)) < 1e-9
+    k = len(column_group_widths(p, rows))
+    u = ceil_log2(n) + ceil_log2(min(f, rows + p - 1))
+    params = backend.params
+    assert backend.ledger.snapshot() == {
+        "mul": p, "cmul": 2 * p, "rot": p * u + p - k, "add": p * u + p - 1,
+        "consumed_bits": p * params.delta_bits + 2 * p * params.delta_c_bits}
+    assert backend.encryptions == 1 + k
+    assert params.log_q - backend.decrypted_budget == (
+        params.delta_bits + 2 * params.delta_c_bits)
 
 
 def test_multiply_matrices_validation():
@@ -167,6 +243,8 @@ def test_multiply_matrices_validation():
         multiply_matrices(np.ones((2, 3)), np.ones((4, 2)))
     with pytest.raises(ValueError, match="row_width"):
         multiply_matrices(np.ones((2, 8)), np.ones((8, 2)), row_width=4)
+    with pytest.raises(ValueError, match="row_width 0 too small for n=3, p=2"):
+        multiply_matrices(np.ones((2, 3)), np.ones((3, 2)), row_width=0)
 
 
 @st.composite
@@ -206,12 +284,9 @@ def test_partitioned_product_property(case):
 
     g = len(widths)
     steps = ceil_log2(max(widths)) + ceil_log2(min(f, m + p - 1))
-    shifts = sum(w - 1 for w in column_group_widths(p, m))
-    masked = sum(w - 1 for w in column_group_widths(p, m) if m % w)
-    cmul = 2 * p + 2 * g * masked
+    shifts = p - len(column_group_widths(p, m))
     params = backend.params
     assert ledger_delta(backend, before) == {
-        "mul": g * p, "cmul": cmul,
-        "rot": p * steps + g * (shifts + masked),
-        "add": p * steps + g * p - 1 + g * masked,
-        "consumed_bits": g * p * params.delta_bits + cmul * params.delta_c_bits}
+        "mul": g * p, "cmul": 2 * p, "rot": p * steps + g * shifts,
+        "add": p * steps + g * p - 1,
+        "consumed_bits": g * p * params.delta_bits + 2 * p * params.delta_c_bits}
