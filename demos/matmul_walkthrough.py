@@ -3,9 +3,9 @@
 A (m x n) sits row-major, one matrix row per ciphertext row. B (n x p) is
 encoded "transposed and extended": ciphertext row r carries column r % p
 of B. Each iteration advances the B encoding one column, multiplies
-slot-wise, sums every row into all of its slots, and keeps a single
-diagonal of slots. After p iterations the products tile a diagonal
-pattern that folds back to row-major columns 0..p-1.
+slot-wise, and sums every row into its column 0. Step s then lands in
+column s of every row, so row i holds C[i][(i + s) % p] there: the
+output is skewed row by row, and un-skews to row-major columns 0..p-1.
 """
 
 import numpy as np
@@ -36,16 +36,16 @@ print("B columns cycling down the rows:\n", decrypt_rows(backend, enc_b))
 print("\nstep 1: advance B by one column (a single row-stride rotation here)")
 print(decrypt_rows(backend, shift_rows(backend, enc_b, p, 1)))
 
-print("\nrow sums of A*B(step 0), broadcast to every slot:")
+print("\nrow sums of A*B(step 0), in column 0 of each row:")
 prod = backend.mul(enc_a.ct, enc_b.ct)
 sums = broadcast_row_sums(backend, EncodedMatrix(prod, enc_a.layout))
 print(decrypt_rows(backend, sums))
 
 out = he_matmul_partitioned(backend, [enc_a], [[enc_b]], p)
-print("\ndiagonal output pattern after all steps:")
+print("\nskewed output after all steps (column s holds C[i][(i + s) % p]):")
 print(decrypt_rows(backend, out))
 print("decoded:\n", decode_diagonal(backend.decrypt(out.ct), m, f, p))
 
 flat = compact_columns(backend, out)
-print("\ncompacted to row-major:\n", decrypt_rows(backend, flat))
+print("\nun-skewed to row-major:\n", decrypt_rows(backend, flat))
 print("ledger:", backend.ledger.snapshot())

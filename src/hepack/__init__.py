@@ -13,14 +13,14 @@ from .backend import (BackendParams, CapacityError, CipherVec,
 from .bench import predict_depth_bits, predict_layer_costs, predict_op_counts
 from .conv import KernelPlan, conv_layer, convolve_images, he_conv, span_kernel
 from .encodings import (EncodedMatrix, LayoutKind, MatrixLayout,
-                        decode_diagonal, decrypt_rows, diagonal_layout,
-                        diagonal_slot_column, encode_diagonal_pattern,
-                        encode_row_major, encode_transpose_extended,
-                        grid_layout, pack_image_batch, row_major_layout)
+                        column_group_widths, decode_diagonal, decrypt_rows,
+                        diagonal_layout, diagonal_slot_column,
+                        encode_diagonal_pattern, encode_row_major,
+                        encode_transpose_extended, grid_layout,
+                        pack_image_batch, row_major_layout)
 from .linalg import (broadcast_row_sums, compact_columns, reduce_add,
                      rotate_within_rows, shift_rows, window_sums)
-from .matmul import (column_group_widths, he_matmul_partitioned,
-                     multiply_matrices, split_weight_groups)
+from .matmul import he_matmul_partitioned, multiply_matrices, split_weight_groups
 from .mnist import (image_blocks, load_idx_images, load_idx_labels, load_mnist,
                     write_idx_images, write_idx_labels)
 from .network import (ActSpec, ConvSpec, FcSpec, InferenceResult, LayerCost,

@@ -207,4 +207,5 @@ class SlotSimulator(SimdBackend):
         except TypeError:
             raise ValueError(f"rotation amount must be an integer, got {amount}") from None
         self.ledger.bump("rot")
-        return CipherVec(np.roll(a.slots, -amount), a.budget_bits)
+        k = amount % a.slots.shape[0]
+        return CipherVec(np.concatenate((a.slots[k:], a.slots[:k])), a.budget_bits)

@@ -4,19 +4,22 @@ A ciphertext is viewed as `rows` rows of `row_width` slots
 (rows * row_width == slots). Three layouts appear:
 
 row-major     row i holds matrix row i in its first logical_width slots.
-diagonal      matmul output: C[i][j] sits at column (i + ((j - i) % p)) % f,
-              where p is the layout period (the output column count).
+diagonal      matmul output in columns 0..p-1, p the layout period: the p
+              columns tile into the groups of column_group_widths(p, rows),
+              and inside group (b, w) row i is skewed by i, so C[i][j]
+              sits at column b + ((j - b - i) % w).
 image-grid    row i holds image i flattened row-major in its first h*w slots.
 
 Transpose-extended (the right side of a product: row r holds column r % p
-of B) and image-grid are row-major encodings of a rearranged matrix, so
-encode_row_major builds every row-packed buffer.
+of B, p kept as the layout period) and image-grid are row-major encodings
+of a rearranged matrix, so encode_row_major builds every row-packed buffer.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -40,7 +43,7 @@ class MatrixLayout:
     row_width: int
     logical_width: int
     kind: LayoutKind
-    period: int | None = None  # diagonal only: output column count
+    period: int | None = None  # diagonal: output columns; transpose-extended: cycle
     grid_h: int | None = None  # image-grid only
     grid_w: int | None = None
 
@@ -67,7 +70,7 @@ def row_major_layout(rows: int, row_width: int, logical_width: int) -> MatrixLay
 
 
 def diagonal_layout(rows: int, row_width: int, period: int) -> MatrixLayout:
-    return MatrixLayout(rows, row_width, row_width, LayoutKind.DIAGONAL, period=period)
+    return MatrixLayout(rows, row_width, period, LayoutKind.DIAGONAL, period=period)
 
 
 def grid_layout(rows: int, row_width: int, h: int, w: int) -> MatrixLayout:
@@ -107,8 +110,8 @@ def encode_transpose_extended(backend: SimdBackend, matrix, rows: int,
     """Encrypt an n x p matrix B for the right side of a product.
 
     Slot (r, j) = B[j][r % p] for j < n, zero pad beyond: the row-major
-    encoding of B^T with its rows cycled. The p columns must all appear,
-    so rows >= p is required.
+    encoding of B^T with its rows cycled, with p as its layout period.
+    The p columns must all appear, so rows >= p is required.
     """
     b = np.asarray(matrix, dtype=np.float64)
     if b.ndim != 2:
@@ -120,7 +123,8 @@ def encode_transpose_extended(backend: SimdBackend, matrix, rows: int,
         raise ValueError("matrix has no columns")
     if rows < p:
         raise ValueError(f"need rows >= {p} to cover every column, got {rows}")
-    return encode_row_major(backend, b.T[np.arange(rows) % p], row_width)
+    enc = encode_row_major(backend, b.T[np.arange(rows) % p], row_width)
+    return EncodedMatrix(enc.ct, replace(enc.layout, period=p))
 
 
 def pack_image_batch(backend: SimdBackend, images, row_width: int) -> EncodedMatrix:
@@ -140,9 +144,31 @@ def pack_image_batch(backend: SimdBackend, images, row_width: int) -> EncodedMat
     return EncodedMatrix(enc.ct, grid_layout(m, row_width, h, w))
 
 
-def diagonal_slot_column(i: int, j: int, p: int, f: int) -> int:
-    """Column where output entry C[i][j] sits in the diagonal layout; i, j may be arrays."""
-    return (i + ((j - i) % p)) % f
+def column_group_widths(p: int, rows: int) -> list[int]:
+    """Power-of-two widths, each dividing `rows`, that p columns tile into.
+
+    Whole groups of `rows` first, then the binary digits of p % rows:
+    12 over 16 rows gives [8, 4].
+    """
+    if rows < 1 or rows & (rows - 1):
+        raise ValueError(f"rows must be a power of two, got {rows}")
+    whole, rest = divmod(max(p, 0), rows)
+    return [rows] * whole + [1 << b for b in reversed(range(rest.bit_length()))
+                             if rest >> b & 1]
+
+
+def column_groups(p: int, rows: int) -> list[tuple[int, int]]:
+    """(first column, width) of each group of column_group_widths(p, rows)."""
+    widths = column_group_widths(p, rows)
+    return list(zip(accumulate(widths, initial=0), widths))
+
+
+def diagonal_slot_column(i, j, p: int, rows: int):
+    """Column of C[i][j] in the diagonal layout, b + ((j - b - i) % w) for the
+    group (b, w) of column_groups(p, rows) holding j; i, j may be arrays."""
+    bases, widths = np.array(column_groups(p, rows)).T
+    k = np.searchsorted(bases, j, side="right") - 1
+    return bases[k] + (j - bases[k] - i) % widths[k]
 
 
 def encode_diagonal_pattern(matrix, rows: int, row_width: int, p: int) -> np.ndarray:
@@ -151,6 +177,8 @@ def encode_diagonal_pattern(matrix, rows: int, row_width: int, p: int) -> np.nda
     The independent oracle for decode_diagonal; it also builds the
     diagonal-layout inputs that compaction is tested on.
     """
+    if not 1 <= p <= row_width:
+        raise ValueError(f"period p must be in 1..{row_width}, got {p}")
     c = np.asarray(matrix, dtype=np.float64)
     m, width = c.shape
     if width != p:
@@ -158,14 +186,13 @@ def encode_diagonal_pattern(matrix, rows: int, row_width: int, p: int) -> np.nda
     if m > rows:
         raise ValueError(f"matrix has {m} rows but layout only {rows}")
     buf = np.zeros((rows, row_width))
-    for i in range(m):
-        for j in range(p):
-            buf[i, diagonal_slot_column(i, j, p, row_width)] = c[i, j]
+    i, j = np.ogrid[:m, :p]
+    buf[i, diagonal_slot_column(i, j, p, rows)] = c
     return buf.reshape(-1)
 
 
 def decode_diagonal(slot_values, m: int, row_width: int, p: int) -> np.ndarray:
-    """Read an m x p matrix back out of a diagonal-layout slot vector."""
+    """Read an m x p matrix out of a diagonal-layout slot vector, tiled by its rows."""
     if not 1 <= p <= row_width:
         raise ValueError(f"period p must be in 1..{row_width}, got {p}")
     vals = np.asarray(slot_values, dtype=np.float64)
@@ -175,7 +202,7 @@ def decode_diagonal(slot_values, m: int, row_width: int, p: int) -> np.ndarray:
     if m > grid.shape[0]:
         raise ValueError(f"asked for {m} rows, slot vector has {grid.shape[0]}")
     i, j = np.ogrid[:m, :p]
-    return grid[i, diagonal_slot_column(i, j, p, row_width)]
+    return grid[i, diagonal_slot_column(i, j, p, grid.shape[0])]
 
 
 def decrypt_rows(backend: SimdBackend, enc: EncodedMatrix) -> np.ndarray:

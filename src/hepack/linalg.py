@@ -4,11 +4,11 @@ All helpers take the backend first and an EncodedMatrix, and return a new
 EncodedMatrix. Costs per call (asserted by the test suite):
 
 shift_rows            1 rot; step 0 free
-broadcast_row_sums    (ceil(log2 n) + ceil(log2 reach)) rot and add + 1 cmul,
-                      n the logical width, reach f unless given
+broadcast_row_sums    ceil(log2 n) rot and add + 1 cmul, n the logical width
 window_sums           2*(k-1) rot + 2*(k-1) add + 1 cmul
 rotate_within_rows    2 rot + 2 cmul + 1 add; amount 0 free
-compact_columns       f/p cmul + (f/p - 1) rot + (f/p - 1) add
+compact_columns       (2W - 1) cmul + 2(W - 1) rot + 2(W - 1) add, W the
+                      widest of column_group_widths(p, rows)
 
 Filter masks are built once per shape, cached, and read-only.
 """
@@ -21,8 +21,8 @@ from functools import lru_cache
 import numpy as np
 
 from .backend import CipherVec, SimdBackend
-from .encodings import (EncodedMatrix, LayoutKind, MatrixLayout,
-                        diagonal_slot_column, row_major_layout)
+from .encodings import (EncodedMatrix, LayoutKind, MatrixLayout, column_groups,
+                        row_major_layout)
 
 
 # ---------------------------------------------------------------- masks
@@ -31,23 +31,6 @@ def _frozen(buf: np.ndarray) -> np.ndarray:
     flat = buf.reshape(-1)
     flat.flags.writeable = False
     return flat
-
-
-@lru_cache(maxsize=None)
-def make_group_filter(rows: int, row_width: int, period: int, base: int,
-                      width: int, step: int) -> np.ndarray:
-    """Filter for a column group of a split product.
-
-    Row i's value this iteration belongs to output column
-    j = base + ((i + step) % width); it is placed at the diagonal-layout
-    column for (i, j) under the full period. With base 0 and
-    width == period this is 1 at (i, (i + step) % row_width).
-    """
-    buf = np.zeros((rows, row_width))
-    for i in range(rows):
-        j = base + ((i + step) % width)
-        buf[i, diagonal_slot_column(i, j, period, row_width)] = 1.0
-    return _frozen(buf)
 
 
 @lru_cache(maxsize=None)
@@ -66,6 +49,25 @@ def make_col_band_mask(rows: int, row_width: int, c0: int, c1: int) -> np.ndarra
     buf = np.zeros((rows, row_width))
     buf[:, c0:c1] = 1.0
     return _frozen(buf)
+
+
+@lru_cache(maxsize=None)
+def make_unskew_masks(rows: int, row_width: int, period: int) -> tuple:
+    """(rotation, mask) pairs that un-skew a diagonal layout, one per amount.
+
+    In group (b, w), row i with r = i % w holds C[i][b + c] at column
+    b + ((c - r) % w): a right rotation by r brings columns c >= r home
+    and a left rotation by w - r the wrapped ones. The mask of an amount
+    keeps the slots it brings home, over every group and residue.
+    """
+    bufs = {}
+    for b, w in column_groups(period, rows):
+        for r in range(w):
+            for amount, c0, c1 in ((-r, b + r, b + w), (w - r, b, b + r)):
+                if c0 < c1:
+                    buf = bufs.setdefault(amount, np.zeros((rows, row_width)))
+                    buf[r::w, c0:c1] = 1.0
+    return tuple((amount, _frozen(buf)) for amount, buf in sorted(bufs.items()))
 
 
 # ----------------------------------------------------------- primitives
@@ -93,29 +95,23 @@ def shift_rows(backend: SimdBackend, enc: EncodedMatrix, period: int,
     return EncodedMatrix(backend.rot(enc.ct, step * f), enc.layout)
 
 
-def broadcast_row_sums(backend: SimdBackend, enc: EncodedMatrix,
-                       reach: int | None = None) -> EncodedMatrix:
-    """Fill columns 0..reach-1 of row i with the sum of row i.
+def broadcast_row_sums(backend: SimdBackend, enc: EncodedMatrix) -> EncodedMatrix:
+    """Put the sum of row i in column 0 of row i, and zero everywhere else.
 
     Rotate-and-add doubling over the layout's logical width puts the
     exact row total in column 0 of each row, so the slots past that width
-    must be zero; columns past 0 pick up wrapped garbage. Column 0 is
-    masked out and broadcast back by a reverse doubling ladder that
-    reaches `reach` columns (default: the whole row); columns past its
-    last step stay zero. MatrixLayout holds row_width to a power of two,
-    so the ladder's 2^ceil_log2(reach) columns stay inside the row.
+    must be zero; the other columns pick up wrapped garbage, which the
+    column-0 mask cuts. MatrixLayout holds row_width to a power of two,
+    so the ladder stays inside the row. It keeps its name, although it
+    no longer broadcasts, because perfbench/tracer.py traces it by name
+    and tests/test_perfbench_names.py requires every traced name.
     """
     m, f = enc.layout.rows, enc.layout.row_width
-    reach = f if reach is None else reach
-    if not 0 < reach <= f:
-        raise ValueError(f"reach must be in 1..{f}, got {reach}")
     acc = enc.ct
     for t in range(ceil_log2(enc.layout.logical_width)):
         acc = backend.add(acc, backend.rot(acc, 1 << t))
     acc = backend.cmul(acc, make_col_band_mask(m, f, 0, 1))
-    for t in range(ceil_log2(reach)):
-        acc = backend.add(acc, backend.rot(acc, -(1 << t)))
-    return EncodedMatrix(acc, row_major_layout(m, f, reach))
+    return EncodedMatrix(acc, row_major_layout(m, f, 1))
 
 
 def window_sums(backend: SimdBackend, enc: EncodedMatrix, k: int) -> EncodedMatrix:
@@ -169,22 +165,18 @@ def rotate_within_rows(backend: SimdBackend, enc: EncodedMatrix,
 
 
 def compact_columns(backend: SimdBackend, enc: EncodedMatrix) -> EncodedMatrix:
-    """Fold a diagonal layout into row-major columns 0..p-1.
+    """Un-skew a diagonal layout into row-major columns 0..p-1.
 
-    Each width-p column band is masked out and rotated left to the row
-    head; the diagonal placement guarantees column c carries output
-    column c % p, so the folded bands interleave without collision.
+    One rotation per amount in make_unskew_masks, each cut by its mask;
+    amounts shared by groups of equal width rotate once.
     """
     lay = enc.layout
     if lay.kind is not LayoutKind.DIAGONAL:
         raise ValueError("compact_columns needs a diagonal layout")
-    p, f = lay.period, lay.row_width
-    if f % p:
-        raise ValueError(f"period {p} must divide row_width {f}")
-    bands = (backend.cmul(enc.ct, make_col_band_mask(lay.rows, f, t * p, (t + 1) * p))
-             for t in range(f // p))
-    pieces = (backend.rot(band, t * p) if t else band for t, band in enumerate(bands))
-    return EncodedMatrix(reduce_add(backend, pieces), row_major_layout(lay.rows, f, p))
+    m, f = lay.rows, lay.row_width
+    pieces = (backend.cmul(backend.rot(enc.ct, amount) if amount else enc.ct, mask)
+              for amount, mask in make_unskew_masks(m, f, lay.period))
+    return EncodedMatrix(reduce_add(backend, pieces), row_major_layout(m, f, lay.period))
 
 
 # ----------------------------------------------------- reduce / schedule

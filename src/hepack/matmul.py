@@ -1,48 +1,43 @@
 """Homomorphic matrix product over row-packed encodings.
 
 C = A * B with A encrypted row-major (m x n in rows of width f) and B
-encrypted transpose-extended (row r = column r % p of B). One iteration
-per output column step: advance the B encoding so row i faces column
-(i + step) % p, multiply slot-wise, broadcast row sums, and keep one slot
-per row under a filter mask. The p filtered terms land on disjoint slots
-and add up to the diagonal output layout.
+encrypted transpose-extended (row r = column r % w of a w-column group).
+One iteration per output column: step s of the group starting at column
+b advances B so row i faces group column (i + s) % w, multiplies
+slot-wise, and sums each row into column 0 with a doubling ladder over
+the n columns (B's pad slots are zero, so the product is zero past n,
+whatever A holds there) and the column-0 mask. That sum lands at column
+t = b + s of every row, so slot (i, t) holds C[i][b + (i + s) % w]: the
+diagonal layout. Placing the p columns Horner-style from the last,
+acc = rot(acc, -1) + x_t, costs the p - 1 rotations of moving each by -t
+but needs one rotation key, not p - 1.
 
-When A arrives as G column blocks A_g, each facing the matching rows B_g,
-an iteration adds the G slot-wise products before the row sums: the
-filter does not depend on the block and the row-sum ladder is linear, so
-one ladder and one filter serve every block ("accumulate before you
-rotate", as in GAZELLE). The ladder is trimmed to the slots in use: its
-doubling half spans the n columns of B's encoding (B's pad slots are
-zero, so the product is zero past n, whatever A holds there), and its
-broadcast half only reaches the widest diagonal column, m + p - 2.
+With G column blocks A_g, each facing the matching rows B_g, an
+iteration adds the G products before the row sum: ladder and mask are
+linear, so one serves every block (as in GAZELLE). B is encoded once per
+group of column_group_widths(p, m), each encoding holding its group
+width as layout period: power-of-two widths that divide m, so advancing
+a group is one rotation; one encoding, as in the paper, when p is a
+power of two no wider than m.
 
-B is encoded once per group of column_group_widths(p, m): power-of-two
-widths that divide m, so advancing a group is one rotation. The tiling
-depends on (p, m) alone, so a B block is its list of group encodings;
-one encoding, as in the paper, when p is a power of two no wider than m.
-
-Cost with G blocks and K groups, u = ceil(log2 n) + ceil(log2 min(f, m+p-1)):
-G*p mul, 2p cmul, p*u + G*(p - K) rot, p*u + G*p - 1 add, depth
-delta + 2*delta_c on the data path.
+Cost with G blocks, K groups and n the widest block: G*p mul, p cmul,
+p*ceil(log2 n) + G*(p - K) + p - 1 rot, p*ceil(log2 n) + G*p - 1 add,
+depth delta + delta_c on the data path.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
-
 import numpy as np
 
 from .backend import BackendParams, SimdBackend, SlotSimulator
-from .encodings import (EncodedMatrix, decode_diagonal, diagonal_layout,
-                        encode_row_major, encode_transpose_extended,
-                        row_major_layout)
-from .linalg import (broadcast_row_sums, ceil_log2, make_group_filter,
-                     reduce_add, shift_rows)
+from .encodings import (EncodedMatrix, column_group_widths, column_groups,
+                        decode_diagonal, diagonal_layout, encode_row_major,
+                        encode_transpose_extended, row_major_layout)
+from .linalg import broadcast_row_sums, ceil_log2, reduce_add, shift_rows
 
 
-def _branch(backend: SimdBackend, a_parts, encs, base: int, width: int,
-            step: int, p: int):
-    """One step of the column group base..base+width-1, summed over blocks.
+def _branch(backend: SimdBackend, a_parts, encs, width: int, step: int):
+    """Row sums of one step of a column group in column 0, summed over blocks.
 
     encs[g] is block g's encoding of the group; the products are added in
     block order.
@@ -51,10 +46,8 @@ def _branch(backend: SimdBackend, a_parts, encs, base: int, width: int,
     prods = (backend.mul(a.ct, shift_rows(backend, enc, width, step).ct)
              for a, enc in zip(a_parts, encs))
     span = max(enc.layout.logical_width for enc in encs)
-    total = EncodedMatrix(reduce_add(backend, prods),
-                          row_major_layout(m, f, span))
-    sums = broadcast_row_sums(backend, total, min(f, m + p - 1))
-    return backend.cmul(sums.ct, make_group_filter(m, f, p, base, width, step))
+    total = EncodedMatrix(reduce_add(backend, prods), row_major_layout(m, f, span))
+    return broadcast_row_sums(backend, total).ct
 
 
 def he_matmul_partitioned(backend: SimdBackend, a_parts, b_blocks,
@@ -63,9 +56,10 @@ def he_matmul_partitioned(backend: SimdBackend, a_parts, b_blocks,
 
     a_parts[g] is a row-major encoding of A's g-th column block; b_blocks[g]
     lists the transpose-extended encodings of the matching rows of B, one
-    per group of column_group_widths(p, rows), as split_weight_groups makes
-    them. Each must share its A part's rows, row_width and logical width.
-    With one block and one group this is the plain product.
+    per group of column_group_widths(p, rows) in order, as
+    split_weight_groups makes them. Each must share its A part's rows,
+    row_width and logical width, and cycle its group's width. With one
+    block and one group this is the plain product.
     """
     a_parts = list(a_parts)
     b_blocks = list(b_blocks)
@@ -76,43 +70,29 @@ def he_matmul_partitioned(backend: SimdBackend, a_parts, b_blocks,
     m, f = a_parts[0].layout.rows, a_parts[0].layout.row_width
     if not 0 < p <= f:
         raise ValueError(f"output width {p} must be in 1..{f}")
-    groups = _column_groups(p, m)
+    widths = column_group_widths(p, m)
     for g, (a, encs) in enumerate(zip(a_parts, b_blocks)):
         if (a.layout.rows, a.layout.row_width) != (m, f):
             raise ValueError("A parts disagree on geometry")
-        if len(encs) != len(groups):
-            raise ValueError(f"each B block needs {len(groups)} column groups "
+        if len(encs) != len(widths):
+            raise ValueError(f"each B block needs {len(widths)} column groups "
                              f"for p={p} over {m} rows")
         n = a.layout.logical_width
-        if any((e.layout.rows, e.layout.row_width, e.layout.logical_width)
-               != (m, f, n) for e in encs):
-            raise ValueError(f"B block {g} must match its A part: {m} rows, "
-                             f"row_width {f}, logical width {n}")
+        for k, (e, w) in enumerate(zip(encs, widths)):
+            if (e.layout.rows, e.layout.row_width, e.layout.logical_width) != (m, f, n):
+                raise ValueError(f"B block {g} must match its A part: {m} rows, "
+                                 f"row_width {f}, logical width {n}")
+            if e.layout.period != w:
+                raise ValueError(f"B block {g} group {k} cycles {e.layout.period} "
+                                 f"columns, but the group is {w} wide")
 
-    branches = (_branch(backend, a_parts, [encs[k] for encs in b_blocks],
-                        base, width, step, p)
-                for k, (base, width) in enumerate(groups)
-                for step in range(width))
-    return EncodedMatrix(reduce_add(backend, branches), diagonal_layout(m, f, p))
-
-
-def column_group_widths(p: int, rows: int) -> list[int]:
-    """Power-of-two widths, each dividing `rows`, that p columns tile into.
-
-    Whole groups of `rows` first, then the binary digits of p % rows:
-    12 over 16 rows gives [8, 4].
-    """
-    if rows < 1 or rows & (rows - 1):
-        raise ValueError(f"rows must be a power of two, got {rows}")
-    whole, rest = divmod(max(p, 0), rows)
-    return [rows] * whole + [1 << b for b in reversed(range(rest.bit_length()))
-                             if rest >> b & 1]
-
-
-def _column_groups(p: int, rows: int) -> list[tuple[int, int]]:
-    """(first column, width) of each group of column_group_widths(p, rows)."""
-    widths = column_group_widths(p, rows)
-    return list(zip(accumulate(widths, initial=0), widths))
+    acc = None
+    for k in reversed(range(len(widths))):
+        for step in reversed(range(widths[k])):
+            x = _branch(backend, a_parts, [encs[k] for encs in b_blocks],
+                        widths[k], step)
+            acc = x if acc is None else backend.add(backend.rot(acc, -1), x)
+    return EncodedMatrix(acc, diagonal_layout(m, f, p))
 
 
 def split_weight_groups(backend: SimdBackend, matrix, rows: int,
@@ -123,7 +103,7 @@ def split_weight_groups(backend: SimdBackend, matrix, rows: int,
         raise ValueError(f"weight matrix must be 2-D, got shape {b.shape}")
     return [encode_transpose_extended(backend, b[:, base:base + width], rows,
                                       row_width)
-            for base, width in _column_groups(b.shape[1], rows)]
+            for base, width in column_groups(b.shape[1], rows)]
 
 
 def multiply_matrices(a, b, row_width: int | None = None,

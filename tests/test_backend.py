@@ -185,6 +185,15 @@ def test_rot_rejects_an_amount_that_is_not_an_integer(amount):
     assert backend.ledger.counts["rot"] == 0
 
 
+@pytest.mark.parametrize("amount", [0, 1, -1, 16, -16, 37, -37, 1024])
+def test_rot_matches_np_roll_bitwise(amount):
+    rng = np.random.default_rng(4)
+    backend = sim(16)
+    slots = rng.normal(size=16)
+    out = backend.decrypt(backend.rot(backend.encrypt(slots), amount))
+    assert out.tobytes() == np.roll(slots, -amount).tobytes()
+
+
 def test_rot_composes_additively():
     rng = np.random.default_rng(3)
     backend = sim(16)

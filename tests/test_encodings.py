@@ -183,18 +183,22 @@ def test_encoders_name_an_operand_of_the_wrong_rank(encode, cause):
 
 
 def test_diagonal_slot_column_examples():
-    # f = 4, p = 2: entry (i, j) sits on the diagonal through column
-    # i + ((j - i) mod p), wrapped at the row width.
+    # p = 2 over 4 rows is one group of 2: row i is skewed by i, so entry
+    # (i, j) sits at column (j - i) mod 2.
     assert diagonal_slot_column(0, 0, 2, 4) == 0
     assert diagonal_slot_column(0, 1, 2, 4) == 1
-    assert diagonal_slot_column(1, 0, 2, 4) == 2
-    assert diagonal_slot_column(1, 1, 2, 4) == 1
-    assert diagonal_slot_column(3, 1, 2, 4) == 3
+    assert diagonal_slot_column(1, 0, 2, 4) == 1
+    assert diagonal_slot_column(1, 1, 2, 4) == 0
+    assert diagonal_slot_column(3, 1, 2, 4) == 0
+    # p = 6 over 4 rows tiles [4, 2]; the skew stays inside each group.
+    assert diagonal_slot_column(3, 0, 6, 4) == 1
+    assert diagonal_slot_column(1, 5, 6, 4) == 4
+    assert diagonal_slot_column(2, 4, 6, 4) == 4
 
 
 def test_diagonal_pattern_round_trip():
     rng = np.random.default_rng(3)
-    for m, f, p in [(4, 8, 4), (8, 8, 2), (4, 16, 8), (8, 64, 10)]:
+    for m, f, p in [(4, 8, 4), (8, 8, 2), (4, 16, 8), (8, 64, 10), (2, 8, 7)]:
         c = rng.normal(size=(m, p))
         slots = encode_diagonal_pattern(c, rows=m, row_width=f, p=p)
         back = decode_diagonal(slots.reshape(m, f), m, f, p)
@@ -203,9 +207,15 @@ def test_diagonal_pattern_round_trip():
 
 @pytest.mark.parametrize("p", [0, 6])
 def test_decode_diagonal_rejects_a_period_outside_the_row(p):
-    # At f=4, p=6 entries (0, 0) and (0, 4) would both read slot 0.
+    # At f=4, p=6 columns 4 and 5 would lie past the row.
     with pytest.raises(ValueError, match=re.escape(f"period p must be in 1..4, got {p}")):
         decode_diagonal(np.arange(16.0), 4, 4, p)
+
+
+@pytest.mark.parametrize("p", [0, 6])
+def test_encode_diagonal_pattern_rejects_a_period_outside_the_row(p):
+    with pytest.raises(ValueError, match=re.escape(f"period p must be in 1..4, got {p}")):
+        encode_diagonal_pattern(np.ones((2, p)), 2, 4, p)
 
 
 def test_decode_diagonal_rejects_a_partial_row():

@@ -20,7 +20,8 @@ from hepack import (
     shift_rows,
     window_sums,
 )
-from hepack.linalg import make_group_filter
+from hepack.encodings import column_group_widths, diagonal_slot_column
+from hepack.linalg import make_unskew_masks
 from common import ledger_delta, sim
 
 
@@ -97,15 +98,25 @@ def test_shift_rows_rejects_bad_arguments():
 
 # -------------------------------------------------------------- row sums
 
-@pytest.mark.parametrize("m,f,n", [(4, 8, 8), (4, 8, 5), (8, 16, 3), (2, 4, 4)])
+@pytest.mark.parametrize("m,f,n", [
+    (4, 8, 8), (4, 8, 5), (8, 16, 3), (2, 4, 4),
+    (4, 16, 5), (4, 16, 16), (2, 32, 3), (8, 8, 8), (2, 64, 33)])
 def test_broadcast_row_sums_oracle(m, f, n):
+    # The ladder spans the logical width n, not the row: ceil(log2 n)
+    # doubling steps, then the column-0 mask clears every other column.
     rng = np.random.default_rng(f * 7 + n)
     backend = sim(m * f)
     mat = rng.normal(size=(m, n))
-    out = broadcast_row_sums(backend, encode_row_major(backend, mat, f))
+    enc = encode_row_major(backend, mat, f)
+    before = backend.ledger.snapshot()
+    out = broadcast_row_sums(backend, enc)
+    steps = (n - 1).bit_length()
+    assert ledger_delta(backend, before) == {
+        "mul": 0, "cmul": 1, "rot": steps, "add": steps, "consumed_bits": 20}
     rows = decrypt_rows(backend, out)
-    for i in range(m):
-        assert np.allclose(rows[i], mat[i].sum(), atol=1e-12)
+    assert np.allclose(rows[:, 0], mat.sum(axis=1), atol=1e-12)
+    assert not rows[:, 1:].any()
+    assert out.layout == row_major_layout(m, f, 1)
 
 
 def test_broadcast_row_sums_costs():
@@ -114,31 +125,8 @@ def test_broadcast_row_sums_costs():
     before = backend.ledger.snapshot()
     out = broadcast_row_sums(backend, enc)
     assert ledger_delta(backend, before) == {
-        "mul": 0, "cmul": 1, "rot": 6, "add": 6, "consumed_bits": 20}
+        "mul": 0, "cmul": 1, "rot": 3, "add": 3, "consumed_bits": 20}
     assert out.ct.budget_bits == 1200 - 20
-
-
-@pytest.mark.parametrize("m,f,n,reach", [
-    (4, 16, 5, 7), (4, 16, 16, 1), (2, 32, 3, 32), (8, 8, 8, 5), (2, 64, 33, 20)])
-def test_broadcast_row_sums_trimmed(m, f, n, reach):
-    rng = np.random.default_rng(f * 7 + n + reach)
-    backend = sim(m * f)
-    mat = rng.normal(size=(m, n))
-    enc = encode_row_major(backend, mat, f)
-    before = backend.ledger.snapshot()
-    out = broadcast_row_sums(backend, enc, reach)
-    steps = (n - 1).bit_length() + (reach - 1).bit_length()
-    assert ledger_delta(backend, before) == {
-        "mul": 0, "cmul": 1, "rot": steps, "add": steps, "consumed_bits": 20}
-    rows = decrypt_rows(backend, out)
-    filled = 1 << (reach - 1).bit_length()
-    for i in range(m):
-        assert np.allclose(rows[i, :reach], mat[i].sum(), atol=1e-12)
-        assert not rows[i, filled:].any()
-    with pytest.raises(ValueError, match="reach"):
-        broadcast_row_sums(backend, enc, 0)
-    with pytest.raises(ValueError, match="reach"):
-        broadcast_row_sums(backend, enc, f + 1)
 
 
 # ----------------------------------------------------------- window sums
@@ -285,8 +273,7 @@ def test_compact_columns_oracle(m, f, p):
 def _compaction_cases(draw):
     m = draw(st.sampled_from([1, 2, 4, 8]))
     f = draw(st.sampled_from([1, 2, 4, 8, 16, 32, 64]))
-    p = draw(st.sampled_from([d for d in range(1, f + 1) if f % d == 0]))
-    return m, f, p, draw(st.integers(0, 2**32 - 1))
+    return m, f, draw(st.integers(1, f)), draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=80, deadline=None)
@@ -302,50 +289,60 @@ def test_compact_columns_property(case):
     assert np.array_equal(rows[:, :p], c)
     assert not rows[:, p:].any()
     assert out.layout == row_major_layout(m, f, p)
-    bands, dc = f // p, backend.params.delta_c_bits
+    # One rotation per amount -(W-1)..W-1, W the widest group, with
+    # amount 0 free; one cmul per amount, and the pieces summed.
+    w, dc = column_group_widths(p, m)[0], backend.params.delta_c_bits
     assert ledger_delta(backend, before) == {
-        "mul": 0, "cmul": bands, "rot": bands - 1, "add": bands - 1,
-        "consumed_bits": bands * dc}
+        "mul": 0, "cmul": 2 * w - 1, "rot": 2 * (w - 1), "add": 2 * (w - 1),
+        "consumed_bits": (2 * w - 1) * dc}
     assert out.ct.budget_bits == 1200 - dc
 
 
 def test_compact_columns_costs():
+    # p=6 over 4 rows tiles [4, 2]: amounts -3..3, the group of 2 sharing
+    # -1, 0 and 1 with the group of 4.
     backend = sim(32)
-    c = np.ones((4, 2))
-    ct = backend.encrypt(encode_diagonal_pattern(c, rows=4, row_width=8, p=2))
+    c = np.arange(24.0).reshape(4, 6)
+    ct = backend.encrypt(encode_diagonal_pattern(c, rows=4, row_width=8, p=6))
     before = backend.ledger.snapshot()
-    out = compact_columns(backend, EncodedMatrix(ct, diagonal_layout(4, 8, 2)))
+    out = compact_columns(backend, EncodedMatrix(ct, diagonal_layout(4, 8, 6)))
     assert ledger_delta(backend, before) == {
-        "mul": 0, "cmul": 4, "rot": 3, "add": 3, "consumed_bits": 80}
+        "mul": 0, "cmul": 7, "rot": 6, "add": 6, "consumed_bits": 140}
     assert out.ct.budget_bits == 1200 - 20
+    assert np.array_equal(decrypt_rows(backend, out)[:, :6], c)
 
 
 def test_compact_columns_validation():
     backend = sim(32)
     enc = encode_row_major(backend, np.ones((4, 8)), 8)
-    with pytest.raises(ValueError):
-        compact_columns(backend, enc)  # not diagonal
-    ct = backend.encrypt(np.zeros(32))
-    with pytest.raises(ValueError):
-        compact_columns(backend, EncodedMatrix(ct, diagonal_layout(4, 8, 3)))
+    with pytest.raises(ValueError, match="compact_columns needs a diagonal layout"):
+        compact_columns(backend, enc)
 
 
 # ----------------------------------------------------------------- masks
 
 def test_masks_are_cached_and_frozen():
-    a = make_group_filter(4, 8, 8, 0, 8, 1)
-    b = make_group_filter(4, 8, 8, 0, 8, 1)
-    assert a is b
-    assert not a.flags.writeable
-    assert set(np.unique(a)) <= {0.0, 1.0}
+    a = make_unskew_masks(4, 8, 6)
+    assert a is make_unskew_masks(4, 8, 6)
+    for _, mask in a:
+        assert not mask.flags.writeable
+        assert set(np.unique(mask)) <= {0.0, 1.0}
 
 
-def test_matmul_filter_positions():
-    mask = make_group_filter(4, 8, 8, 0, 8, 3).reshape(4, 8)
-    for i in range(4):
-        row = np.zeros(8)
-        row[(i + 3) % 8] = 1.0
-        assert np.array_equal(mask[i], row)
+@pytest.mark.parametrize("m,f,p", [(4, 8, 6), (8, 16, 11), (2, 8, 8), (1, 4, 3)])
+def test_unskew_masks_bring_every_slot_home_once(m, f, p):
+    # Each output slot (i, j), j < p, is kept by exactly one amount, and
+    # that amount moves the slot of C[i][j] in the diagonal layout onto it.
+    hits = np.zeros((m, f), dtype=int)
+    i = np.arange(m)[:, None]
+    for amount, mask in make_unskew_masks(m, f, p):
+        mask = mask.reshape(m, f)
+        hits += mask.astype(int)
+        for j in range(p):
+            src = diagonal_slot_column(i[:, 0], j, p, m)
+            assert np.array_equal(mask[:, j] == 1, src == j + amount)
+    assert np.array_equal(hits[:, :p], np.ones((m, p), dtype=int))
+    assert not hits[:, p:].any()
 
 
 # ------------------------------------------------- reduce / parallel map

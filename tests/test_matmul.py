@@ -1,3 +1,6 @@
+import importlib.util
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,6 +24,8 @@ from hepack import (
 )
 from hepack.linalg import ceil_log2
 from common import ledger_delta, sim
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 @pytest.mark.parametrize("m,n,p", [
@@ -164,10 +169,10 @@ def test_partitioned_rejects_mismatched_b():
 
 
 def test_fast_path_cost_contract():
-    # m=8, f=16, n=8, p=4 with p | m: per column one rotation-shift, one
-    # mul, one row-sum ladder trimmed to log2(8) doubling steps and
-    # ceil(log2(8 + 4 - 1)) broadcast steps (rot/add each, + 1 cmul), one
-    # filter cmul; the 4 filtered columns are summed by 3 adds.
+    # m=8, f=16, n=8, p=4 with p | m: per column one rotation-shift (step 0
+    # free), one mul, a row-sum ladder of log2(8) doubling steps (rot and
+    # add each) and its column-0 mask cmul; placing the 4 columns takes 3
+    # rotations by -1 and 3 adds.
     rng = np.random.default_rng(9)
     backend = sim(8 * 16)
     a = encode_row_major(backend, rng.normal(size=(8, 8)), 16)
@@ -175,16 +180,16 @@ def test_fast_path_cost_contract():
     before = backend.ledger.snapshot()
     out = he_matmul_partitioned(backend, [a], [[b]], 4)
     assert ledger_delta(backend, before) == {
-        "mul": 4, "cmul": 8, "rot": 3 + 4 * (3 + 4), "add": 4 * (3 + 4) + 3,
-        "consumed_bits": 4 * (45 + 2 * 20)}
-    assert out.ct.budget_bits == 1200 - (45 + 2 * 20)
+        "mul": 4, "cmul": 4, "rot": 3 + 4 * 3 + 3, "add": 4 * 3 + 3,
+        "consumed_bits": 4 * (45 + 20)}
+    assert out.ct.budget_bits == 1200 - (45 + 20)
 
 
 def test_tiled_groups_cost_contract():
     # p=3 over m=8 tiles into groups [2, 1], B in two encodings: group 0's
-    # step 1 is one rotation-shift, group 1 has none. Per column one mul,
-    # a ladder of log2(8) doubling and ceil(log2(min(8, 10))) broadcast
-    # steps plus its mask cmul, and one filter cmul; 2 adds join the 3.
+    # step 1 is one rotation-shift, group 1 has none. Per column one mul
+    # and a ladder of ceil(log2(5)) doubling steps plus its mask cmul; 2
+    # rotations by -1 and 2 adds place the 3 columns.
     rng = np.random.default_rng(10)
     backend = sim(8 * 8)
     a = rng.normal(size=(8, 5))
@@ -195,12 +200,54 @@ def test_tiled_groups_cost_contract():
     before = backend.ledger.snapshot()
     out = he_matmul_partitioned(backend, [enc_a], [groups], 3)
     assert ledger_delta(backend, before) == {
-        "mul": 3, "cmul": 6, "rot": 1 + 3 * (3 + 3), "add": 3 * (3 + 3) + 2,
-        "consumed_bits": 3 * 45 + 6 * 20}
-    assert out.ct.budget_bits == 1200 - (45 + 2 * 20)
+        "mul": 3, "cmul": 3, "rot": 1 + 3 * 3 + 2, "add": 3 * 3 + 2,
+        "consumed_bits": 3 * 45 + 3 * 20}
+    assert out.ct.budget_bits == 1200 - (45 + 20)
     got = decode_diagonal(backend.decrypt(out.ct), 8, 8, 3)
     assert np.max(np.abs(got - a @ b)) < 1e-9
     assert out.layout.period == 3
+
+
+class _RotLog(SlotSimulator):
+    """SlotSimulator that records every rotation amount."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.amounts = []
+
+    def rot(self, a, amount):
+        self.amounts.append(amount)
+        return super().rot(a, amount)
+
+
+def test_product_places_each_column_with_one_rotation_amount():
+    # The row-sum ladder rotates by powers of two, the shifts by whole
+    # rows, and the placement only by -1: no amount depends on the column.
+    rng = np.random.default_rng(12)
+    backend = _RotLog(BackendParams.for_slots(8 * 32))
+    amounts = backend.amounts
+    a = rng.normal(size=(8, 5))
+    b = rng.normal(size=(5, 12))
+    groups = split_weight_groups(backend, b, 8, 32)
+    out = he_matmul_partitioned(backend, [encode_row_major(backend, a, 32)],
+                                [groups], 12)
+    assert sorted(set(amounts)) == [-1, 1, 2, 4] + [32 * s for s in range(1, 8)]
+    assert amounts.count(-1) == 11
+    got = decode_diagonal(backend.decrypt(out.ct), 8, 32, 12)
+    assert np.max(np.abs(got - a @ b)) < 1e-9
+
+
+def test_partitioned_rejects_groups_out_of_order():
+    # 12 columns over 16 rows tile [8, 4]; passed as [4, 8], each encoding
+    # would face the other group's steps and give a wrong product.
+    rng = np.random.default_rng(13)
+    backend = sim(16 * 16)
+    a = encode_row_major(backend, rng.normal(size=(16, 5)), 16)
+    groups = split_weight_groups(backend, rng.normal(size=(5, 12)), 16, 16)
+    assert [g.layout.period for g in groups] == [8, 4]
+    with pytest.raises(ValueError, match=r"B block 0 group 0 cycles 4 columns, "
+                       r"but the group is 8 wide"):
+        he_matmul_partitioned(backend, [a], [groups[::-1]], 12)
 
 
 class _CountingSim(SlotSimulator):
@@ -228,14 +275,15 @@ def test_multiply_matrices_with_caller_backend(m, n, p):
     got = multiply_matrices(a, b, row_width=f, backend=backend)
     assert np.max(np.abs(got - a @ b)) < 1e-9
     k = len(column_group_widths(p, rows))
-    u = ceil_log2(n) + ceil_log2(min(f, rows + p - 1))
+    u = ceil_log2(n)
     params = backend.params
     assert backend.ledger.snapshot() == {
-        "mul": p, "cmul": 2 * p, "rot": p * u + p - k, "add": p * u + p - 1,
-        "consumed_bits": p * params.delta_bits + 2 * p * params.delta_c_bits}
+        "mul": p, "cmul": p, "rot": p * u + (p - k) + (p - 1),
+        "add": p * u + p - 1,
+        "consumed_bits": p * (params.delta_bits + params.delta_c_bits)}
     assert backend.encryptions == 1 + k
     assert params.log_q - backend.decrypted_budget == (
-        params.delta_bits + 2 * params.delta_c_bits)
+        params.delta_bits + params.delta_c_bits)
 
 
 def test_multiply_matrices_validation():
@@ -283,10 +331,38 @@ def test_partitioned_product_property(case):
     assert ladder.call_count == p
 
     g = len(widths)
-    steps = ceil_log2(max(widths)) + ceil_log2(min(f, m + p - 1))
+    steps = ceil_log2(max(widths))
     shifts = p - len(column_group_widths(p, m))
     params = backend.params
     assert ledger_delta(backend, before) == {
-        "mul": g * p, "cmul": 2 * p, "rot": p * steps + g * shifts,
+        "mul": g * p, "cmul": p, "rot": p * steps + g * shifts + p - 1,
         "add": p * steps + g * p - 1,
-        "consumed_bits": g * p * params.delta_bits + 2 * p * params.delta_c_bits}
+        "consumed_bits": g * p * params.delta_bits + p * params.delta_c_bits}
+    assert out.ct.budget_bits == 1200 - (params.delta_bits + params.delta_c_bits)
+
+
+def _perfbench_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up by name while it loads.
+    sys.modules[spec.name] = workloads
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return workloads
+
+
+def test_matmul_mix_shapes_ledger():
+    # The benchmark's seven product shapes, sized by its own rule
+    # (pow2(max(m, p)) rows of width pow2(max(n, p))): the summed ledger
+    # and the deepest product of one round.
+    workloads = _perfbench_workloads()
+    mix = workloads.MatmulMix(seed=0, workdir="")
+    products = mix.inputs(0)
+    assert sorted((a.shape[0], a.shape[1], b.shape[1]) for a, b, _, _ in products) \
+        == sorted(workloads.MATMUL_SHAPES)
+    out = mix.call(products, lambda backend: backend)
+    assert mix.check(products, out) == []
+    assert out.counts == {"mul": 144, "cmul": 144, "rot": 1099, "add": 969}
+    assert out.depth_bits == 65
