@@ -34,7 +34,7 @@ print("\nA rows in slots:\n", decrypt_rows(backend, enc_a))
 print("B columns cycling down the rows:\n", decrypt_rows(backend, enc_b))
 
 print("\nstep 1: advance B by one column (a single row-stride rotation here)")
-print(decrypt_rows(backend, shift_rows(backend, enc_b, p, 1)))
+print(decrypt_rows(backend, shift_rows(backend, enc_b, 1)))
 
 print("\nrow sums of A*B(step 0), in column 0 of each row:")
 prod = backend.mul(enc_a.ct, enc_b.ct)

@@ -26,7 +26,8 @@ from .mnist import (image_blocks, load_idx_images, load_idx_labels, load_mnist,
 from .network import (ActSpec, ConvSpec, FcSpec, InferenceResult, LayerCost,
                       NetworkSpec, STOCK_ACT1, STOCK_ACT2, apply_activation,
                       eval_poly, fc_layer, infer, infer_images, random_network,
-                      reduced_geometry, reference_infer, stock_geometry)
+                      reduced_geometry, reference_infer, spread_to_grid,
+                      stock_geometry)
 from .verify import CheckResult, run_all
 from .weights_io import WeightsParseError, load_weights_csv, save_weights_csv
 

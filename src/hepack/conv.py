@@ -77,6 +77,8 @@ def span_kernel(kernel, bias: float, h: int, w: int, rows: int,
         raise ValueError(f"kernel {k} does not fit a {h}x{w} grid")
     layout = grid_layout(rows, row_width, h, w)
     require_finite(kern, "conv kernel")
+    if np.ndim(bias) != 0:
+        raise ValueError(f"conv bias must be a scalar, got shape {np.shape(bias)}")
     require_finite(bias, "conv bias")
     kern.flags.writeable = False
     return KernelPlan(kern, float(bias), layout)

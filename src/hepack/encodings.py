@@ -4,7 +4,7 @@ A ciphertext is viewed as `rows` rows of `row_width` slots
 (rows * row_width == slots). Three layouts appear:
 
 row-major     row i holds matrix row i in its first logical_width slots.
-diagonal      matmul output in columns 0..p-1, p the layout period: the p
+diagonal      matmul output in columns 0..p-1, p the logical width: the p
               columns tile into the groups of column_group_widths(p, rows),
               and inside group (b, w) row i is skewed by i, so C[i][j]
               sits at column b + ((j - b - i) % w).
@@ -36,14 +36,16 @@ class LayoutKind(enum.Enum):
 class MatrixLayout:
     """A ciphertext seen as rows x row_width slots, both powers of two.
 
-    An image grid's logical_width is grid_h * grid_w.
+    The one record of an encoding's geometry: each row's data is its first
+    logical_width slots (an image grid's grid_h * grid_w cells, a diagonal
+    output's p columns), and only a transpose-extended encoding has a period.
     """
 
     rows: int
     row_width: int
     logical_width: int
     kind: LayoutKind
-    period: int | None = None  # diagonal: output columns; transpose-extended: cycle
+    period: int | None = None  # transpose-extended only: columns cycled down the rows
     grid_h: int | None = None  # image-grid only
     grid_w: int | None = None
 
@@ -54,10 +56,8 @@ class MatrixLayout:
             if n & (n - 1):
                 raise ValueError(f"{name} must be a power of two, got {n}")
         if not 0 < self.logical_width <= self.row_width:
-            raise ValueError("logical_width must fit in row_width")
-        if self.kind is LayoutKind.DIAGONAL:
-            if not self.period or not 0 < self.period <= self.row_width:
-                raise ValueError("diagonal layout needs 0 < period <= row_width")
+            raise ValueError(f"logical_width must be in 1..{self.row_width}, "
+                             f"got {self.logical_width}")
         if self.kind is LayoutKind.IMAGE_GRID:
             if not self.grid_h or not self.grid_w:
                 raise ValueError("image-grid layout needs grid_h and grid_w")
@@ -69,8 +69,8 @@ def row_major_layout(rows: int, row_width: int, logical_width: int) -> MatrixLay
     return MatrixLayout(rows, row_width, logical_width, LayoutKind.ROW_MAJOR)
 
 
-def diagonal_layout(rows: int, row_width: int, period: int) -> MatrixLayout:
-    return MatrixLayout(rows, row_width, period, LayoutKind.DIAGONAL, period=period)
+def diagonal_layout(rows: int, row_width: int, p: int) -> MatrixLayout:
+    return MatrixLayout(rows, row_width, p, LayoutKind.DIAGONAL)
 
 
 def grid_layout(rows: int, row_width: int, h: int, w: int) -> MatrixLayout:

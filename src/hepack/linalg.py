@@ -52,7 +52,7 @@ def make_col_band_mask(rows: int, row_width: int, c0: int, c1: int) -> np.ndarra
 
 
 @lru_cache(maxsize=None)
-def make_unskew_masks(rows: int, row_width: int, period: int) -> tuple:
+def make_unskew_masks(rows: int, row_width: int, p: int) -> tuple:
     """(rotation, mask) pairs that un-skew a diagonal layout, one per amount.
 
     In group (b, w), row i with r = i % w holds C[i][b + c] at column
@@ -61,7 +61,7 @@ def make_unskew_masks(rows: int, row_width: int, period: int) -> tuple:
     keeps the slots it brings home, over every group and residue.
     """
     bufs = {}
-    for b, w in column_groups(period, rows):
+    for b, w in column_groups(p, rows):
         for r in range(w):
             for amount, c0, c1 in ((-r, b + r, b + w), (w - r, b, b + r)):
                 if c0 < c1:
@@ -77,16 +77,15 @@ def ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
 
 
-def shift_rows(backend: SimdBackend, enc: EncodedMatrix, period: int,
-               step: int) -> EncodedMatrix:
+def shift_rows(backend: SimdBackend, enc: EncodedMatrix, step: int) -> EncodedMatrix:
     """Advance a transpose-extended encoding by `step` columns.
 
-    Input row r holds column (r % period) of the source matrix; output
-    row r holds column ((r + step) % period). The period must divide the
-    row count, so one row rotation is exact.
+    Input row r holds column (r % period) of the source matrix, period
+    read from enc.layout; output row r holds column ((r + step) % period).
+    The period must divide the row count, so one row rotation is exact.
     """
-    m, f = enc.layout.rows, enc.layout.row_width
-    if period < 1 or m % period:
+    m, f, period = enc.layout.rows, enc.layout.row_width, enc.layout.period
+    if not period or m % period:
         raise ValueError(f"period must divide the {m} rows, got {period}")
     if not 0 <= step < period:
         raise ValueError(f"step must be in 0..{period - 1}, got {step}")
@@ -165,7 +164,7 @@ def rotate_within_rows(backend: SimdBackend, enc: EncodedMatrix,
 
 
 def compact_columns(backend: SimdBackend, enc: EncodedMatrix) -> EncodedMatrix:
-    """Un-skew a diagonal layout into row-major columns 0..p-1.
+    """Un-skew a diagonal layout into row-major columns 0..p-1 (its logical width).
 
     One rotation per amount in make_unskew_masks, each cut by its mask;
     amounts shared by groups of equal width rotate once.
@@ -173,10 +172,10 @@ def compact_columns(backend: SimdBackend, enc: EncodedMatrix) -> EncodedMatrix:
     lay = enc.layout
     if lay.kind is not LayoutKind.DIAGONAL:
         raise ValueError("compact_columns needs a diagonal layout")
-    m, f = lay.rows, lay.row_width
+    m, f, p = lay.rows, lay.row_width, lay.logical_width
     pieces = (backend.cmul(backend.rot(enc.ct, amount) if amount else enc.ct, mask)
-              for amount, mask in make_unskew_masks(m, f, lay.period))
-    return EncodedMatrix(reduce_add(backend, pieces), row_major_layout(m, f, lay.period))
+              for amount, mask in make_unskew_masks(m, f, p))
+    return EncodedMatrix(reduce_add(backend, pieces), row_major_layout(m, f, p))
 
 
 # ----------------------------------------------------- reduce / schedule

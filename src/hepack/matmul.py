@@ -16,9 +16,9 @@ With G column blocks A_g, each facing the matching rows B_g, an
 iteration adds the G products before the row sum: ladder and mask are
 linear, so one serves every block (as in GAZELLE). B is encoded once per
 group of column_group_widths(p, m), each encoding holding its group
-width as layout period: power-of-two widths that divide m, so advancing
-a group is one rotation; one encoding, as in the paper, when p is a
-power of two no wider than m.
+width as layout period, which shift_rows reads: power-of-two widths that
+divide m, so advancing a group is one rotation; one encoding, as in the
+paper, when p is a power of two no wider than m.
 
 Cost with G blocks, K groups and n the widest block: G*p mul, p cmul,
 p*ceil(log2 n) + G*(p - K) + p - 1 rot, p*ceil(log2 n) + G*p - 1 add,
@@ -36,14 +36,14 @@ from .encodings import (EncodedMatrix, column_group_widths, column_groups,
 from .linalg import broadcast_row_sums, ceil_log2, reduce_add, shift_rows
 
 
-def _branch(backend: SimdBackend, a_parts, encs, width: int, step: int):
+def _branch(backend: SimdBackend, a_parts, encs, step: int):
     """Row sums of one step of a column group in column 0, summed over blocks.
 
     encs[g] is block g's encoding of the group; the products are added in
     block order.
     """
     m, f = a_parts[0].layout.rows, a_parts[0].layout.row_width
-    prods = (backend.mul(a.ct, shift_rows(backend, enc, width, step).ct)
+    prods = (backend.mul(a.ct, shift_rows(backend, enc, step).ct)
              for a, enc in zip(a_parts, encs))
     span = max(enc.layout.logical_width for enc in encs)
     total = EncodedMatrix(reduce_add(backend, prods), row_major_layout(m, f, span))
@@ -89,8 +89,7 @@ def he_matmul_partitioned(backend: SimdBackend, a_parts, b_blocks,
     acc = None
     for k in reversed(range(len(widths))):
         for step in reversed(range(widths[k])):
-            x = _branch(backend, a_parts, [encs[k] for encs in b_blocks],
-                        widths[k], step)
+            x = _branch(backend, a_parts, [encs[k] for encs in b_blocks], step)
             acc = x if acc is None else backend.add(backend.rot(acc, -1), x)
     return EncodedMatrix(acc, diagonal_layout(m, f, p))
 

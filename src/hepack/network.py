@@ -3,8 +3,8 @@
 The batch stays packed one image per ciphertext row for the whole run.
 Convolution outputs live at valid grid anchors of each channel ciphertext;
 the first fully-connected layer consumes those channel ciphertexts
-directly, with weight rows remapped onto grid positions (zero at invalid
-anchors and pad slots, which also swallows the constant term the cubic
+directly, its weights spread over every grid cell by spread_to_grid (zero
+at invalid anchors, which also swallows the constant term the cubic
 activation smears over every slot). Each fc layer multiplies its row-packed
 inputs by row-local diagonals of the weight matrix, with baby-step
 giant-step rotations, and leaves its output row-major in columns 0..p-1;
@@ -149,20 +149,19 @@ def apply_activation(backend: SimdBackend, enc: EncodedMatrix,
     return EncodedMatrix(eval_poly(backend, enc.ct, coeffs), enc.layout)
 
 
-def _fc_block_matrix(part: EncodedMatrix, weight: np.ndarray, offset: int,
-                     valid_hw) -> tuple[np.ndarray, int]:
-    """Weight columns for one input part, remapped to its slot positions."""
-    lay = part.layout
-    p = weight.shape[0]
-    if lay.kind is LayoutKind.IMAGE_GRID:
-        if valid_hw is None:
-            raise ValueError("grid input parts need valid_hw")
-        oh, ow = valid_hw
-        block = np.zeros((lay.grid_h, lay.grid_w, p))
-        block[:oh, :ow] = weight[:, offset: offset + oh * ow].T.reshape(oh, ow, p)
-        return block.reshape(-1, p), offset + oh * ow
-    n_prev = lay.logical_width
-    return weight[:, offset: offset + n_prev].T, offset + n_prev
+def spread_to_grid(spec: FcSpec, h: int, w: int, oh: int, ow: int) -> FcSpec:
+    """An fc layer over channel-major oh x ow regions, spread over h x w grids.
+
+    Feature (c, a, b) moves to cell a*w + b of grid c and the other cells
+    get zero weights, so fc_layer can read conv outputs' invalid anchors.
+    """
+    if not (0 < oh <= h and 0 < ow <= w) or spec.in_dim % (oh * ow):
+        raise ValueError(f"fc layer with {spec.in_dim} inputs does not read whole "
+                         f"{oh}x{ow} regions of a {h}x{w} grid")
+    p = spec.out_dim
+    weight = np.zeros((p, spec.in_dim // (oh * ow), h, w))
+    weight[:, :, :oh, :ow] = spec.weight.reshape(p, -1, oh, ow)
+    return FcSpec(weight.reshape(p, -1), spec.bias)
 
 
 def fc_schedule(widths, p: int, f: int) -> tuple[int, int]:
@@ -200,23 +199,23 @@ def _diagonal_rows(block: np.ndarray, f: int, baby: int) -> np.ndarray:
     return np.where((src >= 0) & (src < n), vals, 0.0)
 
 
-def fc_layer(backend: SimdBackend, parts, spec: FcSpec,
-             valid_hw=None) -> EncodedMatrix:
+def fc_layer(backend: SimdBackend, parts, spec: FcSpec) -> EncodedMatrix:
     """Fully-connected layer over one or more packed input parts.
 
-    Slot c of every row gathers sum_g sum_{d<p} D_{g,d}[c] * x_g[c-d], the
-    diagonal D_{g,d} holding the weight from input slot c-d of part g to
-    output column c mod p. A right rotation by d pulls the previous row's
-    tail only into slots c < d, and input slots past n_g meet zero
-    weights, so no mask is needed and input pad slots may hold anything.
-    With d = b + B*a each part is rotated right by b < B once (baby
-    steps); each giant step a sums its products against diagonals
-    pre-rotated left by B*a and is rotated right by B*a. Each diagonal is
-    encrypted, as m equal rows, just before its mul, so only one is alive
-    per giant step; its products, and the giant steps, stream into
-    reduce_add. Folding with strides p*2^s adds the bands into columns
-    0..p-1, where the bias is added. Slots past p keep partial band sums,
-    which the next fc layer's zero weights ignore.
+    The features are the first logical_width slots of each part's rows, in
+    part order (all h*w cells of a grid: see spread_to_grid). Slot c of every
+    row gathers sum_g sum_{d<p} D_{g,d}[c] * x_g[c-d], the diagonal D_{g,d}
+    holding the weight from input slot c-d of part g to output column c mod p.
+    A right rotation by d pulls the previous row's tail only into slots c < d,
+    and input slots past n_g meet zero weights, so no mask is needed and input
+    pad slots may hold anything. With d = b + B*a each part is rotated right
+    by b < B once (baby steps); each giant step a sums its products against
+    diagonals pre-rotated left by B*a and is rotated right by B*a. Each
+    diagonal is encrypted, as m equal rows, just before its mul, so only one
+    is alive per giant step; its products, and the giant steps, stream into
+    reduce_add. Folding with strides p*2^s adds the bands into columns 0..p-1,
+    where the bias is added. Slots past p keep partial band sums, which the
+    next fc layer's zero weights ignore.
     """
     parts = list(parts)
     if not parts:
@@ -225,15 +224,12 @@ def fc_layer(backend: SimdBackend, parts, spec: FcSpec,
     if any((x.layout.rows, x.layout.row_width) != (m, f) for x in parts):
         raise ValueError("input parts disagree on rows and row width")
     p = spec.out_dim
-    offset = 0
-    blocks = []
-    for part in parts:
-        block, offset = _fc_block_matrix(part, spec.weight, offset, valid_hw)
-        blocks.append(block)
-    if offset != spec.in_dim:
+    widths = [part.layout.logical_width for part in parts]
+    if sum(widths) != spec.in_dim:
         raise ValueError(
-            f"input parts supply {offset} features, fc expects {spec.in_dim}")
-    baby, fold = fc_schedule([block.shape[0] for block in blocks], p, f)
+            f"input parts supply {sum(widths)} features, fc expects {spec.in_dim}")
+    blocks = np.split(spec.weight.T, np.cumsum(widths)[:-1])
+    baby, fold = fc_schedule(widths, p, f)
     diags = [_diagonal_rows(block, f, baby) for block in blocks]
     spun = [[backend.rot(part.ct, -b) if b else part.ct for b in range(baby)]
             for part in parts]
@@ -306,7 +302,7 @@ def infer(backend: SimdBackend, net: NetworkSpec, packed: EncodedMatrix,
         raise ValueError("packed batch does not match the network geometry")
     start = before = backend.ledger.snapshot()
     parts = [packed]
-    valid_hw = (net.input_h, net.input_w)
+    valid = (net.input_h, net.input_w)  # cells of a grid part the fc reads
     names = layer_names(net)
     budget = min(p.ct.budget_bits for p in parts)
     costs = []
@@ -318,12 +314,14 @@ def infer(backend: SimdBackend, net: NetworkSpec, packed: EncodedMatrix,
                                      lay.row_width)
                          for c in range(layer.channels)]
                 parts = conv_layer(backend, parts[0], plans, encrypted_kernels)
-                valid_hw = (net.input_h - layer.k + 1, net.input_w - layer.k + 1)
+                valid = (net.input_h - layer.k + 1, net.input_w - layer.k + 1)
             elif isinstance(layer, ActSpec):
                 parts = [apply_activation(backend, p, layer.coeffs)
                          for p in parts]
             else:
-                parts = [fc_layer(backend, parts, layer, valid_hw)]
+                if parts[0].layout.kind is LayoutKind.IMAGE_GRID:
+                    layer = spread_to_grid(layer, net.input_h, net.input_w, *valid)
+                parts = [fc_layer(backend, parts, layer)]
         except DepthExhaustedError as e:
             raise DepthExhaustedError(f"budget exhausted in layer {name}: {e}") from e
         now = min(p.ct.budget_bits for p in parts)

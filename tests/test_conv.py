@@ -96,6 +96,11 @@ def test_span_kernel_validation():
     with pytest.raises(ValueError, match=re.escape(
             "conv bias has 1 non-finite values (NaN or inf)")):
         span_kernel(np.ones((2, 2)), np.inf, 4, 4, 1, 16)
+    with pytest.raises(ValueError, match=re.escape(
+            "conv bias must be a scalar, got shape (1,)")):
+        span_kernel(np.ones((2, 2)), np.array([0.5]), 4, 4, 1, 16)
+    with pytest.raises(ValueError, match="conv bias must be a scalar"):
+        convolve_images(np.ones((2, 4, 4)), np.ones((2, 2)), bias=np.array([0.5]))
     with pytest.raises(ValueError, match="conv kernel has 1 non-finite"):
         convolve_images(np.ones((2, 4, 4)), [[1.0, np.nan], [0.0, 0.0]])
 

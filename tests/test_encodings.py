@@ -14,6 +14,7 @@ from hepack import (
     encode_row_major,
     encode_transpose_extended,
     grid_layout,
+    multiply_matrices,
     pack_image_batch,
     row_major_layout,
 )
@@ -160,12 +161,16 @@ def test_layout_validation():
      "rows and row_width must be positive"),
     (lambda: MatrixLayout(4, 8, 4, LayoutKind.IMAGE_GRID, grid_h=3, grid_w=4),
      "image-grid layout needs logical_width == grid_h * grid_w"),
-    (lambda: grid_layout(4, 8, 1, 9), "logical_width must fit in row_width"),
+    (lambda: grid_layout(4, 8, 1, 9), "logical_width must be in 1..8, got 9"),
     (lambda: MatrixLayout(4, 16, 8, LayoutKind.IMAGE_GRID, grid_h=3, grid_w=4),
      "image-grid layout needs logical_width == grid_h * grid_w"),
     (lambda: row_major_layout(4, 12, 4), "row_width must be a power of two, got 12"),
+    (lambda: row_major_layout(2, 2, 0), "logical_width must be in 1..2, got 0"),
+    (lambda: multiply_matrices(np.zeros((2, 0)), np.zeros((0, 2))),
+     "logical_width must be in 1..2, got 0"),
 ], ids=["zero-rows", "grid-past-the-row", "grid-layout-wider-than-the-row",
-        "grid-cells-not-its-width", "row-width-not-a-power-of-two"])
+        "grid-cells-not-its-width", "row-width-not-a-power-of-two", "zero-width",
+        "product-with-no-inner-dimension"])
 def test_layout_validation_names_the_cause(make, cause):
     with pytest.raises(ValueError, match=re.escape(cause)):
         make()

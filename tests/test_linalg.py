@@ -1,4 +1,5 @@
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ def test_shift_rows_oracle(m, p):
     b = rng.normal(size=(5, p))
     enc = encode_transpose_extended(backend, b, rows=m, row_width=f)
     for step in range(p):
-        rows = decrypt_rows(backend, shift_rows(backend, enc, p, step))
+        rows = decrypt_rows(backend, shift_rows(backend, enc, step))
         for r in range(m):
             assert np.array_equal(rows[r, :5], b[:, (r + step) % p])
             assert not rows[r, 5:].any()
@@ -46,12 +47,12 @@ def test_shift_rows_costs():
     enc = encode_transpose_extended(backend, np.ones((3, 4)), rows=8, row_width=8)
 
     before = backend.ledger.snapshot()
-    shift_rows(backend, enc, 4, 0)
+    shift_rows(backend, enc, 0)
     assert ledger_delta(backend, before) == dict.fromkeys(
         ("mul", "cmul", "rot", "add", "consumed_bits"), 0)
 
     before = backend.ledger.snapshot()
-    shift_rows(backend, enc, 4, 2)  # 4 divides 8: single rotation
+    shift_rows(backend, enc, 2)  # 4 divides 8: single rotation
     assert ledger_delta(backend, before) == {
         "mul": 0, "cmul": 0, "rot": 1, "add": 0, "consumed_bits": 0}
 
@@ -73,7 +74,7 @@ def test_shift_rows_property(case):
     b = np.random.default_rng(seed).normal(size=(n, period))
     enc = encode_transpose_extended(backend, b, rows=m, row_width=f)
     before = backend.ledger.snapshot()
-    out = shift_rows(backend, enc, period, step)
+    out = shift_rows(backend, enc, step)
     rows = decrypt_rows(backend, out)
     for r in range(m):
         assert np.array_equal(rows[r, :n], b[:, (r + step) % period])
@@ -87,13 +88,28 @@ def test_shift_rows_rejects_bad_arguments():
     backend = sim(64)
     enc = encode_transpose_extended(backend, np.ones((3, 4)), rows=8, row_width=8)
     with pytest.raises(ValueError):
-        shift_rows(backend, enc, 4, 4)
+        shift_rows(backend, enc, 4)
     with pytest.raises(ValueError):
-        shift_rows(backend, enc, 4, -1)
-    with pytest.raises(ValueError):
-        shift_rows(backend, enc, 16, 1)
+        shift_rows(backend, enc, -1)
+    three = encode_transpose_extended(backend, np.ones((3, 3)), rows=8, row_width=8)
     with pytest.raises(ValueError, match="period must divide the 8 rows, got 3"):
-        shift_rows(backend, enc, 3, 1)
+        shift_rows(backend, three, 1)
+    rows = encode_row_major(backend, np.ones((8, 3)), 8)
+    with pytest.raises(ValueError, match="period must divide the 8 rows, got None"):
+        shift_rows(backend, rows, 1)
+
+
+def test_shift_rows_reads_the_period_of_the_encoding():
+    # The encoding cycles its 4 columns, so a step past them is refused
+    # rather than read against some other period.
+    backend = sim(64)
+    b = np.arange(12.0).reshape(3, 4)
+    enc = encode_transpose_extended(backend, b, rows=8, row_width=8)
+    with pytest.raises(ValueError, match=re.escape("step must be in 0..3, got 5")):
+        shift_rows(backend, enc, 5)
+    rows = decrypt_rows(backend, shift_rows(backend, enc, 1))
+    for r in range(8):
+        assert np.array_equal(rows[r, :3], b[:, (r + 1) % 4])
 
 
 # -------------------------------------------------------------- row sums

@@ -17,6 +17,7 @@ from hepack import (
     encode_transpose_extended,
     decode_diagonal,
     decrypt_rows,
+    diagonal_layout,
     he_matmul_partitioned,
     multiply_matrices,
     split_weight_groups,
@@ -205,7 +206,7 @@ def test_tiled_groups_cost_contract():
     assert out.ct.budget_bits == 1200 - (45 + 20)
     got = decode_diagonal(backend.decrypt(out.ct), 8, 8, 3)
     assert np.max(np.abs(got - a @ b)) < 1e-9
-    assert out.layout.period == 3
+    assert out.layout == diagonal_layout(8, 8, 3)
 
 
 class _RotLog(SlotSimulator):

@@ -19,6 +19,7 @@ from hepack import (
     STOCK_ACT1,
     STOCK_ACT2,
     apply_activation,
+    conv_layer,
     decrypt_rows,
     encode_row_major,
     eval_poly,
@@ -31,6 +32,8 @@ from hepack import (
     reduced_geometry,
     reference_infer,
     row_major_layout,
+    span_kernel,
+    spread_to_grid,
     stock_geometry,
 )
 from hepack.bench import (check_depth_budget, cost_mismatch, predict_layer_costs,
@@ -138,14 +141,16 @@ def test_fc_layer_row_major_input():
 
 
 def test_fc_layer_grid_input_uses_valid_region():
+    # The spread spec reads the 3x4 valid region of each 4x5 grid and
+    # puts zero weights on the cells outside it, whatever they hold.
     rng = np.random.default_rng(2)
-    backend = sim(4 * 16)
-    images = rng.normal(size=(4, 3, 4))
+    backend = sim(4 * 32)
+    images = rng.normal(size=(4, 4, 5))
     spec = FcSpec(rng.normal(size=(4, 12)), rng.normal(size=4))
-    packed = pack_image_batch(backend, images, 16)
-    out = fc_layer(backend, [packed], spec, valid_hw=(3, 4))
+    packed = pack_image_batch(backend, images, 32)
+    out = fc_layer(backend, [packed], spread_to_grid(spec, 4, 5, 3, 4))
     rows = decrypt_rows(backend, out)
-    ref = images.reshape(4, -1) @ spec.weight.T + spec.bias
+    ref = images[:, :3, :4].reshape(4, -1) @ spec.weight.T + spec.bias
     assert np.max(np.abs(rows[:, :4] - ref)) < 1e-9
 
 
@@ -154,12 +159,38 @@ def test_fc_layer_multi_channel_grid_input():
     rng = np.random.default_rng(3)
     backend = sim(4 * 16)
     chan = rng.normal(size=(2, 4, 3, 4))
-    spec = FcSpec(rng.normal(size=(4, 24)), rng.normal(size=4))
+    spec = FcSpec(rng.normal(size=(4, 12)), rng.normal(size=4))
     parts = [pack_image_batch(backend, chan[c], 16) for c in range(2)]
-    out = fc_layer(backend, parts, spec, valid_hw=(3, 4))
-    feats = np.concatenate([chan[0].reshape(4, -1), chan[1].reshape(4, -1)], axis=1)
+    out = fc_layer(backend, parts, spread_to_grid(spec, 3, 4, 2, 3))
+    feats = np.concatenate([chan[c][:, :2, :3].reshape(4, -1) for c in range(2)],
+                           axis=1)
     ref = feats @ spec.weight.T + spec.bias
     assert np.max(np.abs(decrypt_rows(backend, out)[:, :4] - ref)) < 1e-9
+
+
+def test_spread_fc_over_conv_outputs_matches_the_channel_major_flatten():
+    # The handoff infer makes: conv channel grids into an fc spread over
+    # them equals reference_infer's flatten of the valid regions.
+    rng = np.random.default_rng(7)
+    net = random_network(rng, **reduced_geometry())
+    conv, fc = net.layers[0], net.layers[2]
+    images = rng.normal(size=(8, 8, 8))
+    backend = sim(8 * 128)
+    packed = pack_image_batch(backend, images, 128)
+    plans = [span_kernel(conv.kernels[c], conv.biases[c], 8, 8, 8, 128)
+             for c in range(conv.channels)]
+    parts = conv_layer(backend, packed, plans)
+    out = fc_layer(backend, parts, spread_to_grid(fc, 8, 8, 6, 6))
+    ref = reference_infer(NetworkSpec(8, 8, (conv, fc)), images)
+    assert np.max(np.abs(decrypt_rows(backend, out)[:, :fc.out_dim] - ref)) < 1e-9
+
+
+@pytest.mark.parametrize("in_dim,oh,ow", [(13, 3, 4), (12, 4, 4), (12, 0, 4)])
+def test_spread_to_grid_needs_whole_regions_inside_the_grid(in_dim, oh, ow):
+    with pytest.raises(ValueError, match=re.escape(
+            f"fc layer with {in_dim} inputs does not read whole {oh}x{ow} "
+            f"regions of a 3x4 grid")):
+        spread_to_grid(FcSpec(np.ones((2, in_dim)), np.zeros(2)), 3, 4, oh, ow)
 
 
 def test_fc_layer_splits_columns_when_wider_than_batch():
@@ -234,7 +265,7 @@ def test_fc_layer_property(case):
     m, f, p, p2, (oh, ow), shapes, seed = case
     rng = np.random.default_rng(seed)
     backend = sim(m * f)
-    parts, feats, widths = [], [], []
+    parts, feats, widths, raw, spread = [], [], [], [], []
     for shape in shapes:
         # Junk in every slot the features do not fill: pad slots and
         # invalid grid anchors, as an activation leaves them.
@@ -251,14 +282,17 @@ def test_fc_layer_property(case):
             layout = row_major_layout(m, f, shape[1])
         feats.append(x.reshape(m, -1))
         widths.append(layout.logical_width)
+        raw.append(rng.normal(size=(p, feats[-1].shape[1])))
+        spread.append(spread_to_grid(FcSpec(raw[-1], np.zeros(p)), gh, gw, oh, ow).weight
+                      if shape[0] == "grid" else raw[-1])
         parts.append(EncodedMatrix(backend.encrypt(slots.reshape(-1)), layout))
     x = np.concatenate(feats, axis=1)
-    spec = FcSpec(rng.normal(size=(p, x.shape[1])), rng.normal(size=p))
+    spec = FcSpec(np.hstack(spread), rng.normal(size=p))
 
     before = backend.ledger.snapshot()
-    out = fc_layer(backend, parts, spec, valid_hw=(oh, ow))
+    out = fc_layer(backend, parts, spec)
     counts = ledger_delta(backend, before)
-    y = x @ spec.weight.T + spec.bias
+    y = x @ np.hstack(raw).T + spec.bias
     assert np.max(np.abs(decrypt_rows(backend, out)[:, :p] - y)) < 1e-9
     assert out.layout == row_major_layout(m, f, p)
 
@@ -334,13 +368,6 @@ def test_validate_names_a_layer_of_the_wrong_shape(kernels, biases, fc_shape,
                              FcSpec(np.ones(fc_shape), np.zeros(fc_bias))))
     with pytest.raises(ValueError, match=re.escape(cause)):
         net.validate()
-
-
-def test_fc_layer_needs_valid_hw_for_a_grid_part():
-    backend = sim(4 * 16)
-    packed = pack_image_batch(backend, np.ones((4, 3, 3)), 16)
-    with pytest.raises(ValueError, match="grid input parts need valid_hw"):
-        fc_layer(backend, [packed], FcSpec(np.ones((2, 9)), np.zeros(2)))
 
 
 def test_cost_mismatch_names_layer_lists_that_differ():
