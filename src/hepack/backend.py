@@ -124,7 +124,7 @@ class SimdBackend(ABC):
     def decrypt(self, ct: CipherVec) -> np.ndarray: ...
 
     @abstractmethod
-    def add(self, a: CipherVec, b: CipherVec) -> CipherVec: ...
+    def add(self, a: CipherVec, b) -> CipherVec: ...
 
     @abstractmethod
     def mul(self, a: CipherVec, b: CipherVec) -> CipherVec: ...
@@ -154,7 +154,11 @@ class SlotSimulator(SimdBackend):
         self.params = params or BackendParams()
         self.ledger = ModulusLedger(self.params.delta_bits, self.params.delta_c_bits)
 
-    def _pad(self, values, what: str) -> np.ndarray:
+    def _plaintext(self, values, what: str):
+        """The one plaintext intake: a finite scalar stays a float, a vector is zero-padded."""
+        if np.ndim(values) == 0:
+            require_finite(values, what)
+            return float(values)
         arr = np.asarray(values, dtype=np.float64).reshape(-1)
         n = self.params.slots
         if arr.shape[0] > n:
@@ -168,14 +172,20 @@ class SlotSimulator(SimdBackend):
 
     def encrypt(self, message) -> CipherVec:
         """Fresh ciphertext at full budget of a finite message, zero-padded."""
-        return CipherVec(self._pad(message, "message"), self.params.log_q)
+        return CipherVec(self._plaintext(np.reshape(message, -1), "message"),
+                         self.params.log_q)
 
     def decrypt(self, ct: CipherVec) -> np.ndarray:
         return ct.slots.copy()
 
-    def add(self, a: CipherVec, b: CipherVec) -> CipherVec:
+    def add(self, a: CipherVec, b) -> CipherVec:
+        """Sum with a ciphertext, or with a plaintext that spends no budget."""
+        if isinstance(b, CipherVec):
+            b_slots, budget = b.slots, min(a.budget_bits, b.budget_bits)
+        else:
+            b_slots, budget = self._plaintext(b, "plaintext"), a.budget_bits
         self.ledger.bump("add")
-        return CipherVec(a.slots + b.slots, min(a.budget_bits, b.budget_bits))
+        return CipherVec(a.slots + b_slots, budget)
 
     def mul(self, a: CipherVec, b: CipherVec) -> CipherVec:
         lvl = min(a.budget_bits, b.budget_bits)
@@ -187,16 +197,12 @@ class SlotSimulator(SimdBackend):
         return CipherVec(a.slots * b.slots, lvl - self.params.delta_bits)
 
     def cmul(self, a: CipherVec, mask) -> CipherVec:
-        """Product with a finite plaintext mask (vector, zero-padded, or scalar)."""
+        """Product with a plaintext mask, vector or scalar."""
         if a.budget_bits < self.params.delta_c_bits:
             raise DepthExhaustedError(
                 f"cmul needs {self.params.delta_c_bits} bits, only {a.budget_bits} left"
             )
-        if np.ndim(mask) == 0:
-            m = float(mask)
-            require_finite(m, "mask")
-        else:
-            m = self._pad(mask, "mask")
+        m = self._plaintext(mask, "mask")
         self.ledger.bump("cmul")
         return CipherVec(a.slots * m, a.budget_bits - self.params.delta_c_bits)
 

@@ -118,8 +118,7 @@ def conv_layer(backend: SimdBackend, image: EncodedMatrix, plans,
         else:
             valid = reduce_add(backend, (backend.cmul(tap, wt * mask)
                                          for tap, wt in zip(taps, weights)))
-        return EncodedMatrix(
-            backend.add(valid, backend.encrypt(plan.bias * mask)), lay)
+        return EncodedMatrix(backend.add(valid, plan.bias * mask), lay)
 
     return [per_kernel(plan) for plan in plans]
 

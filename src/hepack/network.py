@@ -129,17 +129,15 @@ class NetworkSpec:
 def eval_poly(backend: SimdBackend, ct, coeffs):
     """c0 + c1*x + x^2*(c2 + c3*x) slot-wise, always at depth 2*delta.
 
-    x^2 (one mul) and c3*x + c2 (one plaintext product plus an encrypted
-    constant) are made side by side, then multiplied; c1*x is one more
-    plaintext product and c0 comes in through a fresh encryption. The
+    x^2 (one mul) and c3*x + c2 (one scalar product plus a scalar add) are
+    made side by side, then multiplied; c1*x + c0 is one more of each. The
     cubic is evaluated even when coefficients are zero so the budget cost
     is the same for every activation: 2 mul, 2 cmul, 3 add.
     """
     c0, c1, c2, c3 = (float(c) for c in coeffs)
-    n = backend.params.slots
     x2 = backend.mul(ct, ct)
-    inner = backend.add(backend.cmul(ct, c3), backend.encrypt(np.full(n, c2)))
-    low = backend.add(backend.encrypt(np.full(n, c0)), backend.cmul(ct, c1))
+    inner = backend.add(backend.cmul(ct, c3), c2)
+    low = backend.add(backend.cmul(ct, c1), c0)
     return backend.add(low, backend.mul(x2, inner))
 
 
@@ -245,8 +243,7 @@ def fc_layer(backend: SimdBackend, parts, spec: FcSpec) -> EncodedMatrix:
     acc = reduce_add(backend, map(giant_step, range(-(-p // baby))))
     for s in range(fold):
         acc = backend.add(acc, backend.rot(acc, p << s))
-    bias = encode_row_major(backend, np.tile(spec.bias, (m, 1)), f)
-    acc = backend.add(acc, bias.ct)
+    acc = backend.add(acc, np.tile(np.pad(spec.bias, (0, f - p)), m))
     return EncodedMatrix(acc, row_major_layout(m, f, p))
 
 
