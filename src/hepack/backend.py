@@ -4,8 +4,10 @@ Every value is a vector of `slots` float64 numbers. Arithmetic is exact
 (no encryption noise); what is modeled is the leveled-scheme bookkeeping:
 each ciphertext carries a remaining modulus budget in bits, a
 ciphertext-ciphertext product burns `delta_bits`, a plaintext-mask product
-burns `delta_c_bits`, and rotations and additions are free. A shared
-ledger counts every operation so schedules can be audited.
+burns `delta_c_bits`, and rotations and additions are free. `cmul` and
+`add` take plaintexts (a scalar, or a vector zero-padded to the slots), so
+server constants are never encrypted. A shared ledger counts every
+operation so schedules can be audited.
 
 The simulator is the only backend shipped here, but everything above it
 talks to the small `SimdBackend` interface, so a real leveled scheme can
@@ -22,7 +24,7 @@ import numpy as np
 
 
 class CapacityError(ValueError):
-    """Raised when a message or mask does not fit the slot count."""
+    """Raised when a message or plaintext does not fit the slot count."""
 
 
 class DepthExhaustedError(RuntimeError):
@@ -171,9 +173,13 @@ class SlotSimulator(SimdBackend):
         return arr
 
     def encrypt(self, message) -> CipherVec:
-        """Fresh ciphertext at full budget of a finite message, zero-padded."""
-        return CipherVec(self._plaintext(np.reshape(message, -1), "message"),
-                         self.params.log_q)
+        """Fresh ciphertext at full budget of a finite message, zero-padded.
+
+        The slots are the ciphertext's own copy: a later edit to `message`
+        does not reach it. A full message is copied once, C-ordered.
+        """
+        own = np.array(message, dtype=np.float64, order="C").reshape(-1)
+        return CipherVec(self._plaintext(own, "message"), self.params.log_q)
 
     def decrypt(self, ct: CipherVec) -> np.ndarray:
         return ct.slots.copy()

@@ -9,7 +9,7 @@ crossed the grid edge, and the pad slots. A plaintext kernel folds it into
 its taps: each tap is cmul'd by w_uv * mask, so a kernel costs k*k cmul at
 depth delta_c. An encrypted kernel muls each tap by an encrypted w_uv and
 masks once after the sum, at depth delta + delta_c. Either way a plan's
-scalar bias comes in with one add of an encrypted bias * mask vector.
+scalar bias comes in with one plaintext add of the bias * mask vector.
 
 `KernelPlan.spans` still shows the paper's k*k tiled span plaintexts;
 nothing on the data path reads them.
@@ -112,7 +112,7 @@ def conv_layer(backend: SimdBackend, image: EncodedMatrix, plans,
     def per_kernel(plan):
         weights = plan.kernel.reshape(-1)
         if encrypted_kernels:
-            prods = (backend.mul(tap, backend.encrypt(np.full(slots, wt)))
+            prods = (backend.mul(tap, backend.encrypt(np.broadcast_to(wt, slots)))
                      for tap, wt in zip(taps, weights))
             valid = backend.cmul(reduce_add(backend, prods), mask)
         else:

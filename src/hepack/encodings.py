@@ -87,7 +87,8 @@ def encode_row_major(backend: SimdBackend, matrix, row_width: int) -> EncodedMat
     """Encrypt an m x n matrix, one matrix row per ciphertext row.
 
     Columns n..row_width-1 of every row are zero pad. m * row_width must
-    equal the backend slot count.
+    equal the backend slot count. A matrix that fills its rows (a broadcast
+    view too) goes to encrypt as it is, so encrypt's copy is the only buffer.
     """
     m_arr = np.asarray(matrix, dtype=np.float64)
     if m_arr.ndim != 2:
@@ -99,10 +100,11 @@ def encode_row_major(backend: SimdBackend, matrix, row_width: int) -> EncodedMat
         raise ValueError(
             f"{rows} rows x {row_width} must fill the {backend.params.slots} slots exactly"
         )
-    buf = np.zeros((rows, row_width))
-    buf[:, :n] = m_arr
-    return EncodedMatrix(backend.encrypt(buf.reshape(-1)),
-                         row_major_layout(rows, row_width, n))
+    if n < row_width:
+        buf = np.zeros((rows, row_width))
+        buf[:, :n] = m_arr
+        m_arr = buf
+    return EncodedMatrix(backend.encrypt(m_arr), row_major_layout(rows, row_width, n))
 
 
 def encode_transpose_extended(backend: SimdBackend, matrix, rows: int,
@@ -178,11 +180,11 @@ def encode_diagonal_pattern(matrix, rows: int, row_width: int, p: int) -> np.nda
     diagonal-layout inputs that compaction is tested on.
     """
     if not 1 <= p <= row_width:
-        raise ValueError(f"period p must be in 1..{row_width}, got {p}")
+        raise ValueError(f"output width p must be in 1..{row_width}, got {p}")
     c = np.asarray(matrix, dtype=np.float64)
     m, width = c.shape
     if width != p:
-        raise ValueError(f"matrix width {width} != period {p}")
+        raise ValueError(f"matrix width {width} != output width {p}")
     if m > rows:
         raise ValueError(f"matrix has {m} rows but layout only {rows}")
     buf = np.zeros((rows, row_width))
@@ -194,7 +196,7 @@ def encode_diagonal_pattern(matrix, rows: int, row_width: int, p: int) -> np.nda
 def decode_diagonal(slot_values, m: int, row_width: int, p: int) -> np.ndarray:
     """Read an m x p matrix out of a diagonal-layout slot vector, tiled by its rows."""
     if not 1 <= p <= row_width:
-        raise ValueError(f"period p must be in 1..{row_width}, got {p}")
+        raise ValueError(f"output width p must be in 1..{row_width}, got {p}")
     vals = np.asarray(slot_values, dtype=np.float64)
     if vals.size % row_width:
         raise ValueError(f"{vals.size} slot values are not whole rows of {row_width}")

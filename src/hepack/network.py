@@ -212,8 +212,8 @@ def fc_layer(backend: SimdBackend, parts, spec: FcSpec) -> EncodedMatrix:
     diagonal is encrypted, as m equal rows, just before its mul, so only one
     is alive per giant step; its products, and the giant steps, stream into
     reduce_add. Folding with strides p*2^s adds the bands into columns 0..p-1,
-    where the bias is added. Slots past p keep partial band sums, which the
-    next fc layer's zero weights ignore.
+    where the bias is added as a row-tiled plaintext. Slots past p keep
+    partial band sums, which the next fc layer's zero weights ignore.
     """
     parts = list(parts)
     if not parts:

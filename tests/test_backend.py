@@ -50,9 +50,29 @@ def test_encrypt_decrypt_round_trip_pads_with_zeros():
 
 
 def test_encrypt_rejects_overfull_vector():
+    # cmul and add share encrypt's plaintext intake, and check before counting.
     backend = sim(8)
     with pytest.raises(CapacityError):
         backend.encrypt(np.ones(9))
+    ct = backend.encrypt(np.ones(8))
+    for op, what in ((backend.cmul, "mask"), (backend.add, "plaintext")):
+        with pytest.raises(CapacityError, match=f"{what} has 9 values but backend has 8"):
+            op(ct, np.ones(9))
+    assert backend.ledger.counts == dict.fromkeys(OP_KINDS, 0)
+
+
+def test_encrypt_copies_its_message():
+    # A ciphertext owns its slots: a later edit to the caller's array must
+    # not reach it, and a broadcast view becomes one C-ordered copy.
+    backend = sim(8)
+    a = np.arange(8.0)
+    ct = backend.encrypt(a)
+    a[0] = 99.0
+    assert backend.decrypt(ct)[0] == 0.0
+    view = np.broadcast_to(np.arange(4.0), (2, 4))
+    ct = backend.encrypt(view)
+    assert ct.slots.flags.c_contiguous and not np.shares_memory(ct.slots, view)
+    assert np.array_equal(backend.decrypt(ct), [0, 1, 2, 3, 0, 1, 2, 3])
 
 
 def test_encrypt_rejects_non_finite_values():
@@ -65,18 +85,21 @@ def test_encrypt_rejects_non_finite_values():
                           [1e308, -1e308, 0, 0, 0, 0, 0, 0])
 
 
-@pytest.mark.parametrize("mask,cause", [
-    (np.nan, "mask has 1 non-finite values (NaN or inf)"),
-    (np.array(-np.inf), "mask has 1 non-finite values (NaN or inf)"),
-    ([1.0, np.nan, np.inf], "mask has 2 non-finite values (NaN or inf)"),
+@pytest.mark.parametrize("mask,bad", [
+    (np.nan, 1),
+    (np.array(-np.inf), 1),
+    ([1.0, np.nan, np.inf], 2),
 ], ids=["scalar-nan", "0-d-inf", "vector"])
-def test_cmul_rejects_non_finite_masks(mask, cause):
-    # The same rule as encrypt's; the depth check still comes first.
+def test_cmul_rejects_non_finite_masks(mask, bad):
+    # The same rule as encrypt's, for cmul's mask and add's plaintext alike;
+    # cmul's depth check still comes first.
     backend = sim(8)
     ct = backend.encrypt(np.ones(8))
     before = backend.ledger.snapshot()
-    with pytest.raises(ValueError, match=re.escape(cause)):
-        backend.cmul(ct, mask)
+    for op, what in ((backend.cmul, "mask"), (backend.add, "plaintext")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{what} has {bad} non-finite values (NaN or inf)")):
+            op(ct, mask)
     assert backend.ledger.snapshot() == before
     with pytest.raises(DepthExhaustedError):
         backend.cmul(CipherVec(ct.slots, 0), mask)
@@ -143,6 +166,11 @@ def test_cmul_scalar_and_vector_masks():
     assert doubled.budget_bits == 1200 - 20
     masked = backend.cmul(ct, np.array([1.0, 0.0, 1.0, 0.0]))
     assert np.array_equal(backend.decrypt(masked), [1, 0, 3, 0, 0, 0, 0, 0])
+    # add takes the same plaintexts: a scalar reaches every slot.
+    raised = backend.add(ct, 2.0)
+    assert np.array_equal(backend.decrypt(raised), [3, 4, 5, 6, 2, 2, 2, 2])
+    shifted = backend.add(ct, np.array([1.0, 0.0, 1.0, 0.0]))
+    assert np.array_equal(backend.decrypt(shifted), [2, 2, 4, 4, 0, 0, 0, 0])
 
 
 def test_cmul_by_a_0d_array_scales_every_slot():
@@ -151,6 +179,8 @@ def test_cmul_by_a_0d_array_scales_every_slot():
     ct = backend.encrypt(np.arange(1.0, 9.0))
     doubled = backend.cmul(ct, np.array(2.0))
     assert np.array_equal(backend.decrypt(doubled), 2 * np.arange(1.0, 9.0))
+    raised = backend.add(ct, np.array(2.0))
+    assert np.array_equal(backend.decrypt(raised), np.arange(3.0, 11.0))
 
 
 def test_cmul_short_mask_pads_with_zeros():
@@ -158,6 +188,24 @@ def test_cmul_short_mask_pads_with_zeros():
     ct = backend.encrypt(np.ones(8))
     masked = backend.cmul(ct, np.array([1.0, 1.0]))
     assert np.array_equal(backend.decrypt(masked), [1, 1, 0, 0, 0, 0, 0, 0])
+    shifted = backend.add(ct, np.array([1.0, 1.0]))
+    assert np.array_equal(backend.decrypt(shifted), [2, 2, 1, 1, 1, 1, 1, 1])
+
+
+def test_plaintext_add_spends_no_budget_and_counts_only_when_it_succeeds():
+    backend = sim(8)
+    ct = backend.cmul(backend.encrypt(np.ones(8)), 3.0)
+    out = backend.add(ct, np.arange(8.0))
+    assert out.budget_bits == ct.budget_bits == 1200 - 20
+    assert backend.ledger.snapshot() == {"mul": 0, "cmul": 1, "rot": 0, "add": 1,
+                                         "consumed_bits": 20}
+    # Even an exhausted ciphertext takes a plaintext add.
+    assert backend.add(CipherVec(ct.slots, 0), 1.0).budget_bits == 0
+    before = backend.ledger.snapshot()
+    for bad in (np.ones(9), [np.inf], "x"):
+        with pytest.raises(ValueError, match="^plaintext "):
+            backend.add(ct, bad)
+    assert backend.ledger.snapshot() == before
 
 
 def test_rot_moves_higher_slots_down():

@@ -213,14 +213,21 @@ def test_diagonal_pattern_round_trip():
 @pytest.mark.parametrize("p", [0, 6])
 def test_decode_diagonal_rejects_a_period_outside_the_row(p):
     # At f=4, p=6 columns 4 and 5 would lie past the row.
-    with pytest.raises(ValueError, match=re.escape(f"period p must be in 1..4, got {p}")):
+    with pytest.raises(ValueError, match=re.escape(
+            f"output width p must be in 1..4, got {p}")):
         decode_diagonal(np.arange(16.0), 4, 4, p)
 
 
 @pytest.mark.parametrize("p", [0, 6])
 def test_encode_diagonal_pattern_rejects_a_period_outside_the_row(p):
-    with pytest.raises(ValueError, match=re.escape(f"period p must be in 1..4, got {p}")):
+    with pytest.raises(ValueError, match=re.escape(
+            f"output width p must be in 1..4, got {p}")):
         encode_diagonal_pattern(np.ones((2, p)), 2, 4, p)
+
+
+def test_encode_diagonal_pattern_rejects_a_matrix_of_another_width():
+    with pytest.raises(ValueError, match=re.escape("matrix width 3 != output width 4")):
+        encode_diagonal_pattern(np.ones((2, 3)), 2, 8, 4)
 
 
 def test_decode_diagonal_rejects_a_partial_row():

@@ -543,6 +543,28 @@ def test_back_to_back_calls_on_one_backend_report_their_own_costs():
     assert {k: ledger[k] for k in totals} == {k: 2 * v for k, v in totals.items()}
 
 
+@pytest.mark.parametrize("geometry,encrypted,count", [
+    (reduced_geometry, False, 20), (reduced_geometry, True, 38),
+    (stock_geometry, False, 266), (stock_geometry, True, 302),
+], ids=["reduced", "reduced-encrypted", "stock", "stock-encrypted"])
+def test_infer_encrypts_only_weights(geometry, encrypted, count, monkeypatch):
+    # Activation constants and biases are plaintext adds. After packing, infer
+    # encrypts G*p diagonals per fc layer and, with encrypted kernels, C*k^2
+    # conv weights: nothing else.
+    geo = geometry()
+    net = random_network(np.random.default_rng(0), **geo)
+    m, f = geo["batch"], geo["row_width"]
+    backend = sim(m * f)
+    images = np.random.default_rng(1).uniform(size=(m, geo["h"], geo["w"]))
+    packed = pack_image_batch(backend, images, f)
+    encrypt, calls = backend.encrypt, []
+    monkeypatch.setattr(backend, "encrypt", lambda msg: calls.append(1) or encrypt(msg))
+    infer(backend, net, packed, encrypted_kernels=encrypted)
+    conv, _, fc1, _, fc2 = net.layers
+    weights = conv.channels * fc1.out_dim + fc2.out_dim
+    assert len(calls) == count == weights + encrypted * conv.channels * conv.k ** 2
+
+
 def test_infer_rejects_mismatched_batch():
     net, geo = reduced_net(seed=19)
     backend = sim(geo["batch"] * geo["row_width"])
