@@ -139,7 +139,9 @@ class SimdBackend(ABC):
 
 
 def require_finite(values, what: str):
-    """The one NaN/inf rule: no leveled scheme can encode them. `what` names the operand."""
+    """The one numeric rule: only real finite values encode. `what` names the operand."""
+    if np.iscomplexobj(values):
+        raise ValueError(f"{what} must be real, got complex values")
     try:
         finite = np.isfinite(values)
     except TypeError:
@@ -161,24 +163,25 @@ class SlotSimulator(SimdBackend):
         if np.ndim(values) == 0:
             require_finite(values, what)
             return float(values)
-        arr = np.asarray(values, dtype=np.float64).reshape(-1)
+        arr = np.asarray(values).reshape(-1)
         n = self.params.slots
         if arr.shape[0] > n:
             raise CapacityError(
                 f"{what} has {arr.shape[0]} values but backend has {n} slots"
             )
         require_finite(arr, what)
+        arr = arr.astype(np.float64, copy=False)
         if arr.shape[0] < n:
             arr = np.concatenate([arr, np.zeros(n - arr.shape[0])])
         return arr
 
     def encrypt(self, message) -> CipherVec:
-        """Fresh ciphertext at full budget of a finite message, zero-padded.
+        """Fresh ciphertext at full budget of a real finite message, zero-padded.
 
         The slots are the ciphertext's own copy: a later edit to `message`
-        does not reach it. A full message is copied once, C-ordered.
+        does not reach it. A full float64 message is copied once, C-ordered.
         """
-        own = np.array(message, dtype=np.float64, order="C").reshape(-1)
+        own = np.array(message, order="C").reshape(-1)
         return CipherVec(self._plaintext(own, "message"), self.params.log_q)
 
     def decrypt(self, ct: CipherVec) -> np.ndarray:
@@ -194,6 +197,8 @@ class SlotSimulator(SimdBackend):
         return CipherVec(a.slots + b_slots, budget)
 
     def mul(self, a: CipherVec, b: CipherVec) -> CipherVec:
+        if not (isinstance(a, CipherVec) and isinstance(b, CipherVec)):
+            raise TypeError("mul takes two ciphertexts; multiply by a plaintext with cmul")
         lvl = min(a.budget_bits, b.budget_bits)
         if lvl < self.params.delta_bits:
             raise DepthExhaustedError(

@@ -10,7 +10,7 @@ act (per part)       2 mul, 2 cmul, 3 add (Horner cubic)
 fc                   G input parts of n slots per row, output width p,
                      baby-step size B and L fold steps from
                      network.fc_schedule: G*p mul (one per diagonal),
-                     rot G*(B-1) baby + ceil(p/B)-1 giant + L fold,
+                     rot G*(B-1) baby + ceil(p/B)-1 giant by -B + L fold,
                      add G*p - 1 products and giant steps + L fold + 1 bias
 
 Depth assumes weight ciphertexts are fresher than the data path (true

@@ -133,9 +133,9 @@ def pack_image_batch(backend: SimdBackend, images, row_width: int) -> EncodedMat
     """Encrypt a batch of m images of shape h x w, one image per row.
 
     Pixel values are taken as given (normalize before packing) and must
-    be finite. Slots past h*w in each row are zero pad.
+    be real and finite. Slots past h*w in each row are zero pad.
     """
-    imgs = np.asarray(images, dtype=np.float64)
+    imgs = np.asarray(images)
     if imgs.ndim != 3:
         raise ValueError("images must have shape (m, h, w)")
     require_finite(imgs, "images")

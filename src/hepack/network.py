@@ -6,9 +6,10 @@ the first fully-connected layer consumes those channel ciphertexts
 directly, its weights spread over every grid cell by spread_to_grid (zero
 at invalid anchors, which also swallows the constant term the cubic
 activation smears over every slot). Each fc layer multiplies its row-packed
-inputs by row-local diagonals of the weight matrix, with baby-step
-giant-step rotations, and leaves its output row-major in columns 0..p-1;
-the logits are read straight from the last one.
+inputs by row-local diagonals of the weight matrix and leaves its output
+row-major in columns 0..p-1; the logits are read from the last one. Each
+rotation is hoistable from one input (conv taps, fc baby steps), chained
+through one key (fc giant steps, product columns) or a doubling fold.
 
 Activation is a fixed cubic in Horner form, c0 + c1*x + x^2*(c2 + c3*x):
 x*x and c3*x + c2 are made side by side and multiplied once more, so a
@@ -187,7 +188,7 @@ def _diagonal_rows(block: np.ndarray, f: int, baby: int) -> np.ndarray:
 
     Diagonal d puts block[c - d, c % p] at slot c (zero unless
     0 <= c - d < n); row d holds it pre-rotated left by baby*a, as the
-    giant step that rotates it back right expects.
+    giant-step chain that rotates it back right expects.
     """
     n, p = block.shape
     d = np.arange(p)[:, None]
@@ -207,13 +208,12 @@ def fc_layer(backend: SimdBackend, parts, spec: FcSpec) -> EncodedMatrix:
     A right rotation by d pulls the previous row's tail only into slots c < d,
     and input slots past n_g meet zero weights, so no mask is needed and input
     pad slots may hold anything. With d = b + B*a each part is rotated right
-    by b < B once (baby steps); each giant step a sums its products against
-    diagonals pre-rotated left by B*a and is rotated right by B*a. Each
-    diagonal is encrypted, as m equal rows, just before its mul, so only one
-    is alive per giant step; its products, and the giant steps, stream into
-    reduce_add. Folding with strides p*2^s adds the bands into columns 0..p-1,
-    where the bias is added as a row-tiled plaintext. Slots past p keep
-    partial band sums, which the next fc layer's zero weights ignore.
+    by b < B once (baby steps, hoistable). Giant step a sums its products by
+    diagonals pre-rotated left by B*a into S_a, encrypted as m equal rows just
+    before each mul; acc = rot(acc, -B) + S_a from the last a down chains the
+    giant steps through one key. L doubling folds of stride p*2^s add the
+    bands into columns 0..p-1, then the row-tiled plaintext bias; slots past
+    p keep partial band sums, which the next fc layer's zero weights ignore.
     """
     parts = list(parts)
     if not parts:
@@ -232,15 +232,14 @@ def fc_layer(backend: SimdBackend, parts, spec: FcSpec) -> EncodedMatrix:
     spun = [[backend.rot(part.ct, -b) if b else part.ct for b in range(baby)]
             for part in parts]
 
-    def giant_step(a: int):
-        acc = reduce_add(backend, (
+    acc = None
+    for a in reversed(range(-(-p // baby))):
+        x = reduce_add(backend, (
             backend.mul(steps[b], encode_row_major(
                 backend, np.broadcast_to(rows[baby * a + b], (m, f)), f).ct)
             for rows, steps in zip(diags, spun)
             for b in range(min(baby, p - baby * a))))
-        return backend.rot(acc, -baby * a) if a else acc
-
-    acc = reduce_add(backend, map(giant_step, range(-(-p // baby))))
+        acc = x if acc is None else backend.add(backend.rot(acc, -baby), x)
     for s in range(fold):
         acc = backend.add(acc, backend.rot(acc, p << s))
     acc = backend.add(acc, np.tile(np.pad(spec.bias, (0, f - p)), m))
@@ -401,8 +400,15 @@ def random_network(rng: np.random.Generator, h: int = 28, w: int = 28,
 
     The weights do not depend on `batch` or `row_width`; they are accepted
     so a whole geometry dict (stock_geometry(), reduced_geometry()) can be
-    passed as keywords.
+    passed as keywords. An impossible geometry is refused before any draw.
     """
+    for name, size in dict(k=k, channels=channels, hidden=hidden,
+                           classes=classes).items():
+        if size < 1:
+            raise ValueError(f"random_network needs {name} >= 1, got {size}")
+    if k > min(h, w):
+        raise ValueError(f"kernel size k={k} does not fit a {h}x{w} image")
+
     def uni(shape, fan_in):
         s = 1.0 / np.sqrt(fan_in)
         return rng.uniform(-s, s, size=shape)

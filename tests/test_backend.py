@@ -83,22 +83,27 @@ def test_encrypt_rejects_non_finite_values():
         backend.encrypt(np.full(8, -np.inf)[:1])
     assert np.array_equal(backend.decrypt(backend.encrypt([1e308, -1e308])),
                           [1e308, -1e308, 0, 0, 0, 0, 0, 0])
+    # Complex values are refused before the cast could drop their imaginary part.
+    for message in (np.array([1 + 2j, 3j]), 2j):
+        with pytest.raises(ValueError, match="message must be real, got complex values"):
+            backend.encrypt(message)
 
 
-@pytest.mark.parametrize("mask,bad", [
-    (np.nan, 1),
-    (np.array(-np.inf), 1),
-    ([1.0, np.nan, np.inf], 2),
-], ids=["scalar-nan", "0-d-inf", "vector"])
-def test_cmul_rejects_non_finite_masks(mask, bad):
+@pytest.mark.parametrize("mask,cause", [
+    (np.nan, "has 1 non-finite values (NaN or inf)"),
+    (np.array(-np.inf), "has 1 non-finite values (NaN or inf)"),
+    ([1.0, np.nan, np.inf], "has 2 non-finite values (NaN or inf)"),
+    (1 + 2j, "must be real, got complex values"),
+    (np.array([1.0, 2j]), "must be real, got complex values"),
+], ids=["scalar-nan", "0-d-inf", "vector", "complex-scalar", "complex-vector"])
+def test_cmul_rejects_non_finite_masks(mask, cause):
     # The same rule as encrypt's, for cmul's mask and add's plaintext alike;
     # cmul's depth check still comes first.
     backend = sim(8)
     ct = backend.encrypt(np.ones(8))
     before = backend.ledger.snapshot()
     for op, what in ((backend.cmul, "mask"), (backend.add, "plaintext")):
-        with pytest.raises(ValueError, match=re.escape(
-                f"{what} has {bad} non-finite values (NaN or inf)")):
+        with pytest.raises(ValueError, match=re.escape(f"{what} {cause}")):
             op(ct, mask)
     assert backend.ledger.snapshot() == before
     with pytest.raises(DepthExhaustedError):
@@ -156,6 +161,16 @@ def test_mul_consumes_prime_budget():
     c = backend.mul(a, b)
     assert np.array_equal(backend.decrypt(c)[:2], [8, 15])
     assert c.budget_bits == 1200 - 45
+
+
+def test_mul_refuses_a_plaintext_operand():
+    # A plaintext product is a cmul; mul says so before the ledger moves.
+    backend = sim(8)
+    ct = backend.encrypt(np.ones(8))
+    for a, b in ((ct, 2.0), (ct, np.ones(8)), (2.0, ct)):
+        with pytest.raises(TypeError, match="multiply by a plaintext with cmul"):
+            backend.mul(a, b)
+    assert backend.ledger.counts == dict.fromkeys(OP_KINDS, 0)
 
 
 def test_cmul_scalar_and_vector_masks():

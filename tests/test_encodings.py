@@ -135,6 +135,9 @@ def test_pack_image_batch_rejects_non_finite_pixels(monkeypatch):
     with pytest.raises(ValueError, match=re.escape(
             "images has 2 non-finite values (NaN or inf)")):
         pack_image_batch(backend, images, row_width=16)
+    # A complex image is refused, not cut to its real part.
+    with pytest.raises(ValueError, match="images must be real, got complex values"):
+        pack_image_batch(backend, np.zeros((4, 3, 4)) + 1j, row_width=16)
 
 
 def test_pack_image_batch_rejects_oversized_grid():

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import re
 
 import numpy as np
@@ -235,10 +236,10 @@ def test_fc_layer_parts_must_share_rows():
         fc_layer(backend, parts, FcSpec(np.ones((2, 6)), np.zeros(2)))
 
 
-def _fits(n, p, f):
-    """Whether p-wide bands over slots 0..n+p-2 fold inside a row of f."""
-    fold = next(l for l in range(f + 1) if p << l >= n + p - 1)
-    return p << fold <= f
+def _fold_width(n, p):
+    """p*2^L for the fewest folds L that bring p-wide bands over slots
+    0..n+p-2 home: the slots per row an fc layer needs."""
+    return p << next(l for l in itertools.count() if p << l >= n + p - 1)
 
 
 @st.composite
@@ -246,7 +247,7 @@ def _fc_cases(draw):
     m = draw(st.sampled_from([1, 2, 4]))
     f = draw(st.sampled_from([8, 16, 32, 64]))
     p = draw(st.integers(1, f))
-    n_max = max(n for n in range(1, f + 1) if _fits(n, p, f))
+    n_max = max(n for n in range(1, f + 1) if _fold_width(n, p) <= f)
     oh, ow = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     shapes = []
     for _ in range(draw(st.integers(1, 3))):
@@ -255,7 +256,7 @@ def _fc_cases(draw):
             shapes.append(("grid", gh, draw(st.integers(ow, n_max // gh))))
         else:
             shapes.append(("rows", draw(st.integers(1, n_max))))
-    p2 = draw(st.sampled_from([q for q in range(1, f + 1) if _fits(p, q, f)]))
+    p2 = draw(st.sampled_from([q for q in range(1, f + 1) if _fold_width(p, q) <= f]))
     return m, f, p, p2, (oh, ow), shapes, draw(st.integers(0, 2**32 - 1))
 
 
@@ -289,8 +290,10 @@ def test_fc_layer_property(case):
     x = np.concatenate(feats, axis=1)
     spec = FcSpec(np.hstack(spread), rng.normal(size=p))
 
-    before = backend.ledger.snapshot()
+    before, amounts, rot = backend.ledger.snapshot(), set(), backend.rot
+    backend.rot = lambda ct, k: amounts.add(k) or rot(ct, k)
     out = fc_layer(backend, parts, spec)
+    backend.rot = rot
     counts = ledger_delta(backend, before)
     y = x @ np.hstack(raw).T + spec.bias
     assert np.max(np.abs(decrypt_rows(backend, out)[:, :p] - y)) < 1e-9
@@ -305,6 +308,11 @@ def test_fc_layer_property(case):
         "rot": g * (baby - 1) + -(-p // baby) - 1 + fold,
         "add": g * p + fold, "consumed_bits": g * p * delta}
     assert out.ct.budget_bits == 1200 - delta
+    # One Galois key per amount: baby steps, the one giant step -B, the folds.
+    giants = -(-p // baby)
+    chain = {-baby} if giants > 1 else set()
+    assert amounts == {-b for b in range(1, baby)} | chain | {p << s for s in range(fold)}
+    assert len(amounts) == baby - 1 + (giants > 1) + fold
 
     # Slots past p hold partial band sums; the next layer must not see them.
     nxt = FcSpec(rng.normal(size=(p2, p)), rng.normal(size=p2))
@@ -409,11 +417,13 @@ def test_short_bias_fails_before_any_op(pos, cause):
     (1, "coeffs", np.inf, "act layer 1 coefficients has 1 non-finite values (NaN or inf)"),
     (2, "weight", np.nan, "fc layer 2 weights has 1 non-finite values (NaN or inf)"),
     (4, "bias", -np.inf, "fc layer 4 biases has 1 non-finite values (NaN or inf)"),
-], ids=["conv-tap", "conv-bias", "act-coeff", "fc-1-weight", "fc-2-bias"])
+    (2, "weight", 1j, "fc layer 2 weights must be real, got complex values"),
+], ids=["conv-tap", "conv-bias", "act-coeff", "fc-1-weight", "fc-2-bias",
+        "fc-1-complex-weight"])
 def test_non_finite_values_fail_before_any_op(pos, field, value, cause):
     net, geo = reduced_net()
     layers = list(net.layers)
-    poisoned = np.array(getattr(layers[pos], field), dtype=np.float64)
+    poisoned = np.array(getattr(layers[pos], field), dtype=np.result_type(float, value))
     poisoned.flat[0] = value
     layers[pos] = dataclasses.replace(layers[pos], **{field: poisoned})
     bad = NetworkSpec(net.input_h, net.input_w, tuple(layers))
@@ -433,6 +443,25 @@ def test_random_network_rejects_misspelt_geometry_keys():
     rng = np.random.default_rng(0)
     with pytest.raises(TypeError):
         random_network(rng, chanels=8, hiden=16)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("geo,cause", [
+    (dict(h=2, w=2, k=3), "kernel size k=3 does not fit a 2x2 image"),
+    (dict(h=8, w=2, k=3), "kernel size k=3 does not fit a 8x2 image"),
+    (dict(k=0), "random_network needs k >= 1, got 0"),
+    (dict(channels=0), "random_network needs channels >= 1, got 0"),
+    (dict(hidden=0), "random_network needs hidden >= 1, got 0"),
+    (dict(classes=0), "random_network needs classes >= 1, got 0"),
+], ids=["kernel-over-image", "kernel-over-width", "k", "channels", "hidden",
+        "classes"])
+def test_random_network_refuses_an_impossible_geometry(geo, cause):
+    # Named before anything is drawn, with no numpy warning on the way.
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=re.escape(cause)):
+        random_network(rng, **reduced_geometry() | geo)
+    assert rng.bit_generator.state == state
 
 
 def test_reference_infer_against_scipy():
@@ -563,6 +592,82 @@ def test_infer_encrypts_only_weights(geometry, encrypted, count, monkeypatch):
     conv, _, fc1, _, fc2 = net.layers
     weights = conv.channels * fc1.out_dim + fc2.out_dim
     assert len(calls) == count == weights + encrypted * conv.channels * conv.k ** 2
+
+
+@pytest.mark.parametrize("encrypted", [False, True])
+@pytest.mark.parametrize("geometry,keys,layers", [
+    (reduced_geometry, 13, {"conv-1": {1, 2, 8, 9, 10, 16, 17, 18},
+                            "fc-1": {-1, -2, 8, 16, 32, 64},
+                            "fc-2": {-1, -2, 4, 8}}),
+    (stock_geometry, 19, {"conv-1": {1, 2, 28, 29, 30, 56, 57, 58},
+                          "fc-1": {-1, -2, -3, -4, 64, 128, 256, 512},
+                          "fc-2": {-1, -2, 10, 20, 40}}),
+], ids=["reduced", "stock"])
+def test_infer_rotation_amounts_per_layer(geometry, keys, layers, encrypted,
+                                          monkeypatch):
+    # Each distinct amount is one Galois key the client makes: conv taps,
+    # fc baby steps, one giant step -B per fc layer and the folds.
+    geo = geometry()
+    net = random_network(np.random.default_rng(0), **geo)
+    m, f = geo["batch"], geo["row_width"]
+    backend = sim(m * f)
+    packed = pack_image_batch(backend, np.zeros((m, geo["h"], geo["w"])), f)
+    rot, amounts = backend.rot, []
+    monkeypatch.setattr(backend, "rot", lambda ct, k: amounts.append(k) or rot(ct, k))
+    res = infer(backend, net, packed, encrypted_kernels=encrypted)
+    ends = np.cumsum([c.rot for c in res.layers])
+    got = {c.name: set(amounts[end - c.rot:end])
+           for c, end in zip(res.layers, ends) if c.rot}
+    assert got == layers
+    assert len(set(amounts)) == keys
+
+
+@st.composite
+def _networks(draw):
+    """A random small network, its geometry and a kernel mode.
+
+    The row width is the smallest power of two that holds the image and
+    both fc folds, doubled on some draws, so every draw runs.
+    """
+    h, w = draw(st.integers(3, 8)), draw(st.integers(3, 8))
+    k, channels = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    hidden, classes = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    need = max(_fold_width(h * w, hidden), _fold_width(hidden, classes))
+    f = (1 << (need - 1).bit_length()) << draw(st.integers(0, 1))
+    geo = dict(h=h, w=w, k=k, channels=channels, hidden=hidden, classes=classes,
+               batch=draw(st.sampled_from([1, 2, 4])), row_width=f)
+    seed = draw(st.integers(0, 2**32 - 1))
+    return geo, draw(st.booleans()), seed, draw(st.integers(0, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_networks())
+def test_whole_network_property(case):
+    geo, encrypted, seed, cut = case
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, **geo)
+    m, f = geo["batch"], geo["row_width"]
+    images = rng.uniform(size=(m, geo["h"], geo["w"]))
+    params = BackendParams.for_slots(m * f)
+    res = infer_images(SlotSimulator(params), net, images, f,
+                       encrypted_kernels=encrypted)
+    ref = reference_infer(net, images)
+    assert np.max(np.abs(res.logits - ref)) <= 1e-9 * np.max(np.abs(ref))
+    assert np.array_equal(res.logits.argmax(axis=1), ref.argmax(axis=1))
+    assert res.layers == predict_layer_costs(net, m, f, params, encrypted)
+
+    # One bit short of the depth through layer `cut`: the closed form and the
+    # run must give up in the same layer.
+    depth = np.cumsum([c.depth_bits for c in res.layers])
+    shallow = BackendParams.for_slots(
+        m * f, log_q=max(int(depth[cut]) - 1, params.delta_bits + 1))
+    first = next(c.name for c, d in zip(res.layers, depth) if d > shallow.log_q)
+    cause = f"^budget exhausted in layer {first}:"
+    with pytest.raises(DepthExhaustedError, match=cause):
+        check_depth_budget(net, m, f, shallow, encrypted)
+    with pytest.raises(DepthExhaustedError, match=cause):
+        infer_images(SlotSimulator(shallow), net, images, f,
+                     encrypted_kernels=encrypted)
 
 
 def test_infer_rejects_mismatched_batch():
