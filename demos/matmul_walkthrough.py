@@ -41,7 +41,7 @@ prod = backend.mul(enc_a.ct, enc_b.ct)
 sums = broadcast_row_sums(backend, EncodedMatrix(prod, enc_a.layout))
 print(decrypt_rows(backend, sums))
 
-out = he_matmul_partitioned(backend, [enc_a], [[enc_b]], p)
+out = he_matmul_partitioned(backend, [enc_a], [[enc_b]])
 print("\nskewed output after all steps (column s holds C[i][(i + s) % p]):")
 print(decrypt_rows(backend, out))
 print("decoded:\n", decode_diagonal(backend.decrypt(out.ct), m, f, p))

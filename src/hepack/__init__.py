@@ -23,11 +23,11 @@ from .linalg import (broadcast_row_sums, compact_columns, reduce_add,
 from .matmul import he_matmul_partitioned, multiply_matrices, split_weight_groups
 from .mnist import (image_blocks, load_idx_images, load_idx_labels, load_mnist,
                     write_idx_images, write_idx_labels)
-from .network import (ActSpec, ConvSpec, FcSpec, InferenceResult, LayerCost,
-                      NetworkSpec, STOCK_ACT1, STOCK_ACT2, apply_activation,
-                      eval_poly, fc_layer, infer, infer_images, random_network,
-                      reduced_geometry, reference_infer, spread_to_grid,
-                      stock_geometry)
+from .network import (ActSpec, ConvSpec, FcPlan, FcSpec, InferenceResult,
+                      LayerCost, NetworkSpec, STOCK_ACT1, STOCK_ACT2,
+                      apply_activation, eval_poly, fc_layer, infer, infer_images,
+                      plan_fc, random_network, reduced_geometry, reference_infer,
+                      spread_to_grid, stock_geometry)
 from .verify import CheckResult, run_all
 from .weights_io import WeightsParseError, load_weights_csv, save_weights_csv
 

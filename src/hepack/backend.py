@@ -138,10 +138,15 @@ class SimdBackend(ABC):
     def rot(self, a: CipherVec, amount: int) -> CipherVec: ...
 
 
-def require_finite(values, what: str):
-    """The one numeric rule: only real finite values encode. `what` names the operand."""
+def require_real(values, what: str):
+    """Refuse complex values before a float64 cast could drop their imaginary part."""
     if np.iscomplexobj(values):
         raise ValueError(f"{what} must be real, got complex values")
+
+
+def require_finite(values, what: str):
+    """The one numeric rule: only real finite values encode. `what` names the operand."""
+    require_real(values, what)
     try:
         finite = np.isfinite(values)
     except TypeError:

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import BackendParams, SimdBackend, SlotSimulator, require_finite
+from .backend import (BackendParams, SimdBackend, SlotSimulator, require_finite,
+                      require_real)
 from .encodings import (EncodedMatrix, LayoutKind, MatrixLayout, decrypt_rows,
                         grid_layout, pack_image_batch)
 from .linalg import ceil_log2, make_valid_region_mask, reduce_add
@@ -69,6 +70,7 @@ class KernelPlan:
 def span_kernel(kernel, bias: float, h: int, w: int, rows: int,
                 row_width: int) -> KernelPlan:
     """Validate one kernel and plan it for grid_layout(rows, row_width, h, w)."""
+    require_real(kernel, "conv kernel")
     kern = np.array(kernel, dtype=np.float64)
     if kern.ndim != 2 or kern.shape[0] != kern.shape[1]:
         raise ValueError("kernel must be square")
@@ -136,6 +138,7 @@ def convolve_images(images, kernel, bias: float = 0.0,
     Each image takes a row of h*w slots rounded up to a power of two, on a
     fresh backend with one row per image.
     """
+    require_real(images, "images")
     imgs = np.asarray(images, dtype=np.float64)
     if imgs.ndim != 3:
         raise ValueError(f"images must be (batch, h, w), got shape {imgs.shape}")

@@ -23,7 +23,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .backend import CipherVec, SimdBackend, require_finite
+from .backend import CipherVec, SimdBackend, require_finite, require_real
 
 
 class LayoutKind(enum.Enum):
@@ -90,6 +90,7 @@ def encode_row_major(backend: SimdBackend, matrix, row_width: int) -> EncodedMat
     equal the backend slot count. A matrix that fills its rows (a broadcast
     view too) goes to encrypt as it is, so encrypt's copy is the only buffer.
     """
+    require_real(matrix, "matrix")
     m_arr = np.asarray(matrix, dtype=np.float64)
     if m_arr.ndim != 2:
         raise ValueError("matrix must be 2-D")
@@ -115,6 +116,7 @@ def encode_transpose_extended(backend: SimdBackend, matrix, rows: int,
     encoding of B^T with its rows cycled, with p as its layout period.
     The p columns must all appear, so rows >= p is required.
     """
+    require_real(matrix, "matrix")
     b = np.asarray(matrix, dtype=np.float64)
     if b.ndim != 2:
         raise ValueError("matrix must be 2-D")
@@ -181,6 +183,7 @@ def encode_diagonal_pattern(matrix, rows: int, row_width: int, p: int) -> np.nda
     """
     if not 1 <= p <= row_width:
         raise ValueError(f"output width p must be in 1..{row_width}, got {p}")
+    require_real(matrix, "matrix")
     c = np.asarray(matrix, dtype=np.float64)
     m, width = c.shape
     if width != p:

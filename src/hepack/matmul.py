@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .backend import BackendParams, SimdBackend, SlotSimulator
+from .backend import BackendParams, SimdBackend, SlotSimulator, require_real
 from .encodings import (EncodedMatrix, column_group_widths, column_groups,
                         decode_diagonal, diagonal_layout, encode_row_major,
                         encode_transpose_extended, row_major_layout)
@@ -50,16 +50,16 @@ def _branch(backend: SimdBackend, a_parts, encs, step: int):
     return broadcast_row_sums(backend, total).ct
 
 
-def he_matmul_partitioned(backend: SimdBackend, a_parts, b_blocks,
-                          p: int) -> EncodedMatrix:
+def he_matmul_partitioned(backend: SimdBackend, a_parts, b_blocks) -> EncodedMatrix:
     """Sum of per-block products, all placed in one diagonal(p) output.
 
     a_parts[g] is a row-major encoding of A's g-th column block; b_blocks[g]
     lists the transpose-extended encodings of the matching rows of B, one
     per group of column_group_widths(p, rows) in order, as
     split_weight_groups makes them. Each must share its A part's rows,
-    row_width and logical width, and cycle its group's width. With one
-    block and one group this is the plain product.
+    row_width and logical width, and cycle its group's width. The output
+    width p is the sum of block 0's group periods. With one block and one
+    group this is the plain product.
     """
     a_parts = list(a_parts)
     b_blocks = list(b_blocks)
@@ -68,6 +68,7 @@ def he_matmul_partitioned(backend: SimdBackend, a_parts, b_blocks,
     if not a_parts:
         raise ValueError("empty product")
     m, f = a_parts[0].layout.rows, a_parts[0].layout.row_width
+    p = sum(e.layout.period or 0 for e in b_blocks[0])
     if not 0 < p <= f:
         raise ValueError(f"output width {p} must be in 1..{f}")
     widths = column_group_widths(p, m)
@@ -97,6 +98,7 @@ def he_matmul_partitioned(backend: SimdBackend, a_parts, b_blocks,
 def split_weight_groups(backend: SimdBackend, matrix, rows: int,
                         row_width: int) -> list[EncodedMatrix]:
     """Encode an n x p matrix once per group of column_group_widths(p, rows)."""
+    require_real(matrix, "weight matrix")
     b = np.asarray(matrix, dtype=np.float64)
     if b.ndim != 2:
         raise ValueError(f"weight matrix must be 2-D, got shape {b.shape}")
@@ -113,11 +115,12 @@ def multiply_matrices(a, b, row_width: int | None = None,
     encoding (rounded to a power of two); the top m rows of the decoded
     result are the product.
     """
+    for name, x in (("A", a), ("B", b)):
+        require_real(x, name)
+        if np.ndim(x) != 2:
+            raise ValueError(f"{name} must be 2-D, got shape {np.shape(x)}")
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    for name, x in (("A", a), ("B", b)):
-        if x.ndim != 2:
-            raise ValueError(f"{name} must be 2-D, got shape {x.shape}")
     m, n = a.shape
     n2, p = b.shape
     if n != n2:
@@ -132,5 +135,5 @@ def multiply_matrices(a, b, row_width: int | None = None,
         a = np.vstack([a, np.zeros((rows - m, n))])
     enc_a = encode_row_major(backend, a, f)
     groups = split_weight_groups(backend, b, rows, f)
-    out = he_matmul_partitioned(backend, [enc_a], [groups], p)
+    out = he_matmul_partitioned(backend, [enc_a], [groups])
     return decode_diagonal(backend.decrypt(out.ct), rows, f, p)[:m]

@@ -14,6 +14,8 @@ import struct
 
 import numpy as np
 
+from .backend import require_real
+
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
 
@@ -90,6 +92,7 @@ def image_blocks(images, batch: int) -> list[tuple[np.ndarray, int]]:
     real images. 10000 images at batch 32 give 313 blocks, the last one
     holding 16 zero rows of pad.
     """
+    require_real(images, "images")
     imgs = np.asarray(images, dtype=np.float64)
     if batch < 1:
         raise ValueError("batch must be positive")

@@ -9,7 +9,9 @@ activation smears over every slot). Each fc layer multiplies its row-packed
 inputs by row-local diagonals of the weight matrix and leaves its output
 row-major in columns 0..p-1; the logits are read from the last one. Each
 rotation is hoistable from one input (conv taps, fc baby steps), chained
-through one key (fc giant steps, product columns) or a doubling fold.
+through one key (fc giant steps, product columns) or a doubling fold. A
+spec is planned once per batch geometry (NetworkSpec.plan), so a batch
+runs only encryptions and scheme ops.
 
 Activation is a fixed cubic in Horner form, c0 + c1*x + x^2*(c2 + c3*x):
 x*x and c3*x + c2 are made side by side and multiplied once more, so a
@@ -22,10 +24,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backend import OP_KINDS, DepthExhaustedError, SimdBackend, require_finite
+from .backend import (OP_KINDS, DepthExhaustedError, SimdBackend, require_finite,
+                      require_real)
 from .conv import conv_layer, span_kernel
-from .encodings import (EncodedMatrix, LayoutKind, decrypt_rows,
-                        encode_row_major, pack_image_batch, row_major_layout)
+from .encodings import (EncodedMatrix, LayoutKind, MatrixLayout, decrypt_rows,
+                        encode_row_major, grid_layout, pack_image_batch,
+                        row_major_layout)
 from .linalg import ceil_log2, reduce_add
 
 # Degree-three least-squares activation fits baked into the stock MNIST model.
@@ -33,10 +37,24 @@ STOCK_ACT1 = (-0.00015120704, 0.4610149, 2.0225089, -1.4511951)
 STOCK_ACT2 = (-1.5650465, -0.9943767, 1.6794522, 0.5350255)
 
 
+def _own_arrays(spec, *names):
+    """Make each named field of a frozen spec a read-only copy of itself.
+
+    The dtype is kept, so validate still sees complex or non-numeric values.
+    """
+    for name in names:
+        arr = np.array(getattr(spec, name))
+        arr.flags.writeable = False
+        object.__setattr__(spec, name, arr)
+
+
 @dataclass(frozen=True)
 class ConvSpec:
-    kernels: np.ndarray  # (channels, k, k)
-    biases: np.ndarray  # (channels,)
+    kernels: np.ndarray  # (channels, k, k), a read-only copy
+    biases: np.ndarray  # (channels,), a read-only copy
+
+    def __post_init__(self):
+        _own_arrays(self, "kernels", "biases")
 
     @property
     def channels(self) -> int:
@@ -54,8 +72,11 @@ class ActSpec:
 
 @dataclass(frozen=True)
 class FcSpec:
-    weight: np.ndarray  # (out, in)
-    bias: np.ndarray  # (out,)
+    weight: np.ndarray  # (out, in), a read-only copy
+    bias: np.ndarray  # (out,), a read-only copy
+
+    def __post_init__(self):
+        _own_arrays(self, "weight", "bias")
 
     @property
     def out_dim(self) -> int:
@@ -66,11 +87,29 @@ class FcSpec:
         return self.weight.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkSpec:
+    """Input geometry and layers, and the plans infer makes for them.
+
+    Specs compare and hash by identity: each owns its plans. Its layers are
+    a tuple and their arrays read-only, so a plan cannot go stale.
+    """
+
     input_h: int
     input_w: int
     layers: tuple
+    _plans: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "layers", tuple(self.layers))
+
+    def __getstate__(self):
+        """Pickle and copy without the plans; a copy plans again on first use.
+
+        Each broadcast diagonal would otherwise be written out in full,
+        ~70 MB at stock.
+        """
+        return {**self.__dict__, "_plans": {}}
 
     def validate(self) -> "NetworkSpec":
         """Check layer shapes, finite values and chaining before any op runs.
@@ -123,6 +162,36 @@ class NetworkSpec:
     @property
     def classes(self) -> int:
         return self.layers[-1].out_dim
+
+    def plan(self, rows: int, row_width: int) -> tuple:
+        """One plan per layer for batches of rows x row_width slots, made once.
+
+        The first call at a geometry validates the spec and plans each
+        layer: KernelPlans for a conv, an FcPlan for an fc (spread over the
+        conv grids), None for an activation. Later calls reuse them.
+        """
+        key = (rows, row_width)
+        if key in self._plans:
+            return self._plans[key]
+        self.validate()
+        h, w = self.input_h, self.input_w
+        layouts, valid, plans = [grid_layout(rows, row_width, h, w)], (h, w), []
+        for layer in self.layers:
+            plan = None
+            if isinstance(layer, ConvSpec):
+                plan = tuple(span_kernel(layer.kernels[c], layer.biases[c], h, w,
+                                         rows, row_width)
+                             for c in range(layer.channels))
+                layouts = [kp.layout for kp in plan]
+                valid = (h - layer.k + 1, w - layer.k + 1)
+            elif isinstance(layer, FcSpec):
+                if layouts[0].kind is LayoutKind.IMAGE_GRID:
+                    layer = spread_to_grid(layer, h, w, *valid)
+                plan = plan_fc(layer, layouts)
+                layouts = [plan.out_layout]
+            plans.append(plan)
+        self._plans[key] = tuple(plans)
+        return self._plans[key]
 
 
 # ------------------------------------------------------------ primitives
@@ -198,52 +267,83 @@ def _diagonal_rows(block: np.ndarray, f: int, baby: int) -> np.ndarray:
     return np.where((src >= 0) & (src < n), vals, 0.0)
 
 
-def fc_layer(backend: SimdBackend, parts, spec: FcSpec) -> EncodedMatrix:
-    """Fully-connected layer over one or more packed input parts.
+@dataclass(frozen=True, eq=False)
+class FcPlan:
+    """An fc layer planned for the layouts of its input parts (see plan_fc).
+
+    Plans compare and hash by identity, as KernelPlans do.
+    """
+
+    layouts: tuple  # the MatrixLayout of each input part, in order
+    baby: int  # B and L of fc_schedule
+    fold: int
+    diagonals: tuple  # per part, p read-only (rows, row_width) views of one row each
+    bias: np.ndarray  # the bias in columns 0..p-1 of every row, read-only
+    out_layout: MatrixLayout
+
+
+def plan_fc(spec: FcSpec, layouts) -> FcPlan:
+    """Schedule, diagonal rows and tiled bias of an fc layer over these parts.
 
     The features are the first logical_width slots of each part's rows, in
-    part order (all h*w cells of a grid: see spread_to_grid). Slot c of every
-    row gathers sum_g sum_{d<p} D_{g,d}[c] * x_g[c-d], the diagonal D_{g,d}
-    holding the weight from input slot c-d of part g to output column c mod p.
-    A right rotation by d pulls the previous row's tail only into slots c < d,
-    and input slots past n_g meet zero weights, so no mask is needed and input
-    pad slots may hold anything. With d = b + B*a each part is rotated right
-    by b < B once (baby steps, hoistable). Giant step a sums its products by
-    diagonals pre-rotated left by B*a into S_a, encrypted as m equal rows just
-    before each mul; acc = rot(acc, -B) + S_a from the last a down chains the
-    giant steps through one key. L doubling folds of stride p*2^s add the
-    bands into columns 0..p-1, then the row-tiled plaintext bias; slots past
-    p keep partial band sums, which the next fc layer's zero weights ignore.
+    part order (all h*w cells of a grid: see spread_to_grid). Each diagonal
+    is one row of f slots, broadcast over the batch's rows.
     """
-    parts = list(parts)
-    if not parts:
+    layouts = tuple(layouts)
+    if not layouts:
         raise ValueError("fc_layer needs at least one input part")
-    m, f = parts[0].layout.rows, parts[0].layout.row_width
-    if any((x.layout.rows, x.layout.row_width) != (m, f) for x in parts):
+    m, f = layouts[0].rows, layouts[0].row_width
+    if any((lay.rows, lay.row_width) != (m, f) for lay in layouts):
         raise ValueError("input parts disagree on rows and row width")
     p = spec.out_dim
-    widths = [part.layout.logical_width for part in parts]
+    widths = [lay.logical_width for lay in layouts]
     if sum(widths) != spec.in_dim:
         raise ValueError(
             f"input parts supply {sum(widths)} features, fc expects {spec.in_dim}")
-    blocks = np.split(spec.weight.T, np.cumsum(widths)[:-1])
     baby, fold = fc_schedule(widths, p, f)
-    diags = [_diagonal_rows(block, f, baby) for block in blocks]
+    blocks = np.split(spec.weight.T, np.cumsum(widths)[:-1])
+    diagonals = tuple(tuple(np.broadcast_to(row, (m, f))
+                            for row in _diagonal_rows(block, f, baby))
+                      for block in blocks)
+    bias = np.tile(np.pad(spec.bias, (0, f - p)), m)
+    bias.flags.writeable = False
+    return FcPlan(layouts, baby, fold, diagonals, bias, row_major_layout(m, f, p))
+
+
+def fc_layer(backend: SimdBackend, parts, plan: FcPlan) -> EncodedMatrix:
+    """Fully-connected layer over packed input parts, as plan_fc planned it.
+
+    Slot c of every row gathers sum_g sum_{d<p} D_{g,d}[c] * x_g[c-d], the
+    diagonal D_{g,d} holding the weight from input slot c-d of part g to
+    output column c mod p. A right rotation by d pulls the previous row's
+    tail only into slots c < d, and input slots past n_g meet zero weights,
+    so no mask is needed and input pad slots may hold anything. With
+    d = b + B*a each part is rotated right by b < B once (baby steps,
+    hoistable). Giant step a sums its products by diagonals pre-rotated left
+    by B*a into S_a, encrypted as m equal rows just before each mul;
+    acc = rot(acc, -B) + S_a from the last a down chains the giant steps
+    through one key. L doubling folds of stride p*2^s add the bands into
+    columns 0..p-1, then the row-tiled plaintext bias; slots past p keep
+    partial band sums, which the next fc layer's zero weights ignore.
+    """
+    parts = list(parts)
+    if tuple(part.layout for part in parts) != plan.layouts:
+        raise ValueError("input parts differ from the layouts the fc was planned for")
+    baby, p, f = plan.baby, plan.out_layout.logical_width, plan.out_layout.row_width
     spun = [[backend.rot(part.ct, -b) if b else part.ct for b in range(baby)]
             for part in parts]
 
     acc = None
     for a in reversed(range(-(-p // baby))):
         x = reduce_add(backend, (
-            backend.mul(steps[b], encode_row_major(
-                backend, np.broadcast_to(rows[baby * a + b], (m, f)), f).ct)
-            for rows, steps in zip(diags, spun)
+            backend.mul(steps[b], encode_row_major(backend, diags[baby * a + b], f).ct)
+            for diags, steps in zip(plan.diagonals, spun)
             for b in range(min(baby, p - baby * a))))
         acc = x if acc is None else backend.add(backend.rot(acc, -baby), x)
-    for s in range(fold):
+    for s in range(plan.fold):
         acc = backend.add(acc, backend.rot(acc, p << s))
-    acc = backend.add(acc, np.tile(np.pad(spec.bias, (0, f - p)), m))
-    return EncodedMatrix(acc, row_major_layout(m, f, p))
+    acc = backend.add(acc, plan.bias)
+    return EncodedMatrix(acc, plan.out_layout)
 
 
 # -------------------------------------------------------------- pipeline
@@ -288,36 +388,30 @@ def infer(backend: SimdBackend, net: NetworkSpec, packed: EncodedMatrix,
           encrypted_kernels: bool = False) -> InferenceResult:
     """Run the network over a packed batch; logits come back per image.
 
-    The per-layer rows and op_counts are differences of snapshots of the
-    backend's shared ledger, so a backend serves one infer at a time.
+    The first batch at a rows x row_width geometry plans the network
+    (net.plan), before any op; later batches reuse those plans, so they run
+    only encryptions and scheme ops. The per-layer rows and op_counts are
+    differences of snapshots of the backend's shared ledger, so a backend
+    serves one infer at a time.
     """
-    net.validate()
     lay = packed.layout
     if lay.kind is not LayoutKind.IMAGE_GRID or (lay.grid_h, lay.grid_w) != (
             net.input_h, net.input_w):
         raise ValueError("packed batch does not match the network geometry")
+    plans = net.plan(lay.rows, lay.row_width)
     start = before = backend.ledger.snapshot()
     parts = [packed]
-    valid = (net.input_h, net.input_w)  # cells of a grid part the fc reads
-    names = layer_names(net)
     budget = min(p.ct.budget_bits for p in parts)
     costs = []
-    for name, layer in zip(names, net.layers):
+    for name, layer, plan in zip(layer_names(net), net.layers, plans):
         try:
             if isinstance(layer, ConvSpec):
-                plans = [span_kernel(layer.kernels[c], layer.biases[c],
-                                     net.input_h, net.input_w, lay.rows,
-                                     lay.row_width)
-                         for c in range(layer.channels)]
-                parts = conv_layer(backend, parts[0], plans, encrypted_kernels)
-                valid = (net.input_h - layer.k + 1, net.input_w - layer.k + 1)
+                parts = conv_layer(backend, parts[0], plan, encrypted_kernels)
             elif isinstance(layer, ActSpec):
                 parts = [apply_activation(backend, p, layer.coeffs)
                          for p in parts]
             else:
-                if parts[0].layout.kind is LayoutKind.IMAGE_GRID:
-                    layer = spread_to_grid(layer, net.input_h, net.input_w, *valid)
-                parts = [fc_layer(backend, parts, layer)]
+                parts = [fc_layer(backend, parts, plan)]
         except DepthExhaustedError as e:
             raise DepthExhaustedError(f"budget exhausted in layer {name}: {e}") from e
         now = min(p.ct.budget_bits for p in parts)
@@ -359,6 +453,7 @@ def conv2d_valid(images: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 def reference_infer(net: NetworkSpec, images) -> np.ndarray:
     """Plaintext forward pass; the oracle the encrypted path must match."""
     net.validate()
+    require_real(images, "images")
     x = np.asarray(images, dtype=np.float64)
     feats = None
     for layer in net.layers:

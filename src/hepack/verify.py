@@ -63,7 +63,7 @@ def check_matmul_partitioned(rng: np.random.Generator) -> CheckResult:
                for g in range(blocks)]
     b_blocks = [split_weight_groups(backend, b[g * step:(g + 1) * step], m, f)
                 for g in range(blocks)]
-    out = he_matmul_partitioned(backend, a_parts, b_blocks, p)
+    out = he_matmul_partitioned(backend, a_parts, b_blocks)
     got = decode_diagonal(backend.decrypt(out.ct), m, f, p)
     err = float(np.abs(got - a @ b).max())
     return CheckResult("matmul partitioned", err, 1e-9,

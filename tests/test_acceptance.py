@@ -75,7 +75,7 @@ def test_criterion_1_matmul_shapes(capsys):
                for g in range(blocks)]
     b_blocks = [split_weight_groups(backend, b[g * step:(g + 1) * step], m, 64)
                 for g in range(blocks)]
-    out = he_matmul_partitioned(backend, a_parts, b_blocks, p)
+    out = he_matmul_partitioned(backend, a_parts, b_blocks)
     got = decode_diagonal(backend.decrypt(out.ct), m, 64, p)
     worst = max(worst, float(np.abs(got - a @ b).max()))
     wall = time.perf_counter() - start

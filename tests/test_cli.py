@@ -216,8 +216,8 @@ def test_verify_takes_only_a_seed(capsys):
 def test_verify_partitioned_check_runs_the_partitioned_product(monkeypatch):
     real = verify.he_matmul_partitioned
 
-    def drop_last_block(backend, a_parts, b_blocks, p, **kw):
-        return real(backend, a_parts[:-1], b_blocks[:-1], p, **kw)
+    def drop_last_block(backend, a_parts, b_blocks, **kw):
+        return real(backend, a_parts[:-1], b_blocks[:-1], **kw)
 
     rng = np.random.default_rng(0)
     assert check_matmul_partitioned(rng).passed

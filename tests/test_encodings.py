@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from hepack import (
+    FcSpec,
     LayoutKind,
     MatrixLayout,
+    NetworkSpec,
+    convolve_images,
     decode_diagonal,
     decrypt_rows,
     diagonal_layout,
@@ -14,9 +17,13 @@ from hepack import (
     encode_row_major,
     encode_transpose_extended,
     grid_layout,
+    image_blocks,
     multiply_matrices,
     pack_image_batch,
+    reference_infer,
     row_major_layout,
+    span_kernel,
+    split_weight_groups,
 )
 from common import sim
 
@@ -138,6 +145,30 @@ def test_pack_image_batch_rejects_non_finite_pixels(monkeypatch):
     # A complex image is refused, not cut to its real part.
     with pytest.raises(ValueError, match="images must be real, got complex values"):
         pack_image_batch(backend, np.zeros((4, 3, 4)) + 1j, row_width=16)
+
+
+ONE_FC = NetworkSpec(1, 1, (FcSpec(np.ones((1, 1)), np.zeros(1)),))
+
+
+@pytest.mark.parametrize("call,what", [
+    (lambda z: encode_row_major(sim(16), np.full((4, 2), z), 4), "matrix"),
+    (lambda z: encode_transpose_extended(sim(16), np.full((2, 4), z), 4, 4), "matrix"),
+    (lambda z: encode_diagonal_pattern(np.full((4, 2), z), 4, 4, 2), "matrix"),
+    (lambda z: span_kernel(np.full((1, 1), z), 0.0, 2, 2, 4, 4), "conv kernel"),
+    (lambda z: split_weight_groups(sim(16), np.full((2, 4), z), 4, 4), "weight matrix"),
+    (lambda z: multiply_matrices(np.full((2, 2), z), np.ones((2, 2))), "A"),
+    (lambda z: multiply_matrices(np.ones((2, 2)), [[z, 1.0], [0.0, 1.0]]), "B"),
+    (lambda z: convolve_images(np.full((1, 2, 2), z), np.ones((1, 1))), "images"),
+    (lambda z: image_blocks(np.full((1, 2, 2), z), 1), "images"),
+    (lambda z: reference_infer(ONE_FC, np.full((1, 1, 1), z)), "images"),
+], ids=["row-major", "transpose-extended", "diagonal-pattern", "span-kernel",
+        "weight-groups", "product-a", "product-b", "convolve-images",
+        "image-blocks", "reference-infer"])
+def test_complex_values_are_refused_before_the_float_cast(call, what):
+    # Cast first, each would keep the real part with only a ComplexWarning.
+    with pytest.raises(ValueError, match=re.escape(
+            f"{what} must be real, got complex values")):
+        call(1 + 2j)
 
 
 def test_pack_image_batch_rejects_oversized_grid():

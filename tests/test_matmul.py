@@ -57,7 +57,7 @@ def test_partitioned_inner_dimension_split():
                for g in range(4)]
     b_blocks = [split_weight_groups(backend, b[g * 4:(g + 1) * 4], 8, 8)
                 for g in range(4)]
-    out = he_matmul_partitioned(backend, a_parts, b_blocks, 4)
+    out = he_matmul_partitioned(backend, a_parts, b_blocks)
     got = decode_diagonal(backend.decrypt(out.ct), 8, 8, 4)
     assert np.max(np.abs(got - a @ b)) < 1e-9
 
@@ -71,7 +71,7 @@ def test_column_groups_cover_wide_outputs():
     enc_a = encode_row_major(backend, a, 32)
     groups = split_weight_groups(backend, b, rows=8, row_width=32)
     assert len(groups) == len(column_group_widths(32, 8)) == 4
-    out = he_matmul_partitioned(backend, [enc_a], [groups], 32)
+    out = he_matmul_partitioned(backend, [enc_a], [groups])
     got = decode_diagonal(backend.decrypt(out.ct), 8, 32, 32)
     assert np.max(np.abs(got - a @ b)) < 1e-9
 
@@ -85,7 +85,7 @@ def test_column_groups_with_uneven_tail():
     groups = split_weight_groups(backend, b, rows=4, row_width=16)
     assert column_group_widths(10, 4) == [4, 4, 2]
     assert len(groups) == 3
-    out = he_matmul_partitioned(backend, [enc_a], [groups], 10)
+    out = he_matmul_partitioned(backend, [enc_a], [groups])
     got = decode_diagonal(backend.decrypt(out.ct), 4, 16, 10)
     assert np.max(np.abs(got - a @ b)) < 1e-9
 
@@ -126,7 +126,7 @@ def test_block_needs_one_encoding_per_column_group():
     for wrong in (groups[:1], groups + groups[:1]):
         with pytest.raises(ValueError,
                            match=r"needs 2 column groups for p=8 over 4 rows"):
-            he_matmul_partitioned(backend, [a, a], [groups, wrong], 8)
+            he_matmul_partitioned(backend, [a, a], [groups, wrong])
 
 
 def test_weight_operands_must_be_2d():
@@ -144,14 +144,17 @@ def test_partitioned_argument_validation():
     a = encode_row_major(backend, np.ones((8, 4)), 8)
     b = split_weight_groups(backend, np.ones((4, 4)), 8, 8)
     with pytest.raises(ValueError):
-        he_matmul_partitioned(backend, [], [], 4)
+        he_matmul_partitioned(backend, [], [])
     with pytest.raises(ValueError):
-        he_matmul_partitioned(backend, [a, a], [b], 4)
-    with pytest.raises(ValueError):
-        he_matmul_partitioned(backend, [a], [b], 16)  # wider than a row
+        he_matmul_partitioned(backend, [a, a], [b])
+    # B's 16 group columns, read as the output width, are wider than a row.
+    tall = encode_row_major(backend, np.ones((16, 4)), 4)
+    wide = encode_transpose_extended(backend, np.ones((4, 16)), 16, 4)
+    with pytest.raises(ValueError, match=r"output width 16 must be in 1\.\.4"):
+        he_matmul_partitioned(backend, [tall], [[wide]])
     other = encode_row_major(backend, np.ones((4, 4)), 16)
     with pytest.raises(ValueError, match="A parts disagree on geometry"):
-        he_matmul_partitioned(backend, [a, other], [b, b], 4)
+        he_matmul_partitioned(backend, [a, other], [b, b])
 
 
 def test_partitioned_rejects_mismatched_b():
@@ -162,11 +165,11 @@ def test_partitioned_rejects_mismatched_b():
     wide = encode_transpose_extended(backend, np.ones((4, 4)), 4, 16)
     with pytest.raises(ValueError, match=r"B block 0 must match its A part: "
                        r"8 rows, row_width 8, logical width 4"):
-        he_matmul_partitioned(backend, [a], [[wide]], 4)
+        he_matmul_partitioned(backend, [a], [[wide]])
     short = split_weight_groups(backend, np.ones((3, 4)), 8, 8)
     good = split_weight_groups(backend, np.ones((4, 4)), 8, 8)
     with pytest.raises(ValueError, match="B block 1 must match its A part"):
-        he_matmul_partitioned(backend, [a, a], [good, short], 4)
+        he_matmul_partitioned(backend, [a, a], [good, short])
 
 
 def test_fast_path_cost_contract():
@@ -179,7 +182,7 @@ def test_fast_path_cost_contract():
     a = encode_row_major(backend, rng.normal(size=(8, 8)), 16)
     b = encode_transpose_extended(backend, rng.normal(size=(8, 4)), 8, 16)
     before = backend.ledger.snapshot()
-    out = he_matmul_partitioned(backend, [a], [[b]], 4)
+    out = he_matmul_partitioned(backend, [a], [[b]])
     assert ledger_delta(backend, before) == {
         "mul": 4, "cmul": 4, "rot": 3 + 4 * 3 + 3, "add": 4 * 3 + 3,
         "consumed_bits": 4 * (45 + 20)}
@@ -199,7 +202,7 @@ def test_tiled_groups_cost_contract():
     groups = split_weight_groups(backend, b, 8, 8)
     assert column_group_widths(3, 8) == [2, 1] and len(groups) == 2
     before = backend.ledger.snapshot()
-    out = he_matmul_partitioned(backend, [enc_a], [groups], 3)
+    out = he_matmul_partitioned(backend, [enc_a], [groups])
     assert ledger_delta(backend, before) == {
         "mul": 3, "cmul": 3, "rot": 1 + 3 * 3 + 2, "add": 3 * 3 + 2,
         "consumed_bits": 3 * 45 + 3 * 20}
@@ -231,7 +234,7 @@ def test_product_places_each_column_with_one_rotation_amount():
     b = rng.normal(size=(5, 12))
     groups = split_weight_groups(backend, b, 8, 32)
     out = he_matmul_partitioned(backend, [encode_row_major(backend, a, 32)],
-                                [groups], 12)
+                                [groups])
     assert sorted(set(amounts)) == [-1, 1, 2, 4] + [32 * s for s in range(1, 8)]
     assert amounts.count(-1) == 11
     got = decode_diagonal(backend.decrypt(out.ct), 8, 32, 12)
@@ -248,7 +251,7 @@ def test_partitioned_rejects_groups_out_of_order():
     assert [g.layout.period for g in groups] == [8, 4]
     with pytest.raises(ValueError, match=r"B block 0 group 0 cycles 4 columns, "
                        r"but the group is 8 wide"):
-        he_matmul_partitioned(backend, [a], [groups[::-1]], 12)
+        he_matmul_partitioned(backend, [a], [groups[::-1]])
 
 
 class _CountingSim(SlotSimulator):
@@ -326,7 +329,7 @@ def test_partitioned_product_property(case):
     before = backend.ledger.snapshot()
     with mock.patch.object(hepack.matmul, "broadcast_row_sums",
                            wraps=hepack.matmul.broadcast_row_sums) as ladder:
-        out = he_matmul_partitioned(backend, a_parts, b_blocks, p)
+        out = he_matmul_partitioned(backend, a_parts, b_blocks)
     got = decode_diagonal(backend.decrypt(out.ct), m, f, p)
     assert np.max(np.abs(got - want)) < 1e-9
     assert ladder.call_count == p

@@ -1,12 +1,16 @@
+import copy
 import dataclasses
 import itertools
+import pickle
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import signal
 
+import hepack.network
 from hepack import (
     ActSpec,
     BackendParams,
@@ -29,6 +33,7 @@ from hepack import (
     infer,
     infer_images,
     pack_image_batch,
+    plan_fc,
     random_network,
     reduced_geometry,
     reference_infer,
@@ -46,6 +51,11 @@ from common import ledger_delta, sim
 def reduced_net(seed=0, **overrides):
     geo = reduced_geometry() | overrides
     return random_network(np.random.default_rng(seed), **geo), geo
+
+
+def run_fc(backend, parts, spec):
+    """fc_layer over the parts, planned for their layouts as infer plans it."""
+    return fc_layer(backend, parts, plan_fc(spec, [x.layout for x in parts]))
 
 
 # ------------------------------------------------------------- activation
@@ -129,7 +139,7 @@ def test_fc_layer_row_major_input():
     backend = sim(8 * 16)
     x = rng.normal(size=(8, 6))
     spec = FcSpec(rng.normal(size=(4, 6)), rng.normal(size=4))
-    out = fc_layer(backend, [encode_row_major(backend, x, 16)], spec)
+    out = run_fc(backend, [encode_row_major(backend, x, 16)], spec)
     rows = decrypt_rows(backend, out)
     ref = x @ spec.weight.T + spec.bias
     assert np.max(np.abs(rows[:, :4] - ref)) < 1e-9
@@ -137,7 +147,7 @@ def test_fc_layer_row_major_input():
     # Slots past p keep partial band sums; the next fc layer ignores them.
     assert rows[:, 4:].any()
     nxt = FcSpec(rng.normal(size=(3, 4)), rng.normal(size=3))
-    twice = decrypt_rows(backend, fc_layer(backend, [out], nxt))
+    twice = decrypt_rows(backend, run_fc(backend, [out], nxt))
     assert np.max(np.abs(twice[:, :3] - (ref @ nxt.weight.T + nxt.bias))) < 1e-9
 
 
@@ -149,7 +159,7 @@ def test_fc_layer_grid_input_uses_valid_region():
     images = rng.normal(size=(4, 4, 5))
     spec = FcSpec(rng.normal(size=(4, 12)), rng.normal(size=4))
     packed = pack_image_batch(backend, images, 32)
-    out = fc_layer(backend, [packed], spread_to_grid(spec, 4, 5, 3, 4))
+    out = run_fc(backend, [packed], spread_to_grid(spec, 4, 5, 3, 4))
     rows = decrypt_rows(backend, out)
     ref = images[:, :3, :4].reshape(4, -1) @ spec.weight.T + spec.bias
     assert np.max(np.abs(rows[:, :4] - ref)) < 1e-9
@@ -162,7 +172,7 @@ def test_fc_layer_multi_channel_grid_input():
     chan = rng.normal(size=(2, 4, 3, 4))
     spec = FcSpec(rng.normal(size=(4, 12)), rng.normal(size=4))
     parts = [pack_image_batch(backend, chan[c], 16) for c in range(2)]
-    out = fc_layer(backend, parts, spread_to_grid(spec, 3, 4, 2, 3))
+    out = run_fc(backend, parts, spread_to_grid(spec, 3, 4, 2, 3))
     feats = np.concatenate([chan[c][:, :2, :3].reshape(4, -1) for c in range(2)],
                            axis=1)
     ref = feats @ spec.weight.T + spec.bias
@@ -181,7 +191,7 @@ def test_spread_fc_over_conv_outputs_matches_the_channel_major_flatten():
     plans = [span_kernel(conv.kernels[c], conv.biases[c], 8, 8, 8, 128)
              for c in range(conv.channels)]
     parts = conv_layer(backend, packed, plans)
-    out = fc_layer(backend, parts, spread_to_grid(fc, 8, 8, 6, 6))
+    out = run_fc(backend, parts, spread_to_grid(fc, 8, 8, 6, 6))
     ref = reference_infer(NetworkSpec(8, 8, (conv, fc)), images)
     assert np.max(np.abs(decrypt_rows(backend, out)[:, :fc.out_dim] - ref)) < 1e-9
 
@@ -199,7 +209,7 @@ def test_fc_layer_splits_columns_when_wider_than_batch():
     backend = sim(8 * 32)
     x = rng.normal(size=(8, 6))
     spec = FcSpec(rng.normal(size=(16, 6)), rng.normal(size=16))
-    out = fc_layer(backend, [encode_row_major(backend, x, 32)], spec)
+    out = run_fc(backend, [encode_row_major(backend, x, 32)], spec)
     rows = decrypt_rows(backend, out)
     ref = x @ spec.weight.T + spec.bias
     assert np.max(np.abs(rows[:, :16] - ref)) < 1e-9
@@ -213,19 +223,19 @@ def test_fc_layer_rejects_a_row_too_short_to_fold():
     x = rng.normal(size=(8, 6))
     spec = FcSpec(rng.normal(size=(20, 6)), rng.normal(size=20))
     with pytest.raises(ValueError, match="n=6 .* p=20 .* f=32"):
-        fc_layer(backend, [encode_row_major(backend, x, 32)], spec)
+        run_fc(backend, [encode_row_major(backend, x, 32)], spec)
 
 
 def test_fc_layer_checks_feature_count():
     backend = sim(4 * 8)
     enc = encode_row_major(backend, np.ones((4, 3)), 8)
     with pytest.raises(ValueError, match="expects"):
-        fc_layer(backend, [enc], FcSpec(np.ones((2, 5)), np.zeros(2)))
+        run_fc(backend, [enc], FcSpec(np.ones((2, 5)), np.zeros(2)))
 
 
 def test_fc_layer_needs_an_input_part():
     with pytest.raises(ValueError, match="fc_layer needs at least one input part"):
-        fc_layer(sim(4 * 8), [], FcSpec(np.ones((2, 3)), np.zeros(2)))
+        run_fc(sim(4 * 8), [], FcSpec(np.ones((2, 3)), np.zeros(2)))
 
 
 def test_fc_layer_parts_must_share_rows():
@@ -233,7 +243,17 @@ def test_fc_layer_parts_must_share_rows():
     parts = [encode_row_major(backend, np.ones((4, 3)), 8),
              encode_row_major(backend, np.ones((2, 3)), 16)]
     with pytest.raises(ValueError, match="disagree"):
-        fc_layer(backend, parts, FcSpec(np.ones((2, 6)), np.zeros(2)))
+        run_fc(backend, parts, FcSpec(np.ones((2, 6)), np.zeros(2)))
+
+
+def test_fc_layer_runs_only_on_the_layouts_it_was_planned_for():
+    backend = sim(4 * 8)
+    enc = encode_row_major(backend, np.ones((4, 3)), 8)
+    plan = plan_fc(FcSpec(np.ones((2, 3)), np.zeros(2)), [enc.layout])
+    narrow = encode_row_major(backend, np.ones((4, 2)), 8)
+    for parts in ([enc, enc], [narrow], []):
+        with pytest.raises(ValueError, match="differ from the layouts the fc was planned"):
+            fc_layer(backend, parts, plan)
 
 
 def _fold_width(n, p):
@@ -292,7 +312,7 @@ def test_fc_layer_property(case):
 
     before, amounts, rot = backend.ledger.snapshot(), set(), backend.rot
     backend.rot = lambda ct, k: amounts.add(k) or rot(ct, k)
-    out = fc_layer(backend, parts, spec)
+    out = run_fc(backend, parts, spec)
     backend.rot = rot
     counts = ledger_delta(backend, before)
     y = x @ np.hstack(raw).T + spec.bias
@@ -316,7 +336,7 @@ def test_fc_layer_property(case):
 
     # Slots past p hold partial band sums; the next layer must not see them.
     nxt = FcSpec(rng.normal(size=(p2, p)), rng.normal(size=p2))
-    twice = decrypt_rows(backend, fc_layer(backend, [out], nxt))
+    twice = decrypt_rows(backend, run_fc(backend, [out], nxt))
     assert np.max(np.abs(twice[:, :p2] - (y @ nxt.weight.T + nxt.bias))) < 1e-9
 
 
@@ -332,7 +352,7 @@ def test_pad_contamination_is_contained():
     assert np.allclose(pads, STOCK_ACT1[0], atol=1e-12)
     assert np.abs(pads).max() > 0
     spec = FcSpec(rng.normal(size=(2, 3)), rng.normal(size=2))
-    out = fc_layer(backend, [acted], spec)
+    out = run_fc(backend, [acted], spec)
     c0, c1, c2, c3 = STOCK_ACT1
     x_act = c0 + c1 * x + c2 * x ** 2 + c3 * x ** 3
     ref = x_act @ spec.weight.T + spec.bias
@@ -570,6 +590,79 @@ def test_back_to_back_calls_on_one_backend_report_their_own_costs():
     assert results[0].op_counts == results[1].op_counts
     ledger = backend.ledger.snapshot()
     assert {k: ledger[k] for k in totals} == {k: 2 * v for k, v in totals.items()}
+
+
+def test_infer_plans_a_network_once_per_geometry(monkeypatch):
+    # The first batch at a rows x row_width geometry validates the spec and
+    # plans its layers; later batches, in either kernel mode, only run ops.
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    for name in ("_diagonal_rows", "spread_to_grid", "span_kernel"):
+        monkeypatch.setattr(hepack.network, name,
+                            counted(name, getattr(hepack.network, name)))
+    monkeypatch.setattr(NetworkSpec, "validate",
+                        counted("validate", NetworkSpec.validate))
+    net, geo = reduced_net(seed=23)
+    m, h, w = geo["batch"], geo["h"], geo["w"]
+    images = np.random.default_rng(24).uniform(size=(m, h, w))
+    planned = ("_diagonal_rows", "spread_to_grid", "span_kernel", "validate")
+    for f, new in ((128, True), (256, True), (128, False)):
+        calls.clear()
+        infer_images(sim(m * f), net, images, f)
+        assert sorted(calls) == (sorted(planned) if new else [])
+        calls.clear()
+        res = infer_images(sim(m * f), net, images, f, encrypted_kernels=True)
+        assert not calls
+        fresh = NetworkSpec(net.input_h, net.input_w, net.layers)
+        want = infer_images(sim(m * f), fresh, images, f, encrypted_kernels=True)
+        assert res.logits.tobytes() == want.logits.tobytes()
+        assert (res.layers, res.op_counts) == (want.layers, want.op_counts)
+        assert res.layers == predict_layer_costs(net, m, f, sim(m * f).params, True)
+        assert np.max(np.abs(res.logits - reference_infer(net, images))) < 1e-6
+    assert net.plan(m, 128) is net.plan(m, 128) is not net.plan(m, 256)
+    # Each spec owns its plans, so specs compare and hash by identity.
+    assert fresh != net and len({net, fresh, net}) == 2
+
+
+def test_a_pickled_or_copied_spec_leaves_its_plans_behind():
+    net, geo = reduced_net(seed=27)
+    m, f = geo["batch"], geo["row_width"]
+    images = np.random.default_rng(28).uniform(size=(m, geo["h"], geo["w"]))
+    size = len(pickle.dumps(net))
+    first = infer_images(sim(m * f), net, images, f)
+    assert len(pickle.dumps(net)) == size
+    for twin in (pickle.loads(pickle.dumps(net)), copy.copy(net), copy.deepcopy(net)):
+        assert twin._plans == {}
+        again = infer_images(sim(m * f), twin, images, f)
+        assert again.logits.tobytes() == first.logits.tobytes()
+    assert len(net._plans) == 1
+
+
+@pytest.mark.parametrize("pos,field", [(0, "kernels"), (2, "weight")],
+                         ids=["conv-kernel", "fc-weight"])
+def test_a_planned_spec_cannot_go_stale(pos, field):
+    # The spec owns read-only copies of its arrays and a tuple of its layers,
+    # so no edit, to the caller's objects or the spec's, reaches its plans.
+    net, geo = reduced_net(seed=25)
+    m, f = geo["batch"], geo["row_width"]
+    images = np.random.default_rng(26).uniform(size=(m, geo["h"], geo["w"]))
+    layers = list(net.layers)
+    mine = np.array(getattr(layers[pos], field))
+    layers[pos] = dataclasses.replace(layers[pos], **{field: mine})
+    spec = NetworkSpec(net.input_h, net.input_w, layers)
+    first = infer_images(sim(m * f), spec, images, f)
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(spec.layers[pos], field)[(0,) * mine.ndim] = 1.0
+    mine[(0,) * mine.ndim] = 1.0
+    layers[pos] = layers[1]
+    again = infer_images(sim(m * f), spec, images, f)
+    assert again.logits.tobytes() == first.logits.tobytes()
 
 
 @pytest.mark.parametrize("geometry,encrypted,count", [
