@@ -8,8 +8,8 @@ budget accounting.
 """
 
 from .backend import (BackendParams, CapacityError, CipherVec,
-                      DepthExhaustedError, ModulusLedger, SimdBackend,
-                      SlotSimulator)
+                      DepthExhaustedError, ModulusLedger, Plaintext,
+                      SimdBackend, SlotSimulator)
 from .bench import predict_depth_bits, predict_layer_costs, predict_op_counts
 from .conv import KernelPlan, conv_layer, convolve_images, he_conv, span_kernel
 from .encodings import (EncodedMatrix, LayoutKind, MatrixLayout,

@@ -6,8 +6,12 @@ each ciphertext carries a remaining modulus budget in bits, a
 ciphertext-ciphertext product burns `delta_bits`, a plaintext-mask product
 burns `delta_c_bits`, and rotations and additions are free. `cmul` and
 `add` take plaintexts (a scalar, or a vector zero-padded to the slots), so
-server constants are never encrypted. A shared ledger counts every
-operation so schedules can be audited.
+server constants are never encrypted. A `Plaintext` is a value encoded
+once: one real finite row, checked and copied when it is made, that
+repeats over the slots. `encrypt`, `cmul` and `add` take it without
+checking it again, as a real library multiplies by a pre-encoded
+plaintext. A shared ledger counts every operation so schedules can be
+audited.
 
 The simulator is the only backend shipped here, but everything above it
 talks to the small `SimdBackend` interface, so a real leveled scheme can
@@ -156,6 +160,39 @@ def require_finite(values, what: str):
         raise ValueError(f"{what} has {bad} non-finite values (NaN or inf)")
 
 
+@dataclass(frozen=True, eq=False)
+class Plaintext:
+    """One real finite row, checked and copied once, repeated over the slots.
+
+    The row is a read-only float64 copy, so a later edit to the source
+    does not reach it. Its length must divide the slot count of the
+    backend it meets; a row as long as the slots is used as it is.
+    """
+
+    row: np.ndarray
+
+    def __post_init__(self):
+        require_finite(self.row, "plaintext")
+        row = np.array(self.row, dtype=np.float64).reshape(-1)
+        if not row.size:
+            raise ValueError("plaintext has no values")
+        row.flags.writeable = False
+        object.__setattr__(self, "row", row)
+
+
+def _require_ciphertext(ct, op: str):
+    """Refuse a non-ciphertext operand before an op counts or reads it."""
+    if not isinstance(ct, CipherVec):
+        raise TypeError(f"{op} takes a ciphertext, got {type(ct).__name__}")
+
+
+def _slotwise(op, slots: np.ndarray, plain):
+    """op(slots, plain), a shorter Plaintext row broadcast over the rows it repeats down."""
+    if isinstance(plain, np.ndarray) and plain.shape[0] < slots.shape[0]:
+        return op(slots.reshape(-1, plain.shape[0]), plain).reshape(-1)
+    return op(slots, plain)
+
+
 class SlotSimulator(SimdBackend):
     """Exact plaintext simulator of a leveled SIMD scheme."""
 
@@ -164,12 +201,21 @@ class SlotSimulator(SimdBackend):
         self.ledger = ModulusLedger(self.params.delta_bits, self.params.delta_c_bits)
 
     def _plaintext(self, values, what: str):
-        """The one plaintext intake: a finite scalar stays a float, a vector is zero-padded."""
+        """The one plaintext intake.
+
+        A Plaintext gives its row, checked when it was made; a finite scalar
+        stays a float; a vector is checked and zero-padded to the slots.
+        """
+        n = self.params.slots
+        if isinstance(values, Plaintext):
+            if n % values.row.shape[0]:
+                raise CapacityError(f"{what} row of {values.row.shape[0]} values "
+                                    f"does not divide the {n} slots")
+            return values.row
         if np.ndim(values) == 0:
             require_finite(values, what)
             return float(values)
         arr = np.asarray(values).reshape(-1)
-        n = self.params.slots
         if arr.shape[0] > n:
             raise CapacityError(
                 f"{what} has {arr.shape[0]} values but backend has {n} slots"
@@ -181,25 +227,35 @@ class SlotSimulator(SimdBackend):
         return arr
 
     def encrypt(self, message) -> CipherVec:
-        """Fresh ciphertext at full budget of a real finite message, zero-padded.
+        """Fresh ciphertext at full budget of a Plaintext, tiled over the slots,
+        or of a real finite message, zero-padded.
 
         The slots are the ciphertext's own copy: a later edit to `message`
         does not reach it. A full float64 message is copied once, C-ordered.
         """
-        own = np.array(message, order="C").reshape(-1)
-        return CipherVec(self._plaintext(own, "message"), self.params.log_q)
+        if isinstance(message, Plaintext):
+            row = self._plaintext(message, "message")
+            slots = np.empty(self.params.slots)
+            slots.reshape(-1, row.shape[0])[:] = row
+        else:
+            own = np.array(message, order="C").reshape(-1)
+            slots = self._plaintext(own, "message")
+        return CipherVec(slots, self.params.log_q)
 
     def decrypt(self, ct: CipherVec) -> np.ndarray:
+        _require_ciphertext(ct, "decrypt")
         return ct.slots.copy()
 
     def add(self, a: CipherVec, b) -> CipherVec:
         """Sum with a ciphertext, or with a plaintext that spends no budget."""
+        _require_ciphertext(a, "add")
         if isinstance(b, CipherVec):
-            b_slots, budget = b.slots, min(a.budget_bits, b.budget_bits)
+            slots, budget = a.slots + b.slots, min(a.budget_bits, b.budget_bits)
         else:
-            b_slots, budget = self._plaintext(b, "plaintext"), a.budget_bits
+            plain = self._plaintext(b, "plaintext")
+            slots, budget = _slotwise(np.add, a.slots, plain), a.budget_bits
         self.ledger.bump("add")
-        return CipherVec(a.slots + b_slots, budget)
+        return CipherVec(slots, budget)
 
     def mul(self, a: CipherVec, b: CipherVec) -> CipherVec:
         if not (isinstance(a, CipherVec) and isinstance(b, CipherVec)):
@@ -213,17 +269,20 @@ class SlotSimulator(SimdBackend):
         return CipherVec(a.slots * b.slots, lvl - self.params.delta_bits)
 
     def cmul(self, a: CipherVec, mask) -> CipherVec:
-        """Product with a plaintext mask, vector or scalar."""
+        """Product with a plaintext mask: a Plaintext, a vector or a scalar."""
+        _require_ciphertext(a, "cmul")
         if a.budget_bits < self.params.delta_c_bits:
             raise DepthExhaustedError(
                 f"cmul needs {self.params.delta_c_bits} bits, only {a.budget_bits} left"
             )
         m = self._plaintext(mask, "mask")
         self.ledger.bump("cmul")
-        return CipherVec(a.slots * m, a.budget_bits - self.params.delta_c_bits)
+        return CipherVec(_slotwise(np.multiply, a.slots, m),
+                         a.budget_bits - self.params.delta_c_bits)
 
     def rot(self, a: CipherVec, amount: int) -> CipherVec:
         """Cyclic rotation by a whole amount; positive moves slot i+amount into slot i."""
+        _require_ciphertext(a, "rot")
         try:
             amount = operator.index(amount)
         except TypeError:

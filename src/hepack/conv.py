@@ -4,12 +4,14 @@ Output (a, b) is the sum over taps (u, v) of kern[u, v] * image[a+u, b+v].
 In the image-grid layout tap (u, v) is the batch ciphertext rotated by
 u*w + v. The taps do not depend on the kernel, so a layer rotates the
 image k*k - 1 times and every kernel reuses them (rotation sharing, as in
-Halevi-Shoup hoisting). The valid-region mask zeroes anchors whose window
-crossed the grid edge, and the pad slots. A plaintext kernel folds it into
-its taps: each tap is cmul'd by w_uv * mask, so a kernel costs k*k cmul at
-depth delta_c. An encrypted kernel muls each tap by an encrypted w_uv and
-masks once after the sum, at depth delta + delta_c. Either way a plan's
-scalar bias comes in with one plaintext add of the bias * mask vector.
+Halevi-Shoup hoisting). The valid-region mask, one row repeated over the
+batch, zeroes anchors whose window crossed the grid edge, and the pad
+slots. A plaintext kernel folds it into its taps: each tap is cmul'd by
+the one-row Plaintext w_uv * mask, so a kernel costs k*k cmul at depth
+delta_c. An encrypted kernel muls each tap by w_uv encrypted from a
+one-value Plaintext and masks once after the sum, at depth
+delta + delta_c. Either way a plan's scalar bias comes in with one
+plaintext add of the one-row bias * mask.
 
 `KernelPlan.spans` still shows the paper's k*k tiled span plaintexts;
 nothing on the data path reads them.
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import (BackendParams, SimdBackend, SlotSimulator, require_finite,
-                      require_real)
+from .backend import (BackendParams, Plaintext, SimdBackend, SlotSimulator,
+                      require_finite, require_real)
 from .encodings import (EncodedMatrix, LayoutKind, MatrixLayout, decrypt_rows,
                         grid_layout, pack_image_batch)
 from .linalg import ceil_log2, make_valid_region_mask, reduce_add
@@ -109,18 +111,17 @@ def conv_layer(backend: SimdBackend, image: EncodedMatrix, plans,
     taps = [image.ct if u == v == 0 else backend.rot(image.ct, u * w + v)
             for u in range(k) for v in range(k)]
     mask = make_valid_region_mask(lay, k)
-    slots = backend.params.slots
 
     def per_kernel(plan):
         weights = plan.kernel.reshape(-1)
         if encrypted_kernels:
-            prods = (backend.mul(tap, backend.encrypt(np.broadcast_to(wt, slots)))
+            prods = (backend.mul(tap, backend.encrypt(Plaintext(wt)))
                      for tap, wt in zip(taps, weights))
             valid = backend.cmul(reduce_add(backend, prods), mask)
         else:
-            valid = reduce_add(backend, (backend.cmul(tap, wt * mask)
+            valid = reduce_add(backend, (backend.cmul(tap, Plaintext(wt * mask.row))
                                          for tap, wt in zip(taps, weights)))
-        return EncodedMatrix(backend.add(valid, plan.bias * mask), lay)
+        return EncodedMatrix(backend.add(valid, Plaintext(plan.bias * mask.row)), lay)
 
     return [per_kernel(plan) for plan in plans]
 

@@ -13,6 +13,8 @@ image-grid    row i holds image i flattened row-major in its first h*w slots.
 Transpose-extended (the right side of a product: row r holds column r % p
 of B, p kept as the layout period) and image-grid are row-major encodings
 of a rearranged matrix, so encode_row_major builds every row-packed buffer.
+It also takes a Plaintext row of row_width values, checked when it was
+made, and encrypts it as every row of the matrix.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .backend import CipherVec, SimdBackend, require_finite, require_real
+from .backend import CipherVec, Plaintext, SimdBackend, require_finite, require_real
 
 
 class LayoutKind(enum.Enum):
@@ -89,7 +91,14 @@ def encode_row_major(backend: SimdBackend, matrix, row_width: int) -> EncodedMat
     Columns n..row_width-1 of every row are zero pad. m * row_width must
     equal the backend slot count. A matrix that fills its rows (a broadcast
     view too) goes to encrypt as it is, so encrypt's copy is the only buffer.
+    A Plaintext must be one full row: encrypt tiles it down every row.
     """
+    if isinstance(matrix, Plaintext):
+        n = matrix.row.shape[0]
+        if n != row_width:
+            raise ValueError(f"plaintext row of {n} values must fill row_width {row_width}")
+        ct = backend.encrypt(matrix)
+        return EncodedMatrix(ct, row_major_layout(backend.params.slots // n, n, n))
     require_real(matrix, "matrix")
     m_arr = np.asarray(matrix, dtype=np.float64)
     if m_arr.ndim != 2:

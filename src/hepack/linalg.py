@@ -10,7 +10,9 @@ rotate_within_rows    2 rot + 2 cmul + 1 add; amount 0 free
 compact_columns       (2W - 1) cmul + 2(W - 1) rot + 2(W - 1) add, W the
                       widest of column_group_widths(p, rows)
 
-Filter masks are built once per shape, cached, and read-only.
+Filter masks are built once per shape, cached, and handed out as
+Plaintexts, so cmul never checks them again: the valid-region mask as one
+row, the band and unskew masks at full width.
 """
 
 from __future__ import annotations
@@ -20,35 +22,29 @@ from functools import lru_cache
 
 import numpy as np
 
-from .backend import CipherVec, SimdBackend
+from .backend import CipherVec, Plaintext, SimdBackend
 from .encodings import (EncodedMatrix, LayoutKind, MatrixLayout, column_groups,
                         row_major_layout)
 
 
 # ---------------------------------------------------------------- masks
 
-def _frozen(buf: np.ndarray) -> np.ndarray:
-    flat = buf.reshape(-1)
-    flat.flags.writeable = False
-    return flat
-
-
 @lru_cache(maxsize=None)
-def make_valid_region_mask(grid: MatrixLayout, k: int) -> np.ndarray:
-    """1 at every anchor of an image-grid layout where a k x k window fits, else 0."""
+def make_valid_region_mask(grid: MatrixLayout, k: int) -> Plaintext:
+    """One row: 1 at every anchor of an image grid where a k x k window fits, else 0."""
     h, w = grid.grid_h, grid.grid_w
-    buf = np.zeros((grid.rows, grid.row_width))
+    row = np.zeros(grid.row_width)
     for a in range(h - k + 1):
-        buf[:, a * w: a * w + (w - k + 1)] = 1.0
-    return _frozen(buf)
+        row[a * w: a * w + (w - k + 1)] = 1.0
+    return Plaintext(row)
 
 
 @lru_cache(maxsize=None)
-def make_col_band_mask(rows: int, row_width: int, c0: int, c1: int) -> np.ndarray:
+def make_col_band_mask(rows: int, row_width: int, c0: int, c1: int) -> Plaintext:
     """1 on columns c0..c1-1 of every row."""
     buf = np.zeros((rows, row_width))
     buf[:, c0:c1] = 1.0
-    return _frozen(buf)
+    return Plaintext(buf)
 
 
 @lru_cache(maxsize=None)
@@ -67,7 +63,7 @@ def make_unskew_masks(rows: int, row_width: int, p: int) -> tuple:
                 if c0 < c1:
                     buf = bufs.setdefault(amount, np.zeros((rows, row_width)))
                     buf[r::w, c0:c1] = 1.0
-    return tuple((amount, _frozen(buf)) for amount, buf in sorted(bufs.items()))
+    return tuple((amount, Plaintext(buf)) for amount, buf in sorted(bufs.items()))
 
 
 # ----------------------------------------------------------- primitives

@@ -11,7 +11,8 @@ row-major in columns 0..p-1; the logits are read from the last one. Each
 rotation is hoistable from one input (conv taps, fc baby steps), chained
 through one key (fc giant steps, product columns) or a doubling fold. A
 spec is planned once per batch geometry (NetworkSpec.plan), so a batch
-runs only encryptions and scheme ops.
+runs only encryptions and scheme ops. The plan holds each fc diagonal and
+bias as a one-row Plaintext, checked once when it is planned.
 
 Activation is a fixed cubic in Horner form, c0 + c1*x + x^2*(c2 + c3*x):
 x*x and c3*x + c2 are made side by side and multiplied once more, so a
@@ -20,12 +21,13 @@ layer costs 2*delta budget bits.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backend import (OP_KINDS, DepthExhaustedError, SimdBackend, require_finite,
-                      require_real)
+from .backend import (OP_KINDS, DepthExhaustedError, Plaintext, SimdBackend,
+                      require_finite, require_real)
 from .conv import conv_layer, span_kernel
 from .encodings import (EncodedMatrix, LayoutKind, MatrixLayout, decrypt_rows,
                         encode_row_major, grid_layout, pack_image_batch,
@@ -106,8 +108,8 @@ class NetworkSpec:
     def __getstate__(self):
         """Pickle and copy without the plans; a copy plans again on first use.
 
-        Each broadcast diagonal would otherwise be written out in full,
-        ~70 MB at stock.
+        Plans derive from the layers, and their diagonal rows alone would
+        add ~2.2 MB at stock.
         """
         return {**self.__dict__, "_plans": {}}
 
@@ -277,17 +279,18 @@ class FcPlan:
     layouts: tuple  # the MatrixLayout of each input part, in order
     baby: int  # B and L of fc_schedule
     fold: int
-    diagonals: tuple  # per part, p read-only (rows, row_width) views of one row each
-    bias: np.ndarray  # the bias in columns 0..p-1 of every row, read-only
+    diagonals: tuple  # per part, p one-row Plaintexts of row_width values
+    bias: Plaintext  # one row: the bias in columns 0..p-1
     out_layout: MatrixLayout
 
 
 def plan_fc(spec: FcSpec, layouts) -> FcPlan:
-    """Schedule, diagonal rows and tiled bias of an fc layer over these parts.
+    """Schedule, diagonal rows and bias row of an fc layer over these parts.
 
     The features are the first logical_width slots of each part's rows, in
     part order (all h*w cells of a grid: see spread_to_grid). Each diagonal
-    is one row of f slots, broadcast over the batch's rows.
+    and the bias is one Plaintext row of f slots, repeated over the batch's
+    rows.
     """
     layouts = tuple(layouts)
     if not layouts:
@@ -302,11 +305,9 @@ def plan_fc(spec: FcSpec, layouts) -> FcPlan:
             f"input parts supply {sum(widths)} features, fc expects {spec.in_dim}")
     baby, fold = fc_schedule(widths, p, f)
     blocks = np.split(spec.weight.T, np.cumsum(widths)[:-1])
-    diagonals = tuple(tuple(np.broadcast_to(row, (m, f))
-                            for row in _diagonal_rows(block, f, baby))
+    diagonals = tuple(tuple(Plaintext(row) for row in _diagonal_rows(block, f, baby))
                       for block in blocks)
-    bias = np.tile(np.pad(spec.bias, (0, f - p)), m)
-    bias.flags.writeable = False
+    bias = Plaintext(np.pad(spec.bias, (0, f - p)))
     return FcPlan(layouts, baby, fold, diagonals, bias, row_major_layout(m, f, p))
 
 
@@ -320,10 +321,10 @@ def fc_layer(backend: SimdBackend, parts, plan: FcPlan) -> EncodedMatrix:
     so no mask is needed and input pad slots may hold anything. With
     d = b + B*a each part is rotated right by b < B once (baby steps,
     hoistable). Giant step a sums its products by diagonals pre-rotated left
-    by B*a into S_a, encrypted as m equal rows just before each mul;
-    acc = rot(acc, -B) + S_a from the last a down chains the giant steps
+    by B*a into S_a, each encrypted from its Plaintext row just before its
+    mul; acc = rot(acc, -B) + S_a from the last a down chains the giant steps
     through one key. L doubling folds of stride p*2^s add the bands into
-    columns 0..p-1, then the row-tiled plaintext bias; slots past p keep
+    columns 0..p-1, then the plaintext bias row; slots past p keep
     partial band sums, which the next fc layer's zero weights ignore.
     """
     parts = list(parts)
@@ -350,7 +351,11 @@ def fc_layer(backend: SimdBackend, parts, plan: FcPlan) -> EncodedMatrix:
 
 @dataclass
 class LayerCost:
-    """Ops and budget bits of one layer: measured by infer, predicted by bench."""
+    """Ops and budget bits of one layer: measured by infer, predicted by bench.
+
+    infer also records the layer's wall time in `seconds`, which equality
+    and bench.cost_mismatch leave out.
+    """
 
     name: str
     mul: int = 0
@@ -358,6 +363,7 @@ class LayerCost:
     rot: int = 0
     add: int = 0
     depth_bits: int = 0
+    seconds: float = field(default=0.0, compare=False)
 
 
 @dataclass
@@ -404,6 +410,7 @@ def infer(backend: SimdBackend, net: NetworkSpec, packed: EncodedMatrix,
     budget = min(p.ct.budget_bits for p in parts)
     costs = []
     for name, layer, plan in zip(layer_names(net), net.layers, plans):
+        tick = time.perf_counter()
         try:
             if isinstance(layer, ConvSpec):
                 parts = conv_layer(backend, parts[0], plan, encrypted_kernels)
@@ -417,6 +424,7 @@ def infer(backend: SimdBackend, net: NetworkSpec, packed: EncodedMatrix,
         now = min(p.ct.budget_bits for p in parts)
         after = backend.ledger.snapshot()
         costs.append(LayerCost(name, depth_bits=budget - now,
+                               seconds=time.perf_counter() - tick,
                                **{k: after[k] - before[k] for k in OP_KINDS}))
         budget, before = now, after
     logits = decrypt_rows(backend, parts[0])[:, :net.classes]

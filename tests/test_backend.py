@@ -2,12 +2,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hepack import (
     BackendParams,
     CapacityError,
     CipherVec,
     DepthExhaustedError,
+    Plaintext,
     SlotSimulator,
 )
 from hepack.backend import OP_KINDS
@@ -171,6 +173,79 @@ def test_mul_refuses_a_plaintext_operand():
         with pytest.raises(TypeError, match="multiply by a plaintext with cmul"):
             backend.mul(a, b)
     assert backend.ledger.counts == dict.fromkeys(OP_KINDS, 0)
+
+
+@pytest.mark.parametrize("op", ["add", "cmul", "rot", "decrypt"])
+def test_ops_refuse_a_non_ciphertext_operand(op):
+    # As mul does, each op names the cause before the ledger moves.
+    backend = sim(8)
+    args = {"add": (np.ones(8), 1.0), "cmul": (np.ones(8), 2.0),
+            "rot": (np.ones(8), 1), "decrypt": (np.ones(8),)}[op]
+    with pytest.raises(TypeError, match=f"^{op} takes a ciphertext, got ndarray$"):
+        getattr(backend, op)(*args)
+    assert backend.ledger.counts == dict.fromkeys(OP_KINDS, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_plaintext_rows_act_as_their_tiling(data):
+    # encrypt, add and cmul take a Plaintext row as the same ops take the
+    # row tiled over the slots: bitwise, with equal ledgers and budgets.
+    slots = 1 << data.draw(st.integers(0, 6))
+    width = 1 << data.draw(st.integers(0, slots.bit_length() - 1))
+    floats = st.floats(-1e6, 1e6, allow_nan=False)
+    row = np.array(data.draw(st.lists(floats, min_size=width, max_size=width)))
+    ct_vals = np.array(data.draw(st.lists(floats, min_size=slots, max_size=slots)))
+    runs = []
+    for operand in (Plaintext(row), np.tile(row, slots // width)):
+        backend = sim(slots)
+        ct = backend.cmul(backend.encrypt(ct_vals), 0.5)
+        outs = [backend.encrypt(operand), backend.add(ct, operand),
+                backend.cmul(ct, operand)]
+        runs.append(([(backend.decrypt(o).tobytes(), o.budget_bits) for o in outs],
+                     backend.ledger.snapshot()))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("values,cause", [
+    ([1.0, np.nan], "has 1 non-finite values (NaN or inf)"),
+    (np.inf, "has 1 non-finite values (NaN or inf)"),
+    (np.array([1.0, 2j]), "must be real, got complex values"),
+    (["a", "b"], "must be numeric"),
+    ([], "has no values"),
+], ids=["nan", "inf", "complex", "non-numeric", "empty"])
+def test_plaintext_refuses_what_encrypt_refuses(values, cause):
+    with pytest.raises(ValueError, match=re.escape(f"plaintext {cause}")):
+        Plaintext(values)
+
+
+def test_plaintext_owns_a_read_only_copy():
+    source = np.arange(4)
+    pt = Plaintext(source)
+    source[0] = 99
+    assert pt.row.tolist() == [0.0, 1.0, 2.0, 3.0] and pt.row.dtype == np.float64
+    with pytest.raises(ValueError, match="read-only"):
+        pt.row[0] = 5.0
+    assert Plaintext(2.5).row.tolist() == [2.5]
+    backend = sim(8)
+    ct = backend.encrypt(pt)
+    assert not np.shares_memory(ct.slots, pt.row)
+    assert np.array_equal(backend.decrypt(ct), [0, 1, 2, 3, 0, 1, 2, 3])
+
+
+@pytest.mark.parametrize("width", [3, 16])
+def test_a_plaintext_row_must_divide_the_slots(width):
+    backend = sim(8)
+    ct = backend.encrypt(np.ones(8))
+    before = backend.ledger.snapshot()
+    pt = Plaintext(np.ones(width))
+    for op, what in ((backend.encrypt, "message"), (backend.cmul, "mask"),
+                     (backend.add, "plaintext")):
+        args = (pt,) if op == backend.encrypt else (ct, pt)
+        with pytest.raises(CapacityError, match=re.escape(
+                f"{what} row of {width} values does not divide the 8 slots")):
+            op(*args)
+    assert backend.ledger.snapshot() == before
 
 
 def test_cmul_scalar_and_vector_masks():

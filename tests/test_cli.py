@@ -241,6 +241,13 @@ def test_bench_audits_op_counts(reduced_files, capsys):
             "conv-1         0      18       8      18      20\n") in text
     assert _row(text, "total") == _row(text, "measured")
     assert "MISMATCH" not in text
+    # The timed batch is the second, which the first planned; each layer's
+    # ms and their total follow the table's totals.
+    timed, = (ln for ln in text.splitlines() if ln.startswith("planned batch ms: "))
+    cells = [cell.split() for cell in timed.removeprefix("planned batch ms: ").split(", ")]
+    assert [name for name, _ in cells] == ["conv-1", "act-1", "fc-1", "act-2", "fc-2",
+                                           "total"]
+    assert all(float(ms) > 0 for _, ms in cells)
 
 
 def test_bench_names_the_first_layer_off_the_depth_model(reduced_files, capsys,

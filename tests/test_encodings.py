@@ -8,6 +8,7 @@ from hepack import (
     LayoutKind,
     MatrixLayout,
     NetworkSpec,
+    Plaintext,
     convolve_images,
     decode_diagonal,
     decrypt_rows,
@@ -50,6 +51,19 @@ def test_decrypt_rows_reshapes():
     assert rows.shape == (4, 8)
     assert np.array_equal(rows[:, :3], mat)
     assert not rows[:, 3:].any()
+
+
+def test_row_major_encodes_a_plaintext_row_down_every_row():
+    # A Plaintext row fills a row as it is, so it encodes as the matrix of
+    # that row repeated, bitwise, without being checked again.
+    backend = sim(32)
+    row = np.random.default_rng(1).normal(size=8)
+    enc = encode_row_major(backend, Plaintext(row), row_width=8)
+    want = encode_row_major(backend, np.tile(row, (4, 1)), row_width=8)
+    assert backend.decrypt(enc.ct).tobytes() == backend.decrypt(want.ct).tobytes()
+    assert enc.layout == want.layout == row_major_layout(4, 8, 8)
+    with pytest.raises(ValueError, match="plaintext row of 4 values must fill row_width 8"):
+        encode_row_major(backend, Plaintext(row[:4]), row_width=8)
 
 
 def test_row_major_rejects_bad_geometry():

@@ -341,8 +341,8 @@ def test_masks_are_cached_and_frozen():
     a = make_unskew_masks(4, 8, 6)
     assert a is make_unskew_masks(4, 8, 6)
     for _, mask in a:
-        assert not mask.flags.writeable
-        assert set(np.unique(mask)) <= {0.0, 1.0}
+        assert not mask.row.flags.writeable
+        assert set(np.unique(mask.row)) <= {0.0, 1.0}
 
 
 @pytest.mark.parametrize("m,f,p", [(4, 8, 6), (8, 16, 11), (2, 8, 8), (1, 4, 3)])
@@ -352,7 +352,7 @@ def test_unskew_masks_bring_every_slot_home_once(m, f, p):
     hits = np.zeros((m, f), dtype=int)
     i = np.arange(m)[:, None]
     for amount, mask in make_unskew_masks(m, f, p):
-        mask = mask.reshape(m, f)
+        mask = mask.row.reshape(m, f)
         hits += mask.astype(int)
         for j in range(p):
             src = diagonal_slot_column(i[:, 0], j, p, m)

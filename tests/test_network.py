@@ -3,6 +3,8 @@ import dataclasses
 import itertools
 import pickle
 import re
+import sys
+import time
 from collections import Counter
 
 import numpy as np
@@ -565,11 +567,19 @@ def test_measured_layers_equal_the_closed_form(encrypted):
     images = rng.uniform(size=(geo["batch"], geo["h"], geo["w"]))
     m, f = geo["batch"], geo["row_width"]
     backend = sim(m * f)
+    start = time.perf_counter()
     res = infer_images(backend, net, images, f, encrypted_kernels=encrypted)
-    assert res.layers == predict_layer_costs(net, m, f, backend.params,
-                                             encrypted)
+    wall = time.perf_counter() - start
+    predicted = predict_layer_costs(net, m, f, backend.params, encrypted)
+    assert res.layers == predicted
     for kind in ("mul", "cmul", "rot", "add"):
         assert res.op_counts[kind] == sum(getattr(c, kind) for c in res.layers)
+    # Each measured row holds its layer's wall time, which equality and
+    # cost_mismatch leave out: the closed form's rows hold 0.
+    assert all(c.seconds > 0 for c in res.layers)
+    assert sum(c.seconds for c in res.layers) < wall
+    assert not any(c.seconds for c in predicted)
+    assert cost_mismatch(res.layers, predicted) is None
 
 
 def test_back_to_back_calls_on_one_backend_report_their_own_costs():
@@ -628,6 +638,34 @@ def test_infer_plans_a_network_once_per_geometry(monkeypatch):
     assert net.plan(m, 128) is net.plan(m, 128) is not net.plan(m, 256)
     # Each spec owns its plans, so specs compare and hash by identity.
     assert fresh != net and len({net, fresh, net}) == 2
+
+
+@pytest.mark.parametrize("encrypted", [False, True])
+def test_a_planned_stock_batch_checks_one_slot_sized_array(encrypted, monkeypatch):
+    # Plaintexts are checked once, when they are made: the plan's fc rows
+    # and cached masks never again, a batch's conv rows at row width. So
+    # after planning, the only full-slot finiteness pass is encrypt's on the
+    # packed images; the unplanned path made 309 of them per batch.
+    geo = stock_geometry()
+    net = random_network(np.random.default_rng(0), **geo)
+    m, f = geo["batch"], geo["row_width"]
+    backend = sim(m * f)
+    images = np.random.default_rng(1).uniform(size=(m, geo["h"], geo["w"]))
+    infer_images(backend, net, images, f, encrypted_kernels=encrypted)
+    real, checked = hepack.backend.require_finite, []
+
+    def counted(values, what):
+        checked.append((np.size(values), what))
+        return real(values, what)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("hepack") and getattr(mod, "require_finite", None) is real:
+            monkeypatch.setattr(mod, "require_finite", counted)
+    res = infer_images(backend, net, images, f, encrypted_kernels=encrypted)
+    assert [what for size, what in checked if size >= m * f] == ["message"]
+    assert max(size for size, what in checked
+               if what not in ("message", "images")) <= f
+    assert np.max(np.abs(res.logits - reference_infer(net, images))) < 1e-6
 
 
 def test_a_pickled_or_copied_spec_leaves_its_plans_behind():

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from hepack import Plaintext
 from common import sim
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -35,10 +36,12 @@ def test_tracing_backend_forwards_plaintext_operands():
     bare = sim(8)
     traced = load_tracer().Tracer().backend(sim(8))
     results = []
+    row = Plaintext([0.5, -2.0])
     for backend in (bare, traced):
         ct = backend.encrypt(np.linspace(-1.0, 1.0, 8))
         outs = [backend.add(ct, 0.3), backend.add(ct, np.arange(3.0)),
-                backend.cmul(ct, 0.7), backend.cmul(ct, np.arange(5.0))]
+                backend.cmul(ct, 0.7), backend.cmul(ct, np.arange(5.0)),
+                backend.encrypt(row), backend.add(ct, row), backend.cmul(ct, row)]
         results.append([(backend.decrypt(o).tobytes(), o.budget_bits) for o in outs])
     assert results[0] == results[1]
     assert traced.ledger.snapshot() == bare.ledger.snapshot()
