@@ -8,15 +8,17 @@ product the backend refuses, which is how depth limits surface here.
 
 import numpy as np
 
-from hepack import BackendParams, DepthExhaustedError, SlotSimulator
+from hepack import (BackendParams, CapacityError, DepthExhaustedError, Plaintext,
+                    SlotSimulator)
 
 params = BackendParams(log_n=4, log_q=1200)
 backend = SlotSimulator(params)
 print(f"ring degree 2^{params.log_n} -> {params.slots} slots, "
       f"fresh budget {params.log_q} bits")
 
-a = backend.encrypt([1.0, 2.0, 3.0])
-b = backend.encrypt([10.0, 20.0, 30.0])
+# A raw array fills every slot; a Plaintext row repeats over the slots.
+a = backend.encrypt(np.arange(1.0, params.slots + 1))
+b = backend.encrypt(Plaintext([10.0, 20.0]))
 print("a      ", backend.decrypt(a))
 print("b      ", backend.decrypt(b))
 print("a+b    ", backend.decrypt(backend.add(a, b)), "budget", backend.add(a, b).budget_bits)
@@ -24,9 +26,15 @@ print("a*b    ", backend.decrypt(backend.mul(a, b)), "budget", backend.mul(a, b)
 print("2a     ", backend.decrypt(backend.cmul(a, 2.0)), "budget", backend.cmul(a, 2.0).budget_bits)
 print("rot(a,1)", backend.decrypt(backend.rot(a, 1)))
 
-# The whole vector rotates, pad slots included; masks carve out windows.
-mask = np.array([1.0, 0.0, 1.0])
+# The whole vector rotates; masks carve out windows. This row of 4 keeps
+# the first and third slot of every 4.
+mask = Plaintext([1.0, 0.0, 1.0, 0.0])
 print("masked ", backend.decrypt(backend.cmul(a, mask)))
+# A raw array of any other length is refused rather than zero-padded.
+try:
+    backend.cmul(a, np.array([1.0, 0.0, 1.0]))
+except CapacityError as e:
+    print("refused:", e)
 
 # Chain products until the 1200-bit budget refuses the next one.
 ct = backend.encrypt(np.ones(params.slots))

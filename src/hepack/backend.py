@@ -4,14 +4,14 @@ Every value is a vector of `slots` float64 numbers. Arithmetic is exact
 (no encryption noise); what is modeled is the leveled-scheme bookkeeping:
 each ciphertext carries a remaining modulus budget in bits, a
 ciphertext-ciphertext product burns `delta_bits`, a plaintext-mask product
-burns `delta_c_bits`, and rotations and additions are free. `cmul` and
-`add` take plaintexts (a scalar, or a vector zero-padded to the slots), so
-server constants are never encrypted. A `Plaintext` is a value encoded
-once: one real finite row, checked and copied when it is made, that
-repeats over the slots. `encrypt`, `cmul` and `add` take it without
-checking it again, as a real library multiplies by a pre-encoded
-plaintext. A shared ledger counts every operation so schedules can be
-audited.
+burns `delta_c_bits`, and rotations and additions are free. A `Plaintext`
+is a value encoded once: one real finite row, checked and copied when it
+is made, that repeats over the slots. `encrypt`, `cmul` and `add` take it
+without checking it again, as a real library multiplies by a pre-encoded
+plaintext; they read a finite scalar as every slot, and a raw array only
+if it fills the slots, as its Plaintext (encode_row_major pads matrices).
+So server constants are never encrypted. A shared ledger counts every
+operation so schedules can be audited.
 
 The simulator is the only backend shipped here, but everything above it
 talks to the small `SimdBackend` interface, so a real leveled scheme can
@@ -201,45 +201,39 @@ class SlotSimulator(SimdBackend):
         self.ledger = ModulusLedger(self.params.delta_bits, self.params.delta_c_bits)
 
     def _plaintext(self, values, what: str):
-        """The one plaintext intake.
+        """The one plaintext intake: a Plaintext's row, or a finite scalar as a float.
 
-        A Plaintext gives its row, checked when it was made; a finite scalar
-        stays a float; a vector is checked and zero-padded to the slots.
+        A raw array of exactly `slots` values is read as its Plaintext; any
+        other length is refused, as repeating and zero-padding it disagree.
         """
         n = self.params.slots
-        if isinstance(values, Plaintext):
-            if n % values.row.shape[0]:
-                raise CapacityError(f"{what} row of {values.row.shape[0]} values "
-                                    f"does not divide the {n} slots")
-            return values.row
-        if np.ndim(values) == 0:
-            require_finite(values, what)
-            return float(values)
-        arr = np.asarray(values).reshape(-1)
-        if arr.shape[0] > n:
-            raise CapacityError(
-                f"{what} has {arr.shape[0]} values but backend has {n} slots"
-            )
-        require_finite(arr, what)
-        arr = arr.astype(np.float64, copy=False)
-        if arr.shape[0] < n:
-            arr = np.concatenate([arr, np.zeros(n - arr.shape[0])])
-        return arr
+        if not isinstance(values, Plaintext):
+            if np.ndim(values) == 0:
+                require_finite(values, what)
+                return float(values)
+            if np.size(values) != n:
+                raise CapacityError(
+                    f"{what} has {np.size(values)} values but backend has {n} slots: "
+                    f"pad it to {n} values, or make it a Plaintext row to repeat it")
+            return Plaintext(values).row
+        if n % values.row.shape[0]:
+            raise CapacityError(f"{what} row of {values.row.shape[0]} values "
+                                f"does not divide the {n} slots")
+        return values.row
 
     def encrypt(self, message) -> CipherVec:
-        """Fresh ciphertext at full budget of a Plaintext, tiled over the slots,
-        or of a real finite message, zero-padded.
+        """Fresh ciphertext at full budget of a plaintext, repeated over the slots.
 
-        The slots are the ciphertext's own copy: a later edit to `message`
-        does not reach it. A full float64 message is copied once, C-ordered.
+        A slot-length row is used as it is, its Plaintext's read-only copy;
+        a shorter row or a scalar is tiled into a fresh array.
         """
-        if isinstance(message, Plaintext):
-            row = self._plaintext(message, "message")
-            slots = np.empty(self.params.slots)
-            slots.reshape(-1, row.shape[0])[:] = row
-        else:
-            own = np.array(message, order="C").reshape(-1)
-            slots = self._plaintext(own, "message")
+        row = self._plaintext(message, "message")
+        if isinstance(row, float):
+            row = np.full(1, row)
+        if row.shape[0] == self.params.slots:
+            return CipherVec(row, self.params.log_q)
+        slots = np.empty(self.params.slots)
+        slots.reshape(-1, row.shape[0])[:] = row
         return CipherVec(slots, self.params.log_q)
 
     def decrypt(self, ct: CipherVec) -> np.ndarray:
@@ -269,7 +263,7 @@ class SlotSimulator(SimdBackend):
         return CipherVec(a.slots * b.slots, lvl - self.params.delta_bits)
 
     def cmul(self, a: CipherVec, mask) -> CipherVec:
-        """Product with a plaintext mask: a Plaintext, a vector or a scalar."""
+        """Product with a plaintext mask: a Plaintext, a slot-length array or a scalar."""
         _require_ciphertext(a, "cmul")
         if a.budget_bits < self.params.delta_c_bits:
             raise DepthExhaustedError(

@@ -48,6 +48,8 @@ def cmd_infer(args) -> int:
         images, labels = load_mnist(args.images, args.labels)
     else:
         images, labels = load_idx_images(args.images), None
+    if not images.shape[0]:
+        raise ValueError(f"{args.images}: no images to classify")
     if images.shape[1:] != (net.input_h, net.input_w):
         raise ValueError(
             f"images are {images.shape[1]}x{images.shape[2]}, network wants "
@@ -56,11 +58,9 @@ def cmd_infer(args) -> int:
     blocks = image_blocks(images, args.batch)
     start = time.perf_counter()
     rows, correct, seen = [], 0, 0
-    depth_bits = 0
     for bi, (block, valid) in enumerate(blocks):
         res = infer_images(backend, net, block, row_width,
                            encrypted_kernels=args.encrypted_kernels)
-        depth_bits = res.depth_bits
         guesses = res.logits.argmax(axis=1)
         for i in range(valid):
             rows.append((seen + i, res.logits[i], guesses[i]))
@@ -78,8 +78,8 @@ def cmd_infer(args) -> int:
     totals = backend.ledger.snapshot()
     print(f"wrote {len(rows)} predictions to {args.out}")
     if labels is not None:
-        print(f"accuracy {correct}/{seen} = {correct / max(seen, 1):.4f}")
-    print(f"depth {depth_bits}/{params.log_q} bits; ledger "
+        print(f"accuracy {correct}/{seen} = {correct / seen:.4f}")
+    print(f"depth {res.depth_bits}/{params.log_q} bits; ledger "
           f"mul={totals['mul']} cmul={totals['cmul']} rot={totals['rot']} "
           f"add={totals['add']} rescale_bits={totals['consumed_bits']}")
     print(f"wall {wall:.2f}s")

@@ -12,9 +12,10 @@ image-grid    row i holds image i flattened row-major in its first h*w slots.
 
 Transpose-extended (the right side of a product: row r holds column r % p
 of B, p kept as the layout period) and image-grid are row-major encodings
-of a rearranged matrix, so encode_row_major builds every row-packed buffer.
-It also takes a Plaintext row of row_width values, checked when it was
-made, and encrypts it as every row of the matrix.
+of a rearranged matrix, so encode_row_major builds every row-packed buffer
+and is the one place that zero-pads (the backend takes only full-slot
+arrays). It also takes a Plaintext row of row_width values, checked when
+it was made, and encrypts it as every row of the matrix.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def encode_row_major(backend: SimdBackend, matrix, row_width: int) -> EncodedMat
 
     Columns n..row_width-1 of every row are zero pad. m * row_width must
     equal the backend slot count. A matrix that fills its rows (a broadcast
-    view too) goes to encrypt as it is, so encrypt's copy is the only buffer.
+    view too) goes to encrypt as it is, so its Plaintext copy is the only buffer.
     A Plaintext must be one full row: encrypt tiles it down every row.
     """
     if isinstance(matrix, Plaintext):

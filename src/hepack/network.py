@@ -137,8 +137,9 @@ class NetworkSpec:
                 require_finite(layer.biases, f"conv layer {pos} biases")
                 feats = layer.channels * (h - layer.k + 1) * (w - layer.k + 1)
             elif isinstance(layer, ActSpec):
-                if len(layer.coeffs) != 4:
-                    raise ValueError("activation needs 4 coefficients")
+                if np.shape(layer.coeffs) != (4,):
+                    raise ValueError(f"activation needs 4 coefficients, "
+                                     f"got shape {np.shape(layer.coeffs)}")
                 require_finite(layer.coeffs, f"act layer {pos} coefficients")
             elif isinstance(layer, FcSpec):
                 shape = np.shape(layer.weight)
@@ -463,6 +464,9 @@ def reference_infer(net: NetworkSpec, images) -> np.ndarray:
     net.validate()
     require_real(images, "images")
     x = np.asarray(images, dtype=np.float64)
+    if x.ndim != 3 or x.shape[1:] != (net.input_h, net.input_w):
+        raise ValueError(f"images have shape {x.shape}, network wants "
+                         f"(m, {net.input_h}, {net.input_w})")
     feats = None
     for layer in net.layers:
         if isinstance(layer, ConvSpec):

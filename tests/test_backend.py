@@ -43,12 +43,15 @@ def test_params_validation():
     assert BackendParams(log_n=17).slots == 65536
 
 
-def test_encrypt_decrypt_round_trip_pads_with_zeros():
+def test_encrypt_decrypt_round_trip():
     backend = sim(8)
-    ct = backend.encrypt([1.0, 2.0, 3.0])
+    ct = backend.encrypt([1.0, 2.0, 3.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     assert ct.budget_bits == 1200
     out = backend.decrypt(ct)
     assert np.array_equal(out, [1, 2, 3, 0, 0, 0, 0, 0])
+    # A scalar message reaches every slot, as a scalar mask does.
+    for n in (1, 8):
+        assert np.array_equal(sim(n).decrypt(sim(n).encrypt(2.5)), np.full(n, 2.5))
 
 
 def test_encrypt_rejects_overfull_vector():
@@ -80,31 +83,34 @@ def test_encrypt_copies_its_message():
 def test_encrypt_rejects_non_finite_values():
     backend = sim(8)
     with pytest.raises(ValueError, match="2 non-finite values"):
-        backend.encrypt([np.nan, 1.0, np.inf])
+        backend.encrypt([np.nan, 1.0, np.inf, 0, 0, 0, 0, 0])
     with pytest.raises(ValueError, match="1 non-finite values"):
-        backend.encrypt(np.full(8, -np.inf)[:1])
-    assert np.array_equal(backend.decrypt(backend.encrypt([1e308, -1e308])),
-                          [1e308, -1e308, 0, 0, 0, 0, 0, 0])
-    # Complex values are refused before the cast could drop their imaginary part.
-    for message in (np.array([1 + 2j, 3j]), 2j):
-        with pytest.raises(ValueError, match="message must be real, got complex values"):
+        backend.encrypt(np.full(8, -np.inf)[:1].item())
+    assert np.array_equal(backend.decrypt(backend.encrypt(np.tile([1e308, -1e308], 4))),
+                          np.tile([1e308, -1e308], 4))
+    # Complex values are refused before the cast could drop their imaginary part;
+    # an array is read as its Plaintext, which names itself.
+    for message, what in ((np.full(8, 3j), "plaintext"), (2j, "message")):
+        with pytest.raises(ValueError, match=f"{what} must be real, got complex values"):
             backend.encrypt(message)
 
 
 @pytest.mark.parametrize("mask,cause", [
     (np.nan, "has 1 non-finite values (NaN or inf)"),
     (np.array(-np.inf), "has 1 non-finite values (NaN or inf)"),
-    ([1.0, np.nan, np.inf], "has 2 non-finite values (NaN or inf)"),
+    ([1.0, np.nan, np.inf, 0, 0, 0, 0, 0], "has 2 non-finite values (NaN or inf)"),
     (1 + 2j, "must be real, got complex values"),
-    (np.array([1.0, 2j]), "must be real, got complex values"),
+    (np.array([1.0, 2j] * 4), "must be real, got complex values"),
 ], ids=["scalar-nan", "0-d-inf", "vector", "complex-scalar", "complex-vector"])
 def test_cmul_rejects_non_finite_masks(mask, cause):
     # The same rule as encrypt's, for cmul's mask and add's plaintext alike;
-    # cmul's depth check still comes first.
+    # cmul's depth check still comes first. A scalar is named by its operand,
+    # an array by the Plaintext it is read as.
     backend = sim(8)
     ct = backend.encrypt(np.ones(8))
     before = backend.ledger.snapshot()
     for op, what in ((backend.cmul, "mask"), (backend.add, "plaintext")):
+        what = what if np.ndim(mask) == 0 else "plaintext"
         with pytest.raises(ValueError, match=re.escape(f"{what} {cause}")):
             op(ct, mask)
     assert backend.ledger.snapshot() == before
@@ -126,7 +132,7 @@ def test_stock_ring_capacity_boundary():
 
 def test_decrypt_returns_independent_copy():
     backend = sim(8)
-    ct = backend.encrypt([1.0, 2.0])
+    ct = backend.encrypt(np.arange(1.0, 9.0))
     out = backend.decrypt(ct)
     out[0] = 99.0
     assert backend.decrypt(ct)[0] == 1.0
@@ -134,17 +140,17 @@ def test_decrypt_returns_independent_copy():
 
 def test_ciphertext_slots_are_read_only():
     backend = sim(8)
-    ct = backend.encrypt([1.0, 2.0])
+    ct = backend.encrypt(np.arange(1.0, 9.0))
     with pytest.raises(ValueError):
         ct.slots[0] = 5.0
 
 
 def test_add_values_and_budget():
     backend = sim(8)
-    a = backend.encrypt([1.0, 2.0, 3.0])
-    b = backend.encrypt([10.0, 20.0, 30.0])
+    a = backend.encrypt(np.arange(1.0, 9.0))
+    b = backend.encrypt(np.arange(10.0, 90.0, 10.0))
     c = backend.add(a, b)
-    assert np.array_equal(backend.decrypt(c), [11, 22, 33, 0, 0, 0, 0, 0])
+    assert np.array_equal(backend.decrypt(c), np.arange(11.0, 99.0, 11.0))
     assert c.budget_bits == 1200
 
 
@@ -158,10 +164,10 @@ def test_add_takes_min_budget():
 
 def test_mul_consumes_prime_budget():
     backend = sim(8)
-    a = backend.encrypt([2.0, 3.0])
-    b = backend.encrypt([4.0, 5.0])
+    a = backend.encrypt(Plaintext([2.0, 3.0]))
+    b = backend.encrypt(Plaintext([4.0, 5.0]))
     c = backend.mul(a, b)
-    assert np.array_equal(backend.decrypt(c)[:2], [8, 15])
+    assert np.array_equal(backend.decrypt(c), [8, 15] * 4)
     assert c.budget_bits == 1200 - 45
 
 
@@ -190,21 +196,33 @@ def test_ops_refuse_a_non_ciphertext_operand(op):
 @given(st.data())
 def test_plaintext_rows_act_as_their_tiling(data):
     # encrypt, add and cmul take a Plaintext row as the same ops take the
-    # row tiled over the slots: bitwise, with equal ledgers and budgets.
+    # row tiled over the slots, raw or as a Plaintext: bitwise, with equal
+    # ledgers and budgets. The same values have one meaning, so a raw array
+    # shorter than the slots is refused before the ledger moves.
     slots = 1 << data.draw(st.integers(0, 6))
     width = 1 << data.draw(st.integers(0, slots.bit_length() - 1))
     floats = st.floats(-1e6, 1e6, allow_nan=False)
     row = np.array(data.draw(st.lists(floats, min_size=width, max_size=width)))
     ct_vals = np.array(data.draw(st.lists(floats, min_size=slots, max_size=slots)))
+    tiled = np.tile(row, slots // width)
     runs = []
-    for operand in (Plaintext(row), np.tile(row, slots // width)):
+    for operand in (Plaintext(row), tiled, Plaintext(tiled)):
         backend = sim(slots)
         ct = backend.cmul(backend.encrypt(ct_vals), 0.5)
         outs = [backend.encrypt(operand), backend.add(ct, operand),
                 backend.cmul(ct, operand)]
         runs.append(([(backend.decrypt(o).tobytes(), o.budget_bits) for o in outs],
                      backend.ledger.snapshot()))
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2]
+    if width < slots:
+        before = backend.ledger.snapshot()
+        for op, args in ((backend.encrypt, (row,)), (backend.add, (ct, row)),
+                         (backend.cmul, (ct, row))):
+            with pytest.raises(CapacityError, match=re.escape(
+                    f"has {width} values but backend has {slots} slots: pad it "
+                    f"to {slots} values, or make it a Plaintext row to repeat it")):
+                op(*args)
+        assert backend.ledger.snapshot() == before
 
 
 @pytest.mark.parametrize("values,cause", [
@@ -250,17 +268,17 @@ def test_a_plaintext_row_must_divide_the_slots(width):
 
 def test_cmul_scalar_and_vector_masks():
     backend = sim(8)
-    ct = backend.encrypt([1.0, 2.0, 3.0, 4.0])
+    ct = backend.encrypt([1.0, 2.0, 3.0, 4.0, 0.0, 0.0, 0.0, 0.0])
     doubled = backend.cmul(ct, 2.0)
     assert np.array_equal(backend.decrypt(doubled)[:4], [2, 4, 6, 8])
     assert doubled.budget_bits == 1200 - 20
-    masked = backend.cmul(ct, np.array([1.0, 0.0, 1.0, 0.0]))
+    masked = backend.cmul(ct, np.array([1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0]))
     assert np.array_equal(backend.decrypt(masked), [1, 0, 3, 0, 0, 0, 0, 0])
     # add takes the same plaintexts: a scalar reaches every slot.
     raised = backend.add(ct, 2.0)
     assert np.array_equal(backend.decrypt(raised), [3, 4, 5, 6, 2, 2, 2, 2])
-    shifted = backend.add(ct, np.array([1.0, 0.0, 1.0, 0.0]))
-    assert np.array_equal(backend.decrypt(shifted), [2, 2, 4, 4, 0, 0, 0, 0])
+    shifted = backend.add(ct, Plaintext([1.0, 0.0, 1.0, 0.0]))
+    assert np.array_equal(backend.decrypt(shifted), [2, 2, 4, 4, 1, 0, 1, 0])
 
 
 def test_cmul_by_a_0d_array_scales_every_slot():
@@ -271,15 +289,6 @@ def test_cmul_by_a_0d_array_scales_every_slot():
     assert np.array_equal(backend.decrypt(doubled), 2 * np.arange(1.0, 9.0))
     raised = backend.add(ct, np.array(2.0))
     assert np.array_equal(backend.decrypt(raised), np.arange(3.0, 11.0))
-
-
-def test_cmul_short_mask_pads_with_zeros():
-    backend = sim(8)
-    ct = backend.encrypt(np.ones(8))
-    masked = backend.cmul(ct, np.array([1.0, 1.0]))
-    assert np.array_equal(backend.decrypt(masked), [1, 1, 0, 0, 0, 0, 0, 0])
-    shifted = backend.add(ct, np.array([1.0, 1.0]))
-    assert np.array_equal(backend.decrypt(shifted), [2, 2, 1, 1, 1, 1, 1, 1])
 
 
 def test_plaintext_add_spends_no_budget_and_counts_only_when_it_succeeds():

@@ -129,6 +129,23 @@ def test_infer_rejects_wrong_image_size(reduced_files, tmp_path, capsys):
     assert "network wants 8x8" in capsys.readouterr().err
 
 
+def test_infer_refuses_an_empty_image_file(reduced_files, tmp_path, capsys, monkeypatch):
+    # Zero images would print a depth no batch measured; the file is named
+    # before any backend is built or prediction file written.
+    def no_backend(params):
+        raise AssertionError("built a backend for no images")
+
+    monkeypatch.setattr("hepack.cli.SlotSimulator", no_backend)
+    empty = tmp_path / "empty.idx"
+    write_idx_images(empty, np.zeros((0, 8, 8), dtype=np.uint8))
+    out = tmp_path / "p.csv"
+    rc = main(["infer", "--weights", str(reduced_files["weights"]),
+               "--images", str(empty), "--out", str(out), *SMALL])
+    assert rc == 1
+    assert f"error: {empty}: no images to classify" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_infer_reports_parse_errors(tmp_path, reduced_files, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("#conv 3 8 8 2\n1.0,zap\n")

@@ -373,6 +373,9 @@ def test_network_validation():
         NetworkSpec(4, 4, (conv, FcSpec(np.ones((2, 5)), np.zeros(2)))).validate()
     with pytest.raises(ValueError, match="4 coefficients"):
         NetworkSpec(4, 4, (conv, ActSpec((1.0, 2.0)), fc)).validate()
+    with pytest.raises(ValueError, match=re.escape(
+            "activation needs 4 coefficients, got shape ()")):
+        NetworkSpec(4, 4, (conv, ActSpec(0.5), fc)).validate()
     with pytest.raises(ValueError, match="end with an fc"):
         NetworkSpec(4, 4, (conv, ActSpec((0.0,) * 4))).validate()
     with pytest.raises(ValueError, match="unknown layer"):
@@ -398,6 +401,15 @@ def test_validate_names_a_layer_of_the_wrong_shape(kernels, biases, fc_shape,
                              FcSpec(np.ones(fc_shape), np.zeros(fc_bias))))
     with pytest.raises(ValueError, match=re.escape(cause)):
         net.validate()
+
+
+@pytest.mark.parametrize("shape", [(2, 10, 10), (8, 8), (1, 8, 8, 1)],
+                         ids=["wrong-grid", "no-batch-axis", "4-d"])
+def test_reference_infer_refuses_images_of_another_shape(shape):
+    net, geo = reduced_net()
+    with pytest.raises(ValueError, match=re.escape(
+            f"images have shape {shape}, network wants (m, 8, 8)")):
+        reference_infer(net, np.zeros(shape))
 
 
 def test_cost_mismatch_names_layer_lists_that_differ():
@@ -644,8 +656,9 @@ def test_infer_plans_a_network_once_per_geometry(monkeypatch):
 def test_a_planned_stock_batch_checks_one_slot_sized_array(encrypted, monkeypatch):
     # Plaintexts are checked once, when they are made: the plan's fc rows
     # and cached masks never again, a batch's conv rows at row width. So
-    # after planning, the only full-slot finiteness pass is encrypt's on the
-    # packed images; the unplanned path made 309 of them per batch.
+    # after planning, the only full-slot finiteness pass is the packed
+    # images' Plaintext, which encrypt reads them as; the unplanned path
+    # made 309 of them per batch.
     geo = stock_geometry()
     net = random_network(np.random.default_rng(0), **geo)
     m, f = geo["batch"], geo["row_width"]
@@ -662,9 +675,8 @@ def test_a_planned_stock_batch_checks_one_slot_sized_array(encrypted, monkeypatc
         if name.startswith("hepack") and getattr(mod, "require_finite", None) is real:
             monkeypatch.setattr(mod, "require_finite", counted)
     res = infer_images(backend, net, images, f, encrypted_kernels=encrypted)
-    assert [what for size, what in checked if size >= m * f] == ["message"]
-    assert max(size for size, what in checked
-               if what not in ("message", "images")) <= f
+    assert [(size, what) for size, what in checked if size > f] == [
+        (m * geo["h"] * geo["w"], "images"), (m * f, "plaintext")]
     assert np.max(np.abs(res.logits - reference_infer(net, images))) < 1e-6
 
 

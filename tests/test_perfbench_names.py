@@ -39,8 +39,8 @@ def test_tracing_backend_forwards_plaintext_operands():
     row = Plaintext([0.5, -2.0])
     for backend in (bare, traced):
         ct = backend.encrypt(np.linspace(-1.0, 1.0, 8))
-        outs = [backend.add(ct, 0.3), backend.add(ct, np.arange(3.0)),
-                backend.cmul(ct, 0.7), backend.cmul(ct, np.arange(5.0)),
+        outs = [backend.add(ct, 0.3), backend.add(ct, np.arange(8.0)),
+                backend.cmul(ct, 0.7), backend.cmul(ct, np.arange(5.0, 13.0)),
                 backend.encrypt(row), backend.add(ct, row), backend.cmul(ct, row)]
         results.append([(backend.decrypt(o).tobytes(), o.budget_bits) for o in outs])
     assert results[0] == results[1]
