@@ -10,8 +10,9 @@ is made, that repeats over the slots. `encrypt`, `cmul` and `add` take it
 without checking it again, as a real library multiplies by a pre-encoded
 plaintext; they read a finite scalar as every slot, and a raw array only
 if it fills the slots, as its Plaintext (encode_row_major pads matrices).
-So server constants are never encrypted. A shared ledger counts every
-operation so schedules can be audited.
+So server constants are never encrypted. A ciphertext of one value holds
+it once, as a read-only stride-0 view, not a slot-sized array. A shared
+ledger counts every operation so schedules can be audited.
 
 The simulator is the only backend shipped here, but everything above it
 talks to the small `SimdBackend` interface, so a real leveled scheme can
@@ -20,6 +21,7 @@ be dropped in behind the same six operations.
 
 from __future__ import annotations
 
+import math
 import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -142,14 +144,25 @@ class SimdBackend(ABC):
     def rot(self, a: CipherVec, amount: int) -> CipherVec: ...
 
 
+def _ndim(values, what: str) -> int:
+    """np.ndim, naming the operand where a ragged nested sequence has no shape."""
+    try:
+        return np.ndim(values)
+    except ValueError:
+        raise ValueError(f"{what} is ragged: its nested sequences differ in length") from None
+
+
 def require_real(values, what: str):
     """Refuse complex values before a float64 cast could drop their imaginary part."""
+    _ndim(values, what)  # a ragged nested sequence is refused here, by name
     if np.iscomplexobj(values):
         raise ValueError(f"{what} must be real, got complex values")
 
 
 def require_finite(values, what: str):
     """The one numeric rule: only real finite values encode. `what` names the operand."""
+    if isinstance(values, float) and math.isfinite(values):  # np.float64 too
+        return  # a finite scalar costs one scalar check; any other value is counted below
     require_real(values, what)
     try:
         finite = np.isfinite(values)
@@ -208,7 +221,7 @@ class SlotSimulator(SimdBackend):
         """
         n = self.params.slots
         if not isinstance(values, Plaintext):
-            if np.ndim(values) == 0:
+            if _ndim(values, what) == 0:
                 require_finite(values, what)
                 return float(values)
             if np.size(values) != n:
@@ -224,15 +237,16 @@ class SlotSimulator(SimdBackend):
     def encrypt(self, message) -> CipherVec:
         """Fresh ciphertext at full budget of a plaintext, repeated over the slots.
 
-        A slot-length row is used as it is, its Plaintext's read-only copy;
-        a shorter row or a scalar is tiled into a fresh array.
+        One value is held once, as a read-only stride-0 view of a fresh float64;
+        a slot-length row is used as it is, its Plaintext's read-only copy; any
+        other row is tiled into a fresh array.
         """
-        row = self._plaintext(message, "message")
-        if isinstance(row, float):
-            row = np.full(1, row)
-        if row.shape[0] == self.params.slots:
+        row, n = self._plaintext(message, "message"), self.params.slots
+        if isinstance(row, float) or row.shape[0] == 1:
+            row = np.ndarray((n,), np.float64, np.array(row, np.float64), strides=(0,))
+        if row.shape[0] == n:
             return CipherVec(row, self.params.log_q)
-        slots = np.empty(self.params.slots)
+        slots = np.empty(n)
         slots.reshape(-1, row.shape[0])[:] = row
         return CipherVec(slots, self.params.log_q)
 

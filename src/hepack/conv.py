@@ -8,8 +8,8 @@ Halevi-Shoup hoisting). The valid-region mask, one row repeated over the
 batch, zeroes anchors whose window crossed the grid edge, and the pad
 slots. A plaintext kernel folds it into its taps: each tap is cmul'd by
 the one-row Plaintext w_uv * mask, so a kernel costs k*k cmul at depth
-delta_c. An encrypted kernel muls each tap by w_uv encrypted from a
-one-value Plaintext and masks once after the sum, at depth
+delta_c. An encrypted kernel muls each tap by the ciphertext of w_uv,
+which holds that one value once, and masks once after the sum, at depth
 delta + delta_c. Either way a plan's scalar bias comes in with one
 plaintext add of the one-row bias * mask.
 
@@ -115,7 +115,7 @@ def conv_layer(backend: SimdBackend, image: EncodedMatrix, plans,
     def per_kernel(plan):
         weights = plan.kernel.reshape(-1)
         if encrypted_kernels:
-            prods = (backend.mul(tap, backend.encrypt(Plaintext(wt)))
+            prods = (backend.mul(tap, backend.encrypt(wt))
                      for tap, wt in zip(taps, weights))
             valid = backend.cmul(reduce_add(backend, prods), mask)
         else:

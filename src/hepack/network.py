@@ -404,7 +404,10 @@ def infer(backend: SimdBackend, net: NetworkSpec, packed: EncodedMatrix,
     lay = packed.layout
     if lay.kind is not LayoutKind.IMAGE_GRID or (lay.grid_h, lay.grid_w) != (
             net.input_h, net.input_w):
-        raise ValueError("packed batch does not match the network geometry")
+        grid = f"a {lay.grid_h}x{lay.grid_w} grid" if lay.grid_h else "no grid"
+        raise ValueError(f"packed batch does not match the network geometry: its "
+                         f"{lay.kind.value} layout has {grid}, the network takes "
+                         f"{net.input_h}x{net.input_w} images")
     plans = net.plan(lay.rows, lay.row_width)
     start = before = backend.ledger.snapshot()
     parts = [packed]

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,18 +102,24 @@ def test_encrypt_rejects_non_finite_values():
     ([1.0, np.nan, np.inf, 0, 0, 0, 0, 0], "has 2 non-finite values (NaN or inf)"),
     (1 + 2j, "must be real, got complex values"),
     (np.array([1.0, 2j] * 4), "must be real, got complex values"),
-], ids=["scalar-nan", "0-d-inf", "vector", "complex-scalar", "complex-vector"])
+    (-np.inf, "has 1 non-finite values (NaN or inf)"),
+    (np.float64(np.nan), "has 1 non-finite values (NaN or inf)"),
+    (np.float64(np.inf), "has 1 non-finite values (NaN or inf)"),
+], ids=["scalar-nan", "0-d-inf", "vector", "complex-scalar", "complex-vector",
+        "scalar-inf", "np.float64-nan", "np.float64-inf"])
 def test_cmul_rejects_non_finite_masks(mask, cause):
-    # The same rule as encrypt's, for cmul's mask and add's plaintext alike;
+    # The same rule for encrypt's message, cmul's mask and add's plaintext;
     # cmul's depth check still comes first. A scalar is named by its operand,
     # an array by the Plaintext it is read as.
     backend = sim(8)
     ct = backend.encrypt(np.ones(8))
     before = backend.ledger.snapshot()
-    for op, what in ((backend.cmul, "mask"), (backend.add, "plaintext")):
+    for op, args, what in ((backend.encrypt, (mask,), "message"),
+                           (backend.cmul, (ct, mask), "mask"),
+                           (backend.add, (ct, mask), "plaintext")):
         what = what if np.ndim(mask) == 0 else "plaintext"
         with pytest.raises(ValueError, match=re.escape(f"{what} {cause}")):
-            op(ct, mask)
+            op(*args)
     assert backend.ledger.snapshot() == before
     with pytest.raises(DepthExhaustedError):
         backend.cmul(CipherVec(ct.slots, 0), mask)
@@ -223,6 +230,67 @@ def test_plaintext_rows_act_as_their_tiling(data):
                     f"to {slots} values, or make it a Plaintext row to repeat it")):
                 op(*args)
         assert backend.ledger.snapshot() == before
+
+
+CONSTANTS = {"float": lambda: 2.5, "np.float64": lambda: np.float64(2.5),
+             "0-d": lambda: np.array(2.5), "Plaintext": lambda: Plaintext(2.5)}
+
+
+@pytest.mark.parametrize("make", CONSTANTS.values(), ids=CONSTANTS.keys())
+def test_a_constant_ciphertext_holds_one_value(make):
+    # One value is held once: no slot-sized buffer, shared with nobody.
+    backend = SlotSimulator(BackendParams(log_n=16))
+    value = make()
+    tracemalloc.start()
+    try:
+        ct = backend.encrypt(value)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096, f"encrypt allocated {peak} bytes"
+    with pytest.raises(ValueError, match="read-only"):
+        ct.slots[0] = 5.0
+    source = value.row if isinstance(value, Plaintext) else value
+    assert not np.shares_memory(ct.slots, source)
+    out = backend.decrypt(ct)
+    assert np.array_equal(out, np.full(32768, 2.5))
+    assert out.flags.writeable and out.flags.c_contiguous and out.strides == (8,)
+    out[0] = 7.0
+    assert backend.decrypt(ct)[0] == 2.5
+
+
+@pytest.mark.parametrize("make", CONSTANTS.values(), ids=CONSTANTS.keys())
+def test_a_constant_ciphertext_acts_as_its_full_array(make):
+    # Every op on a one-value ciphertext gives the slots, budgets and ledger
+    # of the same op on the ciphertext of the value written into every slot.
+    rng = np.random.default_rng(7)
+    other_vals, row = rng.normal(size=16), Plaintext(rng.normal(size=4))
+    runs = []
+    for message in (make(), np.full(16, 2.5)):
+        backend = sim(16)
+        ct, other = backend.encrypt(message), backend.cmul(backend.encrypt(other_vals), 0.5)
+        outs = [ct, backend.add(ct, other), backend.add(other, ct), backend.add(ct, row),
+                backend.add(ct, 1.25), backend.mul(ct, other), backend.mul(other, ct),
+                backend.cmul(ct, row), backend.cmul(ct, -3.0), backend.rot(ct, 3)]
+        runs.append(([(backend.decrypt(o).tobytes(), o.budget_bits) for o in outs],
+                     backend.ledger.snapshot()))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("ragged", [[[1.0, 2.0], [3.0]], [1.0, [2.0, 3.0]]],
+                         ids=["rows", "scalar-and-row"])
+def test_a_ragged_sequence_is_refused_by_its_operand_name(ragged):
+    # numpy's own "inhomogeneous shape" error names no operand.
+    backend = sim(8)
+    ct = backend.encrypt(np.ones(8))
+    for op, args, what in ((backend.encrypt, (ragged,), "message"),
+                           (backend.cmul, (ct, ragged), "mask"),
+                           (backend.add, (ct, ragged), "plaintext"),
+                           (Plaintext, (ragged,), "plaintext")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{what} is ragged: its nested sequences differ in length")):
+            op(*args)
+    assert backend.ledger.counts == dict.fromkeys(OP_KINDS, 0)
 
 
 @pytest.mark.parametrize("values,cause", [

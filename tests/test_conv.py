@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hepack import (
+    CipherVec,
+    SlotSimulator,
     conv_layer,
     convolve_images,
     decrypt_rows,
@@ -14,6 +16,7 @@ from hepack import (
     pack_image_batch,
     span_kernel,
 )
+from hepack.network import reduced_geometry
 from common import conv_oracle, ledger_delta, sim
 
 
@@ -241,6 +244,34 @@ def test_encrypted_kernel_sum_streams_its_tap_products():
         tracemalloc.stop()
     assert len(outs) == 1
     assert peak < 40 * ct_bytes, f"peak {peak / ct_bytes:.1f} ciphertexts"
+
+
+class TilingSimulator(SlotSimulator):
+    """A simulator whose every ciphertext owns a slot-sized buffer, one-value ones too."""
+
+    def encrypt(self, message):
+        ct = super().encrypt(message)
+        return CipherVec(np.array(ct.slots), ct.budget_bits)
+
+
+def test_encrypted_kernels_match_tiled_constant_ciphertexts():
+    # Holding each encrypted weight as one value changes no output bit and no count.
+    geo = reduced_geometry()
+    m, f, h, w = geo["batch"], geo["row_width"], geo["h"], geo["w"]
+    rng = np.random.default_rng(29)
+    images = rng.normal(size=(m, h, w))
+    plans = [span_kernel(rng.normal(size=(5, 5)), rng.normal(), h, w, m, f)
+             for _ in range(3)]
+    strides, runs = [], []
+    for backend in (sim(m * f), TilingSimulator(sim(m * f).params)):
+        strides.append(backend.encrypt(plans[0].kernel[0, 0]).slots.strides)
+        packed = pack_image_batch(backend, images, f)
+        outs = conv_layer(backend, packed, plans, encrypted_kernels=True)
+        runs.append(([(backend.decrypt(o.ct).tobytes(), o.ct.budget_bits) for o in outs],
+                     backend.ledger.snapshot()))
+    assert strides == [(0,), (8,)]
+    assert runs[0] == runs[1]
+    assert runs[0][1]["mul"] == 3 * 25
 
 
 @st.composite

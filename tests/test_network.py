@@ -46,6 +46,7 @@ from hepack import (
 )
 from hepack.bench import (check_depth_budget, cost_mismatch, predict_layer_costs,
                           predict_op_counts)
+from hepack.backend import OP_KINDS
 from hepack.network import fc_schedule
 from common import ledger_delta, sim
 
@@ -814,12 +815,20 @@ def test_whole_network_property(case):
 
 
 def test_infer_rejects_mismatched_batch():
+    # The refusal names the packed layout and the network's input, before any op.
     net, geo = reduced_net(seed=19)
-    backend = sim(geo["batch"] * geo["row_width"])
-    packed = pack_image_batch(backend, np.ones((geo["batch"], 6, 6)),
-                              geo["row_width"])
-    with pytest.raises(ValueError, match="geometry"):
-        infer(backend, net, packed)
+    m, f = geo["batch"], geo["row_width"]
+    backend = sim(m * f)
+    for packed, layout in (
+            (pack_image_batch(backend, np.ones((m, 6, 6)), f), "image_grid layout has a 6x6"),
+            (pack_image_batch(backend, np.ones((m, 10, 10)), f),
+             "image_grid layout has a 10x10"),
+            (encode_row_major(backend, np.ones((m, 64)), f), "row_major layout has no")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"packed batch does not match the network geometry: its {layout} "
+                f"grid, the network takes 8x8 images")):
+            infer(backend, net, packed)
+    assert backend.ledger.counts == dict.fromkeys(OP_KINDS, 0)
 
 
 def test_shallow_budget_fails_in_a_named_layer():
