@@ -159,6 +159,19 @@ def require_real(values, what: str):
         raise ValueError(f"{what} must be real, got complex values")
 
 
+def real_array(values, what: str, ndim: int | None = None) -> np.ndarray:
+    """The one float64 intake of an outside array, maybe the caller's own; ragged,
+    complex, non-numeric or (with `ndim`) wrongly ranked values are refused by name."""
+    require_real(values, what)
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be numeric") from None
+    if ndim is not None and arr.ndim != ndim:
+        raise ValueError(f"{what} must be {ndim}-D, got shape {arr.shape}")
+    return arr
+
+
 def require_finite(values, what: str):
     """The one numeric rule: only real finite values encode. `what` names the operand."""
     if isinstance(values, float) and math.isfinite(values):  # np.float64 too

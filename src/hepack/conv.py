@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backend import (BackendParams, Plaintext, SimdBackend, SlotSimulator,
-                      require_finite, require_real)
+                      real_array, require_finite)
 from .encodings import (EncodedMatrix, LayoutKind, MatrixLayout, decrypt_rows,
                         grid_layout, pack_image_batch)
 from .linalg import ceil_log2, make_valid_region_mask, reduce_add
@@ -72,10 +72,9 @@ class KernelPlan:
 def span_kernel(kernel, bias: float, h: int, w: int, rows: int,
                 row_width: int) -> KernelPlan:
     """Validate one kernel and plan it for grid_layout(rows, row_width, h, w)."""
-    require_real(kernel, "conv kernel")
-    kern = np.array(kernel, dtype=np.float64)
-    if kern.ndim != 2 or kern.shape[0] != kern.shape[1]:
-        raise ValueError("kernel must be square")
+    kern = real_array(kernel, "conv kernel", ndim=2).copy()  # owned, as it is made read-only
+    if kern.shape[0] != kern.shape[1]:
+        raise ValueError(f"conv kernel must be square, got shape {kern.shape}")
     k = kern.shape[0]
     if not 1 <= k <= min(h, w):
         raise ValueError(f"kernel {k} does not fit a {h}x{w} grid")
@@ -139,10 +138,7 @@ def convolve_images(images, kernel, bias: float = 0.0,
     Each image takes a row of h*w slots rounded up to a power of two, on a
     fresh backend with one row per image.
     """
-    require_real(images, "images")
-    imgs = np.asarray(images, dtype=np.float64)
-    if imgs.ndim != 3:
-        raise ValueError(f"images must be (batch, h, w), got shape {imgs.shape}")
+    imgs = real_array(images, "images", ndim=3)
     m, h, w = imgs.shape
     f = 1 << ceil_log2(h * w)
     plan = span_kernel(kernel, bias, h, w, m, f)

@@ -26,7 +26,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .backend import CipherVec, Plaintext, SimdBackend, require_finite, require_real
+from .backend import CipherVec, Plaintext, SimdBackend, real_array, require_finite
 
 
 class LayoutKind(enum.Enum):
@@ -100,10 +100,7 @@ def encode_row_major(backend: SimdBackend, matrix, row_width: int) -> EncodedMat
             raise ValueError(f"plaintext row of {n} values must fill row_width {row_width}")
         ct = backend.encrypt(matrix)
         return EncodedMatrix(ct, row_major_layout(backend.params.slots // n, n, n))
-    require_real(matrix, "matrix")
-    m_arr = np.asarray(matrix, dtype=np.float64)
-    if m_arr.ndim != 2:
-        raise ValueError("matrix must be 2-D")
+    m_arr = real_array(matrix, "matrix", ndim=2)
     rows, n = m_arr.shape
     if n > row_width:
         raise ValueError(f"matrix width {n} exceeds row_width {row_width}")
@@ -126,10 +123,7 @@ def encode_transpose_extended(backend: SimdBackend, matrix, rows: int,
     encoding of B^T with its rows cycled, with p as its layout period.
     The p columns must all appear, so rows >= p is required.
     """
-    require_real(matrix, "matrix")
-    b = np.asarray(matrix, dtype=np.float64)
-    if b.ndim != 2:
-        raise ValueError("matrix must be 2-D")
+    b = real_array(matrix, "matrix", ndim=2)
     n, p = b.shape
     if n > row_width:
         raise ValueError(f"matrix height {n} exceeds row_width {row_width}")
@@ -147,9 +141,7 @@ def pack_image_batch(backend: SimdBackend, images, row_width: int) -> EncodedMat
     Pixel values are taken as given (normalize before packing) and must
     be real and finite. Slots past h*w in each row are zero pad.
     """
-    imgs = np.asarray(images)
-    if imgs.ndim != 3:
-        raise ValueError("images must have shape (m, h, w)")
+    imgs = real_array(images, "images", ndim=3)
     require_finite(imgs, "images")
     m, h, w = imgs.shape
     if h * w > row_width:
@@ -193,8 +185,7 @@ def encode_diagonal_pattern(matrix, rows: int, row_width: int, p: int) -> np.nda
     """
     if not 1 <= p <= row_width:
         raise ValueError(f"output width p must be in 1..{row_width}, got {p}")
-    require_real(matrix, "matrix")
-    c = np.asarray(matrix, dtype=np.float64)
+    c = real_array(matrix, "matrix", ndim=2)
     m, width = c.shape
     if width != p:
         raise ValueError(f"matrix width {width} != output width {p}")
@@ -210,7 +201,7 @@ def decode_diagonal(slot_values, m: int, row_width: int, p: int) -> np.ndarray:
     """Read an m x p matrix out of a diagonal-layout slot vector, tiled by its rows."""
     if not 1 <= p <= row_width:
         raise ValueError(f"output width p must be in 1..{row_width}, got {p}")
-    vals = np.asarray(slot_values, dtype=np.float64)
+    vals = real_array(slot_values, "slot values")
     if vals.size % row_width:
         raise ValueError(f"{vals.size} slot values are not whole rows of {row_width}")
     grid = vals.reshape(-1, row_width)

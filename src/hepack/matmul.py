@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .backend import BackendParams, SimdBackend, SlotSimulator, require_real
+from .backend import BackendParams, SimdBackend, SlotSimulator, real_array
 from .encodings import (EncodedMatrix, column_group_widths, column_groups,
                         decode_diagonal, diagonal_layout, encode_row_major,
                         encode_transpose_extended, row_major_layout)
@@ -98,10 +98,7 @@ def he_matmul_partitioned(backend: SimdBackend, a_parts, b_blocks) -> EncodedMat
 def split_weight_groups(backend: SimdBackend, matrix, rows: int,
                         row_width: int) -> list[EncodedMatrix]:
     """Encode an n x p matrix once per group of column_group_widths(p, rows)."""
-    require_real(matrix, "weight matrix")
-    b = np.asarray(matrix, dtype=np.float64)
-    if b.ndim != 2:
-        raise ValueError(f"weight matrix must be 2-D, got shape {b.shape}")
+    b = real_array(matrix, "weight matrix", ndim=2)
     return [encode_transpose_extended(backend, b[:, base:base + width], rows,
                                       row_width)
             for base, width in column_groups(b.shape[1], rows)]
@@ -115,12 +112,7 @@ def multiply_matrices(a, b, row_width: int | None = None,
     encoding (rounded to a power of two); the top m rows of the decoded
     result are the product.
     """
-    for name, x in (("A", a), ("B", b)):
-        require_real(x, name)
-        if np.ndim(x) != 2:
-            raise ValueError(f"{name} must be 2-D, got shape {np.shape(x)}")
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a, b = real_array(a, "A", ndim=2), real_array(b, "B", ndim=2)
     m, n = a.shape
     n2, p = b.shape
     if n != n2:

@@ -14,7 +14,7 @@ import struct
 
 import numpy as np
 
-from .backend import require_real
+from .backend import real_array
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
@@ -92,8 +92,7 @@ def image_blocks(images, batch: int) -> list[tuple[np.ndarray, int]]:
     real images. 10000 images at batch 32 give 313 blocks, the last one
     holding 16 zero rows of pad.
     """
-    require_real(images, "images")
-    imgs = np.asarray(images, dtype=np.float64)
+    imgs = real_array(images, "images")
     if batch < 1:
         raise ValueError("batch must be positive")
     blocks = []

@@ -10,9 +10,10 @@ inputs by row-local diagonals of the weight matrix and leaves its output
 row-major in columns 0..p-1; the logits are read from the last one. Each
 rotation is hoistable from one input (conv taps, fc baby steps), chained
 through one key (fc giant steps, product columns) or a doubling fold. A
-spec is planned once per batch geometry (NetworkSpec.plan), so a batch
-runs only encryptions and scheme ops. The plan holds each fc diagonal and
-bias as a one-row Plaintext, checked once when it is planned.
+spec is planned once per batch geometry (NetworkSpec.plan). The plan holds
+each fc diagonal and bias as a one-row Plaintext, checked once when it is
+planned; a conv layer still makes its C*k^2 masked-tap and C bias
+Plaintexts on every batch (40 at stock, ~0.2 ms of a ~13 ms batch).
 
 Activation is a fixed cubic in Horner form, c0 + c1*x + x^2*(c2 + c3*x):
 x*x and c3*x + c2 are made side by side and multiplied once more, so a
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backend import (OP_KINDS, DepthExhaustedError, Plaintext, SimdBackend,
-                      require_finite, require_real)
+                      real_array, require_finite)
 from .conv import conv_layer, span_kernel
 from .encodings import (EncodedMatrix, LayoutKind, MatrixLayout, decrypt_rows,
                         encode_row_major, grid_layout, pack_image_batch,
@@ -132,7 +133,8 @@ class NetworkSpec:
                     raise ValueError(f"conv needs {shape[0]} biases, one per kernel, "
                                      f"got shape {np.shape(layer.biases)}")
                 if layer.k > min(h, w):
-                    raise ValueError("kernel larger than image")
+                    raise ValueError(f"conv layer {pos} kernel larger than image: "
+                                     f"k={layer.k} on {h}x{w}")
                 require_finite(layer.kernels, f"conv layer {pos} kernels")
                 require_finite(layer.biases, f"conv layer {pos} biases")
                 feats = layer.channels * (h - layer.k + 1) * (w - layer.k + 1)
@@ -396,10 +398,11 @@ def infer(backend: SimdBackend, net: NetworkSpec, packed: EncodedMatrix,
     """Run the network over a packed batch; logits come back per image.
 
     The first batch at a rows x row_width geometry plans the network
-    (net.plan), before any op; later batches reuse those plans, so they run
-    only encryptions and scheme ops. The per-layer rows and op_counts are
-    differences of snapshots of the backend's shared ledger, so a backend
-    serves one infer at a time.
+    (net.plan), before any op. Later batches reuse those plans; besides
+    encryptions and scheme ops they make only the conv layer's bias and (with
+    plaintext kernels) masked-tap Plaintexts. The per-layer rows and
+    op_counts are differences of snapshots of the backend's shared ledger,
+    so a backend serves one infer at a time.
     """
     lay = packed.layout
     if lay.kind is not LayoutKind.IMAGE_GRID or (lay.grid_h, lay.grid_w) != (
@@ -465,12 +468,10 @@ def conv2d_valid(images: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 def reference_infer(net: NetworkSpec, images) -> np.ndarray:
     """Plaintext forward pass; the oracle the encrypted path must match."""
     net.validate()
-    require_real(images, "images")
-    x = np.asarray(images, dtype=np.float64)
+    x = real_array(images, "images")
     if x.ndim != 3 or x.shape[1:] != (net.input_h, net.input_w):
         raise ValueError(f"images have shape {x.shape}, network wants "
                          f"(m, {net.input_h}, {net.input_w})")
-    feats = None
     for layer in net.layers:
         if isinstance(layer, ConvSpec):
             chans = [conv2d_valid(x, layer.kernels[c]) + layer.biases[c]
@@ -480,11 +481,8 @@ def reference_infer(net: NetworkSpec, images) -> np.ndarray:
             c0, c1, c2, c3 = layer.coeffs
             x = c0 + c1 * x + c2 * x * x + c3 * x * x * x
         else:
-            if feats is None:
-                x = x.reshape(x.shape[0], -1)  # channel-major flatten
-                feats = x.shape[1]
-            x = x @ layer.weight.T + layer.bias
-            feats = layer.out_dim
+            # channel-major flatten; in_dim, not -1, so zero images reshape too
+            x = x.reshape(x.shape[0], layer.in_dim) @ layer.weight.T + layer.bias
     return x
 
 

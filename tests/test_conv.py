@@ -219,10 +219,10 @@ def test_convolve_images_requires_power_of_two_batch():
 
 
 @pytest.mark.parametrize("images,kernel,cause", [
-    (np.ones((2, 4, 4)), 1.0, "kernel must be square"),
-    (np.ones((4, 4)), np.ones((2, 2)),
-     r"images must be \(batch, h, w\), got shape \(4, 4\)"),
-], ids=["scalar-kernel", "2-d-images"])
+    (np.ones((2, 4, 4)), 1.0, r"conv kernel must be 2-D, got shape \(\)"),
+    (np.ones((4, 4)), np.ones((2, 2)), r"images must be 3-D, got shape \(4, 4\)"),
+    (np.ones((2, 4, 4)), np.ones((2, 3)), r"conv kernel must be square, got shape \(2, 3\)"),
+], ids=["scalar-kernel", "2-d-images", "non-square-kernel"])
 def test_convolve_images_names_a_bad_operand(images, kernel, cause):
     with pytest.raises(ValueError, match=cause):
         convolve_images(images, kernel)

@@ -26,6 +26,7 @@ from hepack import (
     span_kernel,
     split_weight_groups,
 )
+from hepack.backend import OP_KINDS
 from common import sim
 
 
@@ -164,25 +165,56 @@ def test_pack_image_batch_rejects_non_finite_pixels(monkeypatch):
 ONE_FC = NetworkSpec(1, 1, (FcSpec(np.ones((1, 1)), np.zeros(1)),))
 
 
-@pytest.mark.parametrize("call,what", [
-    (lambda z: encode_row_major(sim(16), np.full((4, 2), z), 4), "matrix"),
-    (lambda z: encode_transpose_extended(sim(16), np.full((2, 4), z), 4, 4), "matrix"),
-    (lambda z: encode_diagonal_pattern(np.full((4, 2), z), 4, 4, 2), "matrix"),
-    (lambda z: span_kernel(np.full((1, 1), z), 0.0, 2, 2, 4, 4), "conv kernel"),
-    (lambda z: split_weight_groups(sim(16), np.full((2, 4), z), 4, 4), "weight matrix"),
-    (lambda z: multiply_matrices(np.full((2, 2), z), np.ones((2, 2))), "A"),
-    (lambda z: multiply_matrices(np.ones((2, 2)), [[z, 1.0], [0.0, 1.0]]), "B"),
-    (lambda z: convolve_images(np.full((1, 2, 2), z), np.ones((1, 1))), "images"),
-    (lambda z: image_blocks(np.full((1, 2, 2), z), 1), "images"),
-    (lambda z: reference_infer(ONE_FC, np.full((1, 1, 1), z)), "images"),
+# Every intake of an outside array: (call(backend, operand), a well-formed
+# operand shape, the operand's name). A call without a backend ignores it.
+INTAKES = pytest.mark.parametrize("call,shape,what", [
+    (lambda be, x: encode_row_major(be, x, 4), (4, 2), "matrix"),
+    (lambda be, x: encode_transpose_extended(be, x, 4, 4), (2, 4), "matrix"),
+    (lambda be, x: encode_diagonal_pattern(x, 4, 4, 2), (4, 2), "matrix"),
+    (lambda be, x: span_kernel(x, 0.0, 2, 2, 4, 4), (1, 1), "conv kernel"),
+    (lambda be, x: split_weight_groups(be, x, 4, 4), (2, 4), "weight matrix"),
+    (lambda be, x: multiply_matrices(x, np.ones((4, 4)), backend=be), (4, 4), "A"),
+    (lambda be, x: multiply_matrices(np.ones((4, 4)), x, backend=be), (4, 4), "B"),
+    (lambda be, x: convolve_images(x, np.ones((1, 1))), (1, 2, 2), "images"),
+    (lambda be, x: image_blocks(x, 1), (1, 2, 2), "images"),
+    (lambda be, x: reference_infer(ONE_FC, x), (1, 1, 1), "images"),
+    (lambda be, x: decode_diagonal(x, 4, 4, 2), (16,), "slot values"),
+    (lambda be, x: pack_image_batch(be, x, 4), (4, 2, 2), "images"),
 ], ids=["row-major", "transpose-extended", "diagonal-pattern", "span-kernel",
         "weight-groups", "product-a", "product-b", "convolve-images",
-        "image-blocks", "reference-infer"])
-def test_complex_values_are_refused_before_the_float_cast(call, what):
+        "image-blocks", "reference-infer", "decode-diagonal", "pack-image-batch"])
+
+
+def refused_before_any_op(call, operand, message):
+    backend = sim(16)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(backend, operand)
+    assert backend.ledger.counts == dict.fromkeys(OP_KINDS, 0)
+
+
+@INTAKES
+def test_each_intake_reads_a_well_formed_operand(call, shape, what):
+    # The tables below hold bad values in these shapes, so the shape alone is no fault.
+    call(sim(16), np.zeros(shape).tolist())
+
+
+@INTAKES
+def test_complex_values_are_refused_before_the_float_cast(call, shape, what):
     # Cast first, each would keep the real part with only a ComplexWarning.
-    with pytest.raises(ValueError, match=re.escape(
-            f"{what} must be real, got complex values")):
-        call(1 + 2j)
+    refused_before_any_op(call, np.full(shape, 1 + 2j),
+                          f"{what} must be real, got complex values")
+
+
+@INTAKES
+def test_ragged_values_are_refused_by_their_operand_name(call, shape, what):
+    # One more entry, and an empty one: numpy's own error names no operand.
+    refused_before_any_op(call, np.zeros(shape).tolist() + [[]],
+                          f"{what} is ragged: its nested sequences differ in length")
+
+
+@INTAKES
+def test_non_numeric_values_are_refused_by_their_operand_name(call, shape, what):
+    refused_before_any_op(call, np.full(shape, "a"), f"{what} must be numeric")
 
 
 def test_pack_image_batch_rejects_oversized_grid():
@@ -226,13 +258,17 @@ def test_layout_validation_names_the_cause(make, cause):
 
 @pytest.mark.parametrize("encode,cause", [
     (lambda be: pack_image_batch(be, np.zeros((4, 16)), row_width=16),
-     "images must have shape (m, h, w)"),
+     "images must be 3-D, got shape (4, 16)"),
     (lambda be: encode_transpose_extended(be, np.zeros(4), rows=4, row_width=16),
-     "matrix must be 2-D"),
-], ids=["2-d-images", "1-d-weight"])
+     "matrix must be 2-D, got shape (4,)"),
+    (lambda be: encode_diagonal_pattern(np.zeros(4), 4, 4, 2),
+     "matrix must be 2-D, got shape (4,)"),
+], ids=["2-d-images", "1-d-weight", "1-d-diagonal-pattern"])
 def test_encoders_name_an_operand_of_the_wrong_rank(encode, cause):
+    backend = sim(64)
     with pytest.raises(ValueError, match=re.escape(cause)):
-        encode(sim(64))
+        encode(backend)
+    assert backend.ledger.counts == dict.fromkeys(OP_KINDS, 0)
 
 
 def test_diagonal_slot_column_examples():

@@ -393,7 +393,7 @@ def test_network_validation():
     ((1, 2, 2), 1, (9,), 9, "fc layer 1 weight must be 2-D (out, in)"),
     ((1, 2, 2), 1, (0, 9), 0,
      "fc layer 1 weight must be 2-D (out, in) with out >= 1, got shape (0, 9)"),
-    ((1, 5, 5), 1, (2, 1), 2, "kernel larger than image"),
+    ((1, 5, 5), 1, (2, 1), 2, "conv layer 0 kernel larger than image: k=5 on 4x4"),
 ], ids=["short-conv-bias", "zero-k", "no-kernels", "non-square", "short-fc-bias",
         "1-d-fc-weight", "no-fc-outputs", "kernel-larger-than-image"])
 def test_validate_names_a_layer_of_the_wrong_shape(kernels, biases, fc_shape,
@@ -411,6 +411,15 @@ def test_reference_infer_refuses_images_of_another_shape(shape):
     with pytest.raises(ValueError, match=re.escape(
             f"images have shape {shape}, network wants (m, 8, 8)")):
         reference_infer(net, np.zeros(shape))
+
+
+def test_reference_infer_of_no_images_is_an_empty_logit_batch():
+    # As multiply_matrices gives (0, p) for zero rows; a flatten by -1 could not reshape.
+    net, geo = reduced_net()
+    fc_only = NetworkSpec(2, 2, (FcSpec(np.ones((3, 4)), np.zeros(3)),))
+    for spec, classes in ((net, geo["classes"]), (fc_only, 3)):
+        out = reference_infer(spec, np.zeros((0, spec.input_h, spec.input_w)))
+        assert out.shape == (0, classes)
 
 
 def test_cost_mismatch_names_layer_lists_that_differ():
