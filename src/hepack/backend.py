@@ -115,9 +115,6 @@ class ModulusLedger:
     def snapshot(self) -> dict:
         return {**self.counts, "consumed_bits": self.consumed_bits}
 
-    def reset(self):
-        self.counts = dict.fromkeys(OP_KINDS, 0)
-
 
 class SimdBackend(ABC):
     """The six operations the rest of the library is written against."""
@@ -163,10 +160,10 @@ def real_array(values, what: str, ndim: int | None = None) -> np.ndarray:
     """The one float64 intake of an outside array, maybe the caller's own; ragged,
     complex, non-numeric or (with `ndim`) wrongly ranked values are refused by name."""
     require_real(values, what)
-    try:
-        arr = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} must be numeric") from None
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":  # None or a string, which the cast reads as NaN or parses
+        raise ValueError(f"{what} must be numeric")
+    arr = arr.astype(np.float64, copy=False)
     if ndim is not None and arr.ndim != ndim:
         raise ValueError(f"{what} must be {ndim}-D, got shape {arr.shape}")
     return arr

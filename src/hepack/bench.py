@@ -34,7 +34,6 @@ def predict_layer_costs(net: NetworkSpec, batch: int, row_width: int,
 
     No count depends on `batch`: every schedule works row-locally.
     """
-    net.validate()
     f = row_width
     d, dc = params.delta_bits, params.delta_c_bits
     costs = []

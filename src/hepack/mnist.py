@@ -92,7 +92,7 @@ def image_blocks(images, batch: int) -> list[tuple[np.ndarray, int]]:
     real images. 10000 images at batch 32 give 313 blocks, the last one
     holding 16 zero rows of pad.
     """
-    imgs = real_array(images, "images")
+    imgs = real_array(images, "images", ndim=3)
     if batch < 1:
         raise ValueError("batch must be positive")
     blocks = []

@@ -10,7 +10,8 @@ inputs by row-local diagonals of the weight matrix and leaves its output
 row-major in columns 0..p-1; the logits are read from the last one. Each
 rotation is hoistable from one input (conv taps, fc baby steps), chained
 through one key (fc giant steps, product columns) or a doubling fold. A
-spec is planned once per batch geometry (NetworkSpec.plan). The plan holds
+spec is checked once, when it is made, and planned once per batch
+geometry (NetworkSpec.plan). The plan holds
 each fc diagonal and bias as a one-row Plaintext, checked once when it is
 planned; a conv layer still makes its C*k^2 masked-tap and C bias
 Plaintexts on every batch (40 at stock, ~0.2 ms of a ~13 ms batch).
@@ -43,7 +44,7 @@ STOCK_ACT2 = (-1.5650465, -0.9943767, 1.6794522, 0.5350255)
 def _own_arrays(spec, *names):
     """Make each named field of a frozen spec a read-only copy of itself.
 
-    The dtype is kept, so validate still sees complex or non-numeric values.
+    The dtype is kept, so NetworkSpec's check sees complex or non-numeric values.
     """
     for name in names:
         arr = np.array(getattr(spec, name))
@@ -51,7 +52,7 @@ def _own_arrays(spec, *names):
         object.__setattr__(spec, name, arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvSpec:
     kernels: np.ndarray  # (channels, k, k), a read-only copy
     biases: np.ndarray  # (channels,), a read-only copy
@@ -68,12 +69,15 @@ class ConvSpec:
         return self.kernels.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ActSpec:
-    coeffs: tuple  # (c0, c1, c2, c3)
+    coeffs: np.ndarray  # (c0, c1, c2, c3), a read-only copy
+
+    def __post_init__(self):
+        _own_arrays(self, "coeffs")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FcSpec:
     weight: np.ndarray  # (out, in), a read-only copy
     bias: np.ndarray  # (out,), a read-only copy
@@ -92,10 +96,11 @@ class FcSpec:
 
 @dataclass(frozen=True, eq=False)
 class NetworkSpec:
-    """Input geometry and layers, and the plans infer makes for them.
+    """Input geometry and layers, checked when made, and the plans infer makes.
 
-    Specs compare and hash by identity: each owns its plans. Its layers are
-    a tuple and their arrays read-only, so a plan cannot go stale.
+    Specs, and their layers, compare and hash by identity: each owns its
+    plans. Its layers are a tuple and their arrays read-only, so neither the
+    check nor a plan can go stale.
     """
 
     input_h: int
@@ -104,21 +109,8 @@ class NetworkSpec:
     _plans: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
+        """Check layer shapes, finite values and chaining once, when the spec is made."""
         object.__setattr__(self, "layers", tuple(self.layers))
-
-    def __getstate__(self):
-        """Pickle and copy without the plans; a copy plans again on first use.
-
-        Plans derive from the layers, and their diagonal rows alone would
-        add ~2.2 MB at stock.
-        """
-        return {**self.__dict__, "_plans": {}}
-
-    def validate(self) -> "NetworkSpec":
-        """Check layer shapes, finite values and chaining before any op runs.
-
-        Returns self so calls can be inline.
-        """
         h, w = self.input_h, self.input_w
         feats = None  # None while still an image grid
         for pos, layer in enumerate(self.layers):
@@ -162,7 +154,14 @@ class NetworkSpec:
                 raise ValueError(f"unknown layer type {type(layer).__name__}")
         if not self.layers or not isinstance(self.layers[-1], FcSpec):
             raise ValueError("network must end with an fc layer")
-        return self
+
+    def __getstate__(self):
+        """Pickle and copy without the plans; a copy plans again on first use.
+
+        Plans derive from the layers, and their diagonal rows alone would
+        add ~2.2 MB at stock.
+        """
+        return {**self.__dict__, "_plans": {}}
 
     @property
     def classes(self) -> int:
@@ -171,14 +170,13 @@ class NetworkSpec:
     def plan(self, rows: int, row_width: int) -> tuple:
         """One plan per layer for batches of rows x row_width slots, made once.
 
-        The first call at a geometry validates the spec and plans each
-        layer: KernelPlans for a conv, an FcPlan for an fc (spread over the
-        conv grids), None for an activation. Later calls reuse them.
+        The first call at a geometry plans each layer: KernelPlans for a
+        conv, an FcPlan for an fc (spread over the conv grids), None for an
+        activation. Later calls reuse them.
         """
         key = (rows, row_width)
         if key in self._plans:
             return self._plans[key]
-        self.validate()
         h, w = self.input_h, self.input_w
         layouts, valid, plans = [grid_layout(rows, row_width, h, w)], (h, w), []
         for layer in self.layers:
@@ -397,12 +395,13 @@ def infer(backend: SimdBackend, net: NetworkSpec, packed: EncodedMatrix,
           encrypted_kernels: bool = False) -> InferenceResult:
     """Run the network over a packed batch; logits come back per image.
 
-    The first batch at a rows x row_width geometry plans the network
-    (net.plan), before any op. Later batches reuse those plans; besides
-    encryptions and scheme ops they make only the conv layer's bias and (with
-    plaintext kernels) masked-tap Plaintexts. The per-layer rows and
-    op_counts are differences of snapshots of the backend's shared ledger,
-    so a backend serves one infer at a time.
+    The spec was checked when it was made; the first batch at a rows x
+    row_width geometry plans it (net.plan), before any op. Later batches
+    reuse those plans; besides encryptions and scheme ops they make only
+    the conv layer's bias and (with plaintext kernels) masked-tap
+    Plaintexts. The per-layer rows and op_counts are differences of
+    snapshots of the backend's shared ledger, so a backend serves one
+    infer at a time.
     """
     lay = packed.layout
     if lay.kind is not LayoutKind.IMAGE_GRID or (lay.grid_h, lay.grid_w) != (
@@ -466,9 +465,12 @@ def conv2d_valid(images: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 
 def reference_infer(net: NetworkSpec, images) -> np.ndarray:
-    """Plaintext forward pass; the oracle the encrypted path must match."""
-    net.validate()
+    """Plaintext forward pass; the oracle the encrypted path must match.
+
+    It refuses the images pack_image_batch refuses, non-finite ones too.
+    """
     x = real_array(images, "images")
+    require_finite(x, "images")
     if x.ndim != 3 or x.shape[1:] != (net.input_h, net.input_w):
         raise ValueError(f"images have shape {x.shape}, network wants "
                          f"(m, {net.input_h}, {net.input_w})")
@@ -529,4 +531,4 @@ def random_network(rng: np.random.Generator, h: int = 28, w: int = 28,
         FcSpec(uni((hidden, fc1_in), fc1_in), uni((hidden,), fc1_in)),
         ActSpec(STOCK_ACT2),
         FcSpec(uni((classes, hidden), hidden), uni((classes,), hidden)),
-    )).validate()
+    ))

@@ -60,7 +60,7 @@ def _sizes(head, lineno: int, names: str) -> tuple:
 
 
 def load_weights_csv(path) -> NetworkSpec:
-    """Parse a weight file into a validated NetworkSpec."""
+    """Parse a weight file into a NetworkSpec, which checks itself when made."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read().split("\n")
     lines = ((n, s.strip()) for n, s in enumerate(raw, 1) if s.strip())
@@ -87,7 +87,7 @@ def load_weights_csv(path) -> NetworkSpec:
             if len(head) != 5:
                 raise WeightsParseError(f"line {lineno}: #act needs c0 c1 c2 c3")
             coeffs = _floats(" ".join(head[1:]), lineno, 4, sep=None)
-            layers.append(ActSpec(tuple(coeffs.tolist())))
+            layers.append(ActSpec(coeffs))
         elif tag == "fc":
             rows, cols = _sizes(head, lineno, "rows cols")
             weight = take(rows, cols, "an fc weight row")
@@ -97,7 +97,7 @@ def load_weights_csv(path) -> NetworkSpec:
     if geom is None:
         raise WeightsParseError("weight file must start with a #conv section")
     try:
-        return NetworkSpec(geom[0], geom[1], tuple(layers)).validate()
+        return NetworkSpec(geom[0], geom[1], tuple(layers))
     except ValueError as e:
         raise WeightsParseError(f"inconsistent network: {e}") from None
 
@@ -106,13 +106,13 @@ def save_weights_csv(net: NetworkSpec, path):
     """Write a NetworkSpec in the section format above.
 
     Only a #conv header records the input size, so the first layer must be
-    a conv layer, and the network must pass validate(), as a loaded one
-    does; otherwise this raises ValueError before opening `path`.
+    a conv layer; otherwise this raises ValueError before opening `path`.
+    Every NetworkSpec was checked when it was made, as a loaded one is.
     """
-    if not net.layers or not isinstance(net.layers[0], ConvSpec):
+    if not isinstance(net.layers[0], ConvSpec):
         raise ValueError("cannot save a network whose first layer is not a "
                          "conv layer: only a #conv header records the input size")
-    net.validate()
+
     def fmt(values) -> str:
         return ",".join(repr(float(v)) for v in np.asarray(values).reshape(-1))
 

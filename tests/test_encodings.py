@@ -214,7 +214,9 @@ def test_ragged_values_are_refused_by_their_operand_name(call, shape, what):
 
 @INTAKES
 def test_non_numeric_values_are_refused_by_their_operand_name(call, shape, what):
-    refused_before_any_op(call, np.full(shape, "a"), f"{what} must be numeric")
+    # Cast to float64, a string of digits would be parsed and None read as NaN.
+    for value in ("a", "1.5", None):
+        refused_before_any_op(call, np.full(shape, value), f"{what} must be numeric")
 
 
 def test_pack_image_batch_rejects_oversized_grid():
@@ -263,7 +265,8 @@ def test_layout_validation_names_the_cause(make, cause):
      "matrix must be 2-D, got shape (4,)"),
     (lambda be: encode_diagonal_pattern(np.zeros(4), 4, 4, 2),
      "matrix must be 2-D, got shape (4,)"),
-], ids=["2-d-images", "1-d-weight", "1-d-diagonal-pattern"])
+    (lambda be: image_blocks(np.float64(1.0), 2), "images must be 3-D, got shape ()"),
+], ids=["2-d-images", "1-d-weight", "1-d-diagonal-pattern", "0-d-image-blocks"])
 def test_encoders_name_an_operand_of_the_wrong_rank(encode, cause):
     backend = sim(64)
     with pytest.raises(ValueError, match=re.escape(cause)):

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py")
-               if p.name != "__init__.py")
+FILES = sorted(p for d in ("src", "tests", "demos", "perfbench")
+               for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -30,7 +30,8 @@ def unused_imports(source: str) -> list[str]:
 
 
 def test_the_scan_sees_every_tree():
-    assert {p.relative_to(ROOT).parts[0] for p in FILES} == {"src", "tests", "demos"}
+    assert {p.relative_to(ROOT).parts[0] for p in FILES} == {
+        "src", "tests", "demos", "perfbench"}
 
 
 def test_the_scan_flags_a_leftover_import():

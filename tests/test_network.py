@@ -369,19 +369,19 @@ def test_network_validation():
     fc = FcSpec(np.ones((2, 9)), np.zeros(2))
     fc_raw = FcSpec(np.ones((2, 16)), np.zeros(2))
     with pytest.raises(ValueError, match="must come first"):
-        NetworkSpec(4, 4, (fc_raw, conv, fc)).validate()
+        NetworkSpec(4, 4, (fc_raw, conv, fc))
     with pytest.raises(ValueError, match="expects"):
-        NetworkSpec(4, 4, (conv, FcSpec(np.ones((2, 5)), np.zeros(2)))).validate()
+        NetworkSpec(4, 4, (conv, FcSpec(np.ones((2, 5)), np.zeros(2))))
     with pytest.raises(ValueError, match="4 coefficients"):
-        NetworkSpec(4, 4, (conv, ActSpec((1.0, 2.0)), fc)).validate()
+        NetworkSpec(4, 4, (conv, ActSpec((1.0, 2.0)), fc))
     with pytest.raises(ValueError, match=re.escape(
             "activation needs 4 coefficients, got shape ()")):
-        NetworkSpec(4, 4, (conv, ActSpec(0.5), fc)).validate()
+        NetworkSpec(4, 4, (conv, ActSpec(0.5), fc))
     with pytest.raises(ValueError, match="end with an fc"):
-        NetworkSpec(4, 4, (conv, ActSpec((0.0,) * 4))).validate()
+        NetworkSpec(4, 4, (conv, ActSpec((0.0,) * 4)))
     with pytest.raises(ValueError, match="unknown layer"):
-        NetworkSpec(4, 4, (conv, "relu", fc)).validate()
-    assert NetworkSpec(4, 4, (conv, fc)).validate().classes == 2
+        NetworkSpec(4, 4, (conv, "relu", fc))
+    assert NetworkSpec(4, 4, (conv, fc)).classes == 2
 
 
 @pytest.mark.parametrize("kernels,biases,fc_shape,fc_bias,cause", [
@@ -398,10 +398,10 @@ def test_network_validation():
         "1-d-fc-weight", "no-fc-outputs", "kernel-larger-than-image"])
 def test_validate_names_a_layer_of_the_wrong_shape(kernels, biases, fc_shape,
                                                   fc_bias, cause):
-    net = NetworkSpec(4, 4, (ConvSpec(np.ones(kernels), np.zeros(biases)),
-                             FcSpec(np.ones(fc_shape), np.zeros(fc_bias))))
+    layers = (ConvSpec(np.ones(kernels), np.zeros(biases)),
+              FcSpec(np.ones(fc_shape), np.zeros(fc_bias)))
     with pytest.raises(ValueError, match=re.escape(cause)):
-        net.validate()
+        NetworkSpec(4, 4, layers)
 
 
 @pytest.mark.parametrize("shape", [(2, 10, 10), (8, 8), (1, 8, 8, 1)],
@@ -429,30 +429,37 @@ def test_cost_mismatch_names_layer_lists_that_differ():
         "layers: measured ['conv-1', 'fc-1'], closed form ['conv-1', 'act-1', 'fc-1']")
 
 
-def assert_fails_before_any_op(net, geo, cause):
-    backend = sim(geo["batch"] * geo["row_width"])
-    images = np.zeros((geo["batch"], geo["h"], geo["w"]))
-    packed = pack_image_batch(backend, images, geo["row_width"])
-    before = backend.ledger.snapshot()
+def finite_checks(monkeypatch) -> list:
+    """(size, operand name) of each require_finite call hepack makes from now on."""
+    real, checked = hepack.backend.require_finite, []
+
+    def counted(values, what):
+        checked.append((np.size(values), what))
+        return real(values, what)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("hepack") and getattr(mod, "require_finite", None) is real:
+            monkeypatch.setattr(mod, "require_finite", counted)
+    return checked
+
+
+def assert_refused_when_made(net, layers, cause):
+    # A spec is checked once, when it is made, so no spec reaches an op unchecked.
     with pytest.raises(ValueError, match=re.escape(cause)):
-        infer(backend, net, packed)
-    assert backend.ledger.snapshot() == before
-    with pytest.raises(ValueError, match=re.escape(cause)):
-        reference_infer(net, images)
+        NetworkSpec(net.input_h, net.input_w, tuple(layers))
 
 
 @pytest.mark.parametrize("pos,cause", [(0, "conv needs 2 biases"),
                                        (4, "fc layer 4 needs 4 biases")],
                          ids=["conv-1", "fc-2"])
 def test_short_bias_fails_before_any_op(pos, cause):
-    net, geo = reduced_net()
+    net, _ = reduced_net()
     layers = list(net.layers)
     if pos == 0:
         layers[0] = ConvSpec(layers[0].kernels, layers[0].biases[:1])
     else:
         layers[pos] = FcSpec(layers[pos].weight, layers[pos].bias[:1])
-    bad = NetworkSpec(net.input_h, net.input_w, tuple(layers))
-    assert_fails_before_any_op(bad, geo, cause)
+    assert_refused_when_made(net, layers, cause)
 
 
 @pytest.mark.parametrize("pos,field,value,cause", [
@@ -465,22 +472,65 @@ def test_short_bias_fails_before_any_op(pos, cause):
 ], ids=["conv-tap", "conv-bias", "act-coeff", "fc-1-weight", "fc-2-bias",
         "fc-1-complex-weight"])
 def test_non_finite_values_fail_before_any_op(pos, field, value, cause):
-    net, geo = reduced_net()
+    net, _ = reduced_net()
     layers = list(net.layers)
     poisoned = np.array(getattr(layers[pos], field), dtype=np.result_type(float, value))
     poisoned.flat[0] = value
     layers[pos] = dataclasses.replace(layers[pos], **{field: poisoned})
-    bad = NetworkSpec(net.input_h, net.input_w, tuple(layers))
-    assert_fails_before_any_op(bad, geo, cause)
+    assert_refused_when_made(net, layers, cause)
 
 
 @pytest.mark.parametrize("coeff", ["a", None], ids=["str", "none"])
 def test_non_numeric_values_fail_before_any_op(coeff):
-    net, geo = reduced_net()
+    net, _ = reduced_net()
     layers = list(net.layers)
     layers[1] = dataclasses.replace(layers[1], coeffs=(coeff, 1.0, 2.0, 3.0))
-    bad = NetworkSpec(net.input_h, net.input_w, tuple(layers))
-    assert_fails_before_any_op(bad, geo, "act layer 1 coefficients must be numeric")
+    assert_refused_when_made(net, layers, "act layer 1 coefficients must be numeric")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ConvSpec(np.ones((1, 2, 2)), np.zeros(1)),
+    lambda: ActSpec(STOCK_ACT1),
+    lambda: FcSpec(np.ones((2, 9)), np.zeros(2)),
+], ids=["conv", "act", "fc"])
+def test_layer_specs_compare_and_hash_by_identity(make):
+    # Array fields would make a field-wise == ambiguous and a hash impossible.
+    a, b = make(), make()
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+
+
+def test_a_made_spec_is_not_checked_again(monkeypatch):
+    # Making a spec checks every weight of every layer once; planning, the
+    # closed form and the oracle trust it after that.
+    net, geo = reduced_net(seed=31)
+    m, f = geo["batch"], geo["row_width"]
+    images = np.random.default_rng(32).uniform(size=(m, geo["h"], geo["w"]))
+    checked = finite_checks(monkeypatch)
+    NetworkSpec(net.input_h, net.input_w, net.layers)
+    made = {what for _, what in checked}
+    assert made == {"conv layer 0 kernels", "conv layer 0 biases",
+                    "act layer 1 coefficients", "fc layer 2 weights",
+                    "fc layer 2 biases", "act layer 3 coefficients",
+                    "fc layer 4 weights", "fc layer 4 biases"}
+    checked.clear()
+    net.plan(m, f)
+    predict_layer_costs(net, m, f, sim(m * f).params)
+    reference_infer(net, images)
+    assert checked and made.isdisjoint(what for _, what in checked)
+
+
+def test_reference_infer_refuses_the_non_finite_images_infer_refuses():
+    # The oracle gave NaN logits for a batch the encrypted path refuses.
+    net, geo = reduced_net()
+    m, f = geo["batch"], geo["row_width"]
+    images = np.zeros((m, geo["h"], geo["w"]))
+    images[1, 2, 3] = np.nan
+    for run in (lambda: infer_images(sim(m * f), net, images, f),
+                lambda: reference_infer(net, images)):
+        with pytest.raises(ValueError, match=re.escape(
+                "images has 1 non-finite values (NaN or inf)")):
+            run()
 
 
 def test_random_network_rejects_misspelt_geometry_keys():
@@ -625,8 +675,9 @@ def test_back_to_back_calls_on_one_backend_report_their_own_costs():
 
 
 def test_infer_plans_a_network_once_per_geometry(monkeypatch):
-    # The first batch at a rows x row_width geometry validates the spec and
-    # plans its layers; later batches, in either kernel mode, only run ops.
+    # The first batch at a rows x row_width geometry plans the spec's layers
+    # (it was checked when made); later batches, in either kernel mode, only
+    # run ops.
     calls = Counter()
 
     def counted(name, fn):
@@ -638,12 +689,10 @@ def test_infer_plans_a_network_once_per_geometry(monkeypatch):
     for name in ("_diagonal_rows", "spread_to_grid", "span_kernel"):
         monkeypatch.setattr(hepack.network, name,
                             counted(name, getattr(hepack.network, name)))
-    monkeypatch.setattr(NetworkSpec, "validate",
-                        counted("validate", NetworkSpec.validate))
     net, geo = reduced_net(seed=23)
     m, h, w = geo["batch"], geo["h"], geo["w"]
     images = np.random.default_rng(24).uniform(size=(m, h, w))
-    planned = ("_diagonal_rows", "spread_to_grid", "span_kernel", "validate")
+    planned = ("_diagonal_rows", "spread_to_grid", "span_kernel")
     for f, new in ((128, True), (256, True), (128, False)):
         calls.clear()
         infer_images(sim(m * f), net, images, f)
@@ -675,15 +724,7 @@ def test_a_planned_stock_batch_checks_one_slot_sized_array(encrypted, monkeypatc
     backend = sim(m * f)
     images = np.random.default_rng(1).uniform(size=(m, geo["h"], geo["w"]))
     infer_images(backend, net, images, f, encrypted_kernels=encrypted)
-    real, checked = hepack.backend.require_finite, []
-
-    def counted(values, what):
-        checked.append((np.size(values), what))
-        return real(values, what)
-
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("hepack") and getattr(mod, "require_finite", None) is real:
-            monkeypatch.setattr(mod, "require_finite", counted)
+    checked = finite_checks(monkeypatch)
     res = infer_images(backend, net, images, f, encrypted_kernels=encrypted)
     assert [(size, what) for size, what in checked if size > f] == [
         (m * geo["h"] * geo["w"], "images"), (m * f, "plaintext")]
@@ -723,6 +764,27 @@ def test_a_planned_spec_cannot_go_stale(pos, field):
     layers[pos] = layers[1]
     again = infer_images(sim(m * f), spec, images, f)
     assert again.logits.tobytes() == first.logits.tobytes()
+
+
+def test_a_planned_spec_keeps_its_coefficients_when_the_list_changes():
+    # ActSpec owns a read-only copy, so neither it nor a list edited after
+    # the check, here to NaN, reaches a planned batch.
+    net, geo = reduced_net(seed=29)
+    m, f = geo["batch"], geo["row_width"]
+    images = np.random.default_rng(30).uniform(size=(m, geo["h"], geo["w"]))
+    coeffs = list(STOCK_ACT1)
+    layers = list(net.layers)
+    layers[1] = ActSpec(coeffs)
+    spec = NetworkSpec(net.input_h, net.input_w, layers)
+    backend = sim(m * f)
+    first = infer_images(backend, spec, images, f)
+    with pytest.raises(ValueError, match="read-only"):
+        spec.layers[1].coeffs[0] = 1.0
+    coeffs[:] = [np.nan] * 4
+    again = infer_images(backend, spec, images, f)
+    assert again.logits.tobytes() == first.logits.tobytes()
+    assert (again.layers, again.op_counts, again.depth_bits) == (
+        first.layers, first.op_counts, first.depth_bits)
 
 
 @pytest.mark.parametrize("geometry,encrypted,count", [

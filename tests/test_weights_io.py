@@ -26,8 +26,8 @@ def test_round_trip_is_bitwise(tmp_path):
     conv_b, act1_b, fc1_b, act2_b, fc2_b = back.layers
     assert np.array_equal(conv_a.kernels, conv_b.kernels)
     assert np.array_equal(conv_a.biases, conv_b.biases)
-    assert act1_a.coeffs == act1_b.coeffs
-    assert act2_a.coeffs == act2_b.coeffs
+    assert np.array_equal(act1_a.coeffs, act1_b.coeffs)
+    assert np.array_equal(act2_a.coeffs, act2_b.coeffs)
     assert np.array_equal(fc1_a.weight, fc1_b.weight)
     assert np.array_equal(fc1_a.bias, fc1_b.bias)
     assert np.array_equal(fc2_a.weight, fc2_b.weight)
@@ -134,7 +134,7 @@ def test_network_must_open_with_conv(tmp_path):
 def test_save_needs_a_leading_conv_layer(tmp_path):
     # Only a #conv header records the input size, so such a file could
     # not be loaded back.
-    net = NetworkSpec(2, 2, (FcSpec(np.eye(4)[:2], np.zeros(2)),)).validate()
+    net = NetworkSpec(2, 2, (FcSpec(np.eye(4)[:2], np.zeros(2)),))
     path = tmp_path / "w.csv"
     with pytest.raises(ValueError, match="first layer is not a conv layer"):
         save_weights_csv(net, path)
