@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import operator
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -54,6 +54,8 @@ class BackendParams:
     delta_c_bits: int = 20
 
     def __post_init__(self):
+        for f in fields(self):
+            require_integer(getattr(self, f.name), f.name)
         if not 1 <= self.log_n <= 17:
             raise ValueError(f"log_n must be in 1..17, got {self.log_n}")
         if not (self.log_q > self.delta_bits > self.delta_c_bits > 0):
@@ -69,7 +71,7 @@ class BackendParams:
     @classmethod
     def for_slots(cls, slots: int, **kw) -> "BackendParams":
         """Params with exactly `slots` slots (must be a power of two)."""
-        n = int(slots).bit_length()
+        n = require_integer(slots, "slot count").bit_length()
         if slots <= 0 or (1 << (n - 1)) != slots:
             raise ValueError(f"slot count must be a power of two, got {slots}")
         return cls(log_n=n, **kw)
@@ -139,6 +141,14 @@ class SimdBackend(ABC):
 
     @abstractmethod
     def rot(self, a: CipherVec, amount: int) -> CipherVec: ...
+
+
+def require_integer(value, what: str) -> int:
+    """operator.index, naming the operand: a float, even a whole one, is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value}") from None
 
 
 def _ndim(values, what: str) -> int:
@@ -301,10 +311,6 @@ class SlotSimulator(SimdBackend):
     def rot(self, a: CipherVec, amount: int) -> CipherVec:
         """Cyclic rotation by a whole amount; positive moves slot i+amount into slot i."""
         _require_ciphertext(a, "rot")
-        try:
-            amount = operator.index(amount)
-        except TypeError:
-            raise ValueError(f"rotation amount must be an integer, got {amount}") from None
+        k = require_integer(amount, "rotation amount") % a.slots.shape[0]
         self.ledger.bump("rot")
-        k = amount % a.slots.shape[0]
         return CipherVec(np.concatenate((a.slots[k:], a.slots[:k])), a.budget_bits)

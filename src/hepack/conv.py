@@ -11,7 +11,7 @@ the one-row Plaintext w_uv * mask, so a kernel costs k*k cmul at depth
 delta_c. An encrypted kernel muls each tap by the ciphertext of w_uv,
 which holds that one value once, and masks once after the sum, at depth
 delta + delta_c. Either way a plan's scalar bias comes in with one
-plaintext add of the one-row bias * mask.
+plaintext add of the one-row bias * mask. A KernelPlan makes each row once.
 
 `KernelPlan.spans` still shows the paper's k*k tiled span plaintexts;
 nothing on the data path reads them.
@@ -20,6 +20,7 @@ nothing on the data path reads them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +46,17 @@ class KernelPlan:
     @property
     def k(self) -> int:
         return self.kernel.shape[0]
+
+    @cached_property
+    def tap_rows(self) -> tuple:
+        """The one-row Plaintext w_uv * mask of each tap (u, v), made on first read."""
+        mask = make_valid_region_mask(self.layout, self.k).row
+        return tuple(Plaintext(wt * mask) for wt in self.kernel.reshape(-1))
+
+    @cached_property
+    def bias_row(self) -> Plaintext:
+        """The one-row Plaintext bias * mask, made on first read."""
+        return Plaintext(self.bias * make_valid_region_mask(self.layout, self.k).row)
 
     @property
     def spans(self) -> tuple:
@@ -112,15 +124,13 @@ def conv_layer(backend: SimdBackend, image: EncodedMatrix, plans,
     mask = make_valid_region_mask(lay, k)
 
     def per_kernel(plan):
-        weights = plan.kernel.reshape(-1)
         if encrypted_kernels:
             prods = (backend.mul(tap, backend.encrypt(wt))
-                     for tap, wt in zip(taps, weights))
+                     for tap, wt in zip(taps, plan.kernel.reshape(-1)))
             valid = backend.cmul(reduce_add(backend, prods), mask)
         else:
-            valid = reduce_add(backend, (backend.cmul(tap, Plaintext(wt * mask.row))
-                                         for tap, wt in zip(taps, weights)))
-        return EncodedMatrix(backend.add(valid, Plaintext(plan.bias * mask.row)), lay)
+            valid = reduce_add(backend, map(backend.cmul, taps, plan.tap_rows))
+        return EncodedMatrix(backend.add(valid, plan.bias_row), lay)
 
     return [per_kernel(plan) for plan in plans]
 

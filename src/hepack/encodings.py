@@ -205,8 +205,8 @@ def decode_diagonal(slot_values, m: int, row_width: int, p: int) -> np.ndarray:
     if vals.size % row_width:
         raise ValueError(f"{vals.size} slot values are not whole rows of {row_width}")
     grid = vals.reshape(-1, row_width)
-    if m > grid.shape[0]:
-        raise ValueError(f"asked for {m} rows, slot vector has {grid.shape[0]}")
+    if not 1 <= m <= grid.shape[0]:
+        raise ValueError(f"row count m must be in 1..{grid.shape[0]}, got {m}")
     i, j = np.ogrid[:m, :p]
     return grid[i, diagonal_slot_column(i, j, p, grid.shape[0])]
 

@@ -14,7 +14,7 @@ import struct
 
 import numpy as np
 
-from .backend import real_array
+from .backend import real_array, require_integer
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
@@ -93,7 +93,7 @@ def image_blocks(images, batch: int) -> list[tuple[np.ndarray, int]]:
     holding 16 zero rows of pad.
     """
     imgs = real_array(images, "images", ndim=3)
-    if batch < 1:
+    if require_integer(batch, "batch") < 1:
         raise ValueError("batch must be positive")
     blocks = []
     for start in range(0, imgs.shape[0], batch):

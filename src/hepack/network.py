@@ -11,10 +11,9 @@ row-major in columns 0..p-1; the logits are read from the last one. Each
 rotation is hoistable from one input (conv taps, fc baby steps), chained
 through one key (fc giant steps, product columns) or a doubling fold. A
 spec is checked once, when it is made, and planned once per batch
-geometry (NetworkSpec.plan). The plan holds
-each fc diagonal and bias as a one-row Plaintext, checked once when it is
-planned; a conv layer still makes its C*k^2 masked-tap and C bias
-Plaintexts on every batch (40 at stock, ~0.2 ms of a ~13 ms batch).
+geometry (NetworkSpec.plan), its plans kept beside it. The plans hold
+every fc diagonal and bias, and every conv masked tap and bias, as a
+one-row Plaintext made once, so a later batch makes none.
 
 Activation is a fixed cubic in Horner form, c0 + c1*x + x^2*(c2 + c3*x):
 x*x and c3*x + c2 are made side by side and multiplied once more, so a
@@ -24,12 +23,13 @@ layer costs 2*delta budget bits.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .backend import (OP_KINDS, DepthExhaustedError, Plaintext, SimdBackend,
-                      real_array, require_finite)
+                      _ndim, real_array, require_finite)
 from .conv import conv_layer, span_kernel
 from .encodings import (EncodedMatrix, LayoutKind, MatrixLayout, decrypt_rows,
                         encode_row_major, grid_layout, pack_image_batch,
@@ -39,14 +39,17 @@ from .linalg import ceil_log2, reduce_add
 # Degree-three least-squares activation fits baked into the stock MNIST model.
 STOCK_ACT1 = (-0.00015120704, 0.4610149, 2.0225089, -1.4511951)
 STOCK_ACT2 = (-1.5650465, -0.9943767, 1.6794522, 0.5350255)
+_planned = weakref.WeakKeyDictionary()  # spec -> {(rows, row_width): plans} while it lives
 
 
 def _own_arrays(spec, *names):
     """Make each named field of a frozen spec a read-only copy of itself.
 
-    The dtype is kept, so NetworkSpec's check sees complex or non-numeric values.
+    A ragged field is refused by spec and field name. The dtype is kept, so
+    NetworkSpec's check sees complex or non-numeric values.
     """
     for name in names:
+        _ndim(getattr(spec, name), f"{type(spec).__name__} {name}")
         arr = np.array(getattr(spec, name))
         arr.flags.writeable = False
         object.__setattr__(spec, name, arr)
@@ -94,19 +97,18 @@ class FcSpec:
         return self.weight.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class NetworkSpec:
-    """Input geometry and layers, checked when made, and the plans infer makes.
+    """Input geometry and layers, checked when made: a plain frozen value.
 
-    Specs, and their layers, compare and hash by identity: each owns its
-    plans. Its layers are a tuple and their arrays read-only, so neither the
-    check nor a plan can go stale.
+    Layers compare by identity, so specs over the same geometry and layer
+    objects are equal and share plans (plan). Layers are a tuple and their
+    arrays read-only, so neither the check nor a plan can go stale.
     """
 
     input_h: int
     input_w: int
     layers: tuple
-    _plans: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         """Check layer shapes, finite values and chaining once, when the spec is made."""
@@ -155,14 +157,6 @@ class NetworkSpec:
         if not self.layers or not isinstance(self.layers[-1], FcSpec):
             raise ValueError("network must end with an fc layer")
 
-    def __getstate__(self):
-        """Pickle and copy without the plans; a copy plans again on first use.
-
-        Plans derive from the layers, and their diagonal rows alone would
-        add ~2.2 MB at stock.
-        """
-        return {**self.__dict__, "_plans": {}}
-
     @property
     def classes(self) -> int:
         return self.layers[-1].out_dim
@@ -172,11 +166,11 @@ class NetworkSpec:
 
         The first call at a geometry plans each layer: KernelPlans for a
         conv, an FcPlan for an fc (spread over the conv grids), None for an
-        activation. Later calls reuse them.
+        activation. Later calls, by this spec or an equal one, reuse them.
         """
-        key = (rows, row_width)
-        if key in self._plans:
-            return self._plans[key]
+        planned = _planned.setdefault(self, {})
+        if (rows, row_width) in planned:
+            return planned[rows, row_width]
         h, w = self.input_h, self.input_w
         layouts, valid, plans = [grid_layout(rows, row_width, h, w)], (h, w), []
         for layer in self.layers:
@@ -193,8 +187,8 @@ class NetworkSpec:
                 plan = plan_fc(layer, layouts)
                 layouts = [plan.out_layout]
             plans.append(plan)
-        self._plans[key] = tuple(plans)
-        return self._plans[key]
+        planned[rows, row_width] = tuple(plans)
+        return planned[rows, row_width]
 
 
 # ------------------------------------------------------------ primitives
@@ -396,12 +390,10 @@ def infer(backend: SimdBackend, net: NetworkSpec, packed: EncodedMatrix,
     """Run the network over a packed batch; logits come back per image.
 
     The spec was checked when it was made; the first batch at a rows x
-    row_width geometry plans it (net.plan), before any op. Later batches
-    reuse those plans; besides encryptions and scheme ops they make only
-    the conv layer's bias and (with plaintext kernels) masked-tap
-    Plaintexts. The per-layer rows and op_counts are differences of
-    snapshots of the backend's shared ledger, so a backend serves one
-    infer at a time.
+    row_width geometry plans it (net.plan), before any op. A plan makes
+    each Plaintext row once, so a later batch makes none but the packed
+    images'. The per-layer rows and op_counts are differences of snapshots
+    of the backend's shared ledger, so a backend serves one infer at a time.
     """
     lay = packed.layout
     if lay.kind is not LayoutKind.IMAGE_GRID or (lay.grid_h, lay.grid_w) != (

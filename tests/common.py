@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from hepack import BackendParams, SlotSimulator
+from hepack import BackendParams, Plaintext, SlotSimulator
 from hepack.network import conv2d_valid
 
 
@@ -18,3 +18,15 @@ def ledger_delta(backend, before: dict) -> dict:
 def conv_oracle(images: np.ndarray, kernel: np.ndarray, bias: float = 0.0) -> np.ndarray:
     """Valid cross-correlation (the reference_infer one), plus bias."""
     return conv2d_valid(images, kernel) + bias
+
+
+def plaintexts_made(monkeypatch) -> list:
+    """The row length of each Plaintext made from now on."""
+    real, made = Plaintext.__post_init__, []
+
+    def counted(self):
+        real(self)
+        made.append(self.row.size)
+
+    monkeypatch.setattr(Plaintext, "__post_init__", counted)
+    return made

@@ -44,6 +44,24 @@ def test_params_validation():
     assert BackendParams(log_n=17).slots == 65536
 
 
+@pytest.mark.parametrize("make,cause", [
+    (lambda: BackendParams(log_q=100.5), "log_q must be an integer, got 100.5"),
+    (lambda: BackendParams(log_n=4.5), "log_n must be an integer, got 4.5"),
+    (lambda: BackendParams(delta_bits=45.0), "delta_bits must be an integer, got 45.0"),
+    (lambda: BackendParams(delta_c_bits="20"), "delta_c_bits must be an integer, got 20"),
+    (lambda: BackendParams.for_slots(8.0), "slot count must be an integer, got 8.0"),
+], ids=["log-q", "log-n", "whole-float-delta", "str-delta-c", "for-slots"])
+def test_params_refuse_a_value_that_is_not_an_integer(make, cause):
+    # A fractional log_q would leave fractional budgets; log_n=4.5 would fail only at .slots.
+    with pytest.raises(ValueError, match=re.escape(cause)):
+        make()
+
+
+def test_params_take_numpy_integers():
+    assert BackendParams(log_n=np.int64(5), log_q=np.int32(100)).slots == 16
+    assert BackendParams.for_slots(np.int64(16)).log_n == 5
+
+
 def test_encrypt_decrypt_round_trip():
     backend = sim(8)
     ct = backend.encrypt([1.0, 2.0, 3.0, 0.0, 0.0, 0.0, 0.0, 0.0])

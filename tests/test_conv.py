@@ -16,8 +16,9 @@ from hepack import (
     pack_image_batch,
     span_kernel,
 )
+from hepack.linalg import make_valid_region_mask
 from hepack.network import reduced_geometry
-from common import conv_oracle, ledger_delta, sim
+from common import conv_oracle, ledger_delta, plaintexts_made, sim
 
 
 KERNEL_2X2 = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -177,6 +178,26 @@ def test_conv_layer_runs_every_kernel():
         grid = backend.decrypt(out.ct).reshape(2, 32)[:, :25].reshape(2, 5, 5)
         ref = conv_oracle(images, kern, bias)
         assert np.max(np.abs(grid[:, :4, :4] - ref)) < 1e-9
+
+
+def test_kernel_plans_make_their_rows_once_on_first_read(monkeypatch):
+    # Fresh plans run with encrypted kernels make only their bias rows;
+    # the masked tap rows wait for a plaintext-kernel call, and no row is
+    # made twice.
+    rng = np.random.default_rng(5)
+    backend = sim(2 * 32)
+    packed = pack_image_batch(backend, rng.uniform(size=(2, 5, 5)), 32)
+    plans = [span_kernel(rng.normal(size=(2, 2)), b, 5, 5, 2, 32) for b in (0.1, -0.2, 0.3)]
+    make_valid_region_mask(packed.layout, 2)  # cached from here on
+    made = plaintexts_made(monkeypatch)
+    conv_layer(backend, packed, plans, encrypted_kernels=True)
+    assert made == [32] * 3
+    assert not any("tap_rows" in vars(plan) for plan in plans)
+    conv_layer(backend, packed, plans)
+    assert made == [32] * (3 + 3 * 4)
+    conv_layer(backend, packed, plans)
+    conv_layer(backend, packed, plans, encrypted_kernels=True)
+    assert len(made) == 3 + 3 * 4
 
 
 def test_kernel_plans_compare_by_identity_and_hash():

@@ -266,7 +266,10 @@ def test_layout_validation_names_the_cause(make, cause):
     (lambda be: encode_diagonal_pattern(np.zeros(4), 4, 4, 2),
      "matrix must be 2-D, got shape (4,)"),
     (lambda be: image_blocks(np.float64(1.0), 2), "images must be 3-D, got shape ()"),
-], ids=["2-d-images", "1-d-weight", "1-d-diagonal-pattern", "0-d-image-blocks"])
+    (lambda be: image_blocks(np.zeros((4, 2, 2)), 1.5), "batch must be an integer, got 1.5"),
+    (lambda be: decode_diagonal(np.zeros(16), -1, 4, 2), "row count m must be in 1..4, got -1"),
+], ids=["2-d-images", "1-d-weight", "1-d-diagonal-pattern", "0-d-image-blocks",
+        "fractional-image-batch", "negative-decode-rows"])
 def test_encoders_name_an_operand_of_the_wrong_rank(encode, cause):
     backend = sim(64)
     with pytest.raises(ValueError, match=re.escape(cause)):

@@ -1,10 +1,12 @@
 import copy
 import dataclasses
+import gc
 import itertools
 import pickle
 import re
 import sys
 import time
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -48,7 +50,7 @@ from hepack.bench import (check_depth_budget, cost_mismatch, predict_layer_costs
                           predict_op_counts)
 from hepack.backend import OP_KINDS
 from hepack.network import fc_schedule
-from common import ledger_delta, sim
+from common import ledger_delta, plaintexts_made, sim
 
 
 def reduced_net(seed=0, **overrides):
@@ -700,15 +702,18 @@ def test_infer_plans_a_network_once_per_geometry(monkeypatch):
         calls.clear()
         res = infer_images(sim(m * f), net, images, f, encrypted_kernels=True)
         assert not calls
-        fresh = NetworkSpec(net.input_h, net.input_w, net.layers)
+        fresh = NetworkSpec(net.input_h, net.input_w, copy.deepcopy(net.layers))
         want = infer_images(sim(m * f), fresh, images, f, encrypted_kernels=True)
         assert res.logits.tobytes() == want.logits.tobytes()
         assert (res.layers, res.op_counts) == (want.layers, want.op_counts)
         assert res.layers == predict_layer_costs(net, m, f, sim(m * f).params, True)
         assert np.max(np.abs(res.logits - reference_infer(net, images))) < 1e-6
     assert net.plan(m, 128) is net.plan(m, 128) is not net.plan(m, 256)
-    # Each spec owns its plans, so specs compare and hash by identity.
-    assert fresh != net and len({net, fresh, net}) == 2
+    # A spec is a plain value over layers that compare by identity: over the
+    # same layer objects specs are equal and share plans, over copies not.
+    same = NetworkSpec(net.input_h, net.input_w, net.layers)
+    assert same == net != fresh and len({net, same, fresh}) == 2
+    assert same.plan(m, 128) is net.plan(m, 128) is not fresh.plan(m, 128)
 
 
 @pytest.mark.parametrize("encrypted", [False, True])
@@ -738,11 +743,52 @@ def test_a_pickled_or_copied_spec_leaves_its_plans_behind():
     size = len(pickle.dumps(net))
     first = infer_images(sim(m * f), net, images, f)
     assert len(pickle.dumps(net)) == size
-    for twin in (pickle.loads(pickle.dumps(net)), copy.copy(net), copy.deepcopy(net)):
-        assert twin._plans == {}
+    for twin in (pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
+        assert twin != net and twin not in hepack.network._planned
         again = infer_images(sim(m * f), twin, images, f)
         assert again.logits.tobytes() == first.logits.tobytes()
-    assert len(net._plans) == 1
+    # A shallow copy holds the same layers, so it is equal and shares the plans.
+    assert copy.copy(net) == net and copy.copy(net).plan(m, f) is net.plan(m, f)
+    assert list(hepack.network._planned[net]) == [(m, f)]
+
+
+def test_planning_keeps_no_spec_alive():
+    net, geo = reduced_net(seed=29)
+    m, f = geo["batch"], geo["row_width"]
+    infer_images(sim(m * f), net, np.zeros((m, geo["h"], geo["w"])), f)
+    assert net in hepack.network._planned
+    # The plans hold no reference back to their spec, so it dies with its last name.
+    gone = weakref.ref(net)
+    del net
+    gc.collect()
+    assert gone() is None
+
+
+@pytest.mark.parametrize("encrypted", [False, True])
+def test_a_planned_stock_batch_makes_one_plaintext(encrypted, monkeypatch):
+    # The plans hold every fc and conv row, so a later batch makes only the
+    # packed images' Plaintext, in either kernel mode.
+    geo = stock_geometry()
+    net = random_network(np.random.default_rng(2), **geo)
+    m, f = geo["batch"], geo["row_width"]
+    backend = sim(m * f)
+    images = np.random.default_rng(3).uniform(size=(m, geo["h"], geo["w"]))
+    infer_images(backend, net, images, f, encrypted_kernels=encrypted)
+    made = plaintexts_made(monkeypatch)
+    infer_images(backend, net, images, f, encrypted_kernels=encrypted)
+    assert made == [m * f]
+
+
+@pytest.mark.parametrize("make,cause", [
+    (lambda: ActSpec(((1.0, 2.0), 3.0, 4.0, 5.0)), "ActSpec coeffs"),
+    (lambda: FcSpec([[1.0, 2.0], [3.0]], [0.0, 0.0]), "FcSpec weight"),
+    (lambda: ConvSpec([[[1.0, 2.0], [3.0]]], [0.0]), "ConvSpec kernels"),
+], ids=["act", "fc", "conv"])
+def test_a_ragged_layer_value_is_refused_by_name(make, cause):
+    # numpy's own inhomogeneous-shape error names neither the layer nor the field.
+    with pytest.raises(ValueError, match=re.escape(
+            f"{cause} is ragged: its nested sequences differ in length")):
+        make()
 
 
 @pytest.mark.parametrize("pos,field", [(0, "kernels"), (2, "weight")],
