@@ -77,22 +77,31 @@ class BackendParams:
         return cls(log_n=n, **kw)
 
 
-@dataclass(frozen=True)
 class CipherVec:
     """A simulated ciphertext: slot vector plus remaining budget bits.
 
-    Instances are immutable; backend operations return new ones. The
-    slot array is marked read-only to keep accidental in-place edits out.
+    Slotted and immutable (setting an attribute raises AttributeError); backend
+    operations return new ones. The slot array is read-only, against in-place edits.
     """
 
-    slots: np.ndarray
-    budget_bits: int
+    __slots__ = ("slots", "budget_bits")
 
-    def __post_init__(self):
-        if self.budget_bits < 0:
+    def __init__(self, slots: np.ndarray, budget_bits: int):
+        if budget_bits < 0:
             raise DepthExhaustedError("budget_bits must be >= 0")
-        self.slots.flags.writeable = False
+        slots.setflags(False)  # write=False, by position: numpy parses a keyword slowly
+        _set_slots(self, slots)  # the slots' own setters, past __setattr__
+        _set_budget_bits(self, budget_bits)
 
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"CipherVec is immutable: cannot set or delete {name}")
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle remake it through __init__
+        return CipherVec, (self.slots, self.budget_bits)
+
+
+_set_slots, _set_budget_bits = CipherVec.slots.__set__, CipherVec.budget_bits.__set__
 
 OP_KINDS = ("mul", "cmul", "rot", "add")  # the ops the ledger counts
 
@@ -104,9 +113,6 @@ class ModulusLedger:
     delta_bits: int
     delta_c_bits: int
     counts: dict = field(default_factory=lambda: dict.fromkeys(OP_KINDS, 0))
-
-    def bump(self, kind: str):
-        self.counts[kind] += 1
 
     @property
     def consumed_bits(self) -> int:
@@ -282,7 +288,7 @@ class SlotSimulator(SimdBackend):
         else:
             plain = self._plaintext(b, "plaintext")
             slots, budget = _slotwise(np.add, a.slots, plain), a.budget_bits
-        self.ledger.bump("add")
+        self.ledger.counts["add"] += 1
         return CipherVec(slots, budget)
 
     def mul(self, a: CipherVec, b: CipherVec) -> CipherVec:
@@ -290,10 +296,8 @@ class SlotSimulator(SimdBackend):
             raise TypeError("mul takes two ciphertexts; multiply by a plaintext with cmul")
         lvl = min(a.budget_bits, b.budget_bits)
         if lvl < self.params.delta_bits:
-            raise DepthExhaustedError(
-                f"mul needs {self.params.delta_bits} bits, only {lvl} left"
-            )
-        self.ledger.bump("mul")
+            raise DepthExhaustedError(f"mul needs {self.params.delta_bits} bits, only {lvl} left")
+        self.ledger.counts["mul"] += 1
         return CipherVec(a.slots * b.slots, lvl - self.params.delta_bits)
 
     def cmul(self, a: CipherVec, mask) -> CipherVec:
@@ -304,7 +308,7 @@ class SlotSimulator(SimdBackend):
                 f"cmul needs {self.params.delta_c_bits} bits, only {a.budget_bits} left"
             )
         m = self._plaintext(mask, "mask")
-        self.ledger.bump("cmul")
+        self.ledger.counts["cmul"] += 1
         return CipherVec(_slotwise(np.multiply, a.slots, m),
                          a.budget_bits - self.params.delta_c_bits)
 
@@ -312,5 +316,5 @@ class SlotSimulator(SimdBackend):
         """Cyclic rotation by a whole amount; positive moves slot i+amount into slot i."""
         _require_ciphertext(a, "rot")
         k = require_integer(amount, "rotation amount") % a.slots.shape[0]
-        self.ledger.bump("rot")
+        self.ledger.counts["rot"] += 1
         return CipherVec(np.concatenate((a.slots[k:], a.slots[:k])), a.budget_bits)

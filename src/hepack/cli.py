@@ -15,6 +15,8 @@ from .network import infer_images, random_network, stock_geometry
 from .verify import run_all
 from .weights_io import WeightsParseError, load_weights_csv
 
+TIMED_BATCHES = 5  # bench reports each layer's median over this many planned batches
+
 
 def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--batch", type=int, default=32, help="images per block")
@@ -107,12 +109,16 @@ def cmd_bench(args) -> int:
     images = np.random.default_rng(args.seed).uniform(
         0.0, 1.0, size=(args.batch, net.input_h, net.input_w))
     backend = SlotSimulator(params)
-    # The first batch plans the network; the second, timed, runs only ops.
-    for _ in range(2):
+    # The first batch plans the network; the next TIMED_BATCHES run only ops.
+    walls, layer_s = [], []
+    for _ in range(1 + TIMED_BATCHES):
         start = time.perf_counter()
         res = infer_images(backend, net, images, row_width,
                            encrypted_kernels=args.encrypted_kernels)
-        wall = time.perf_counter() - start
+        walls.append(time.perf_counter() - start)
+        layer_s.append([c.seconds for c in res.layers])
+    layer_ms = np.median(layer_s[1:], axis=0) * 1e3
+    total_ms = np.median(np.sum(layer_s[1:], axis=1)) * 1e3
     print(f"network: {source}")
     print(f"batch {args.batch} x row_width {row_width} "
           f"({params.slots} slots)")
@@ -124,12 +130,12 @@ def cmd_bench(args) -> int:
         print(f"{label:<8}{ops['mul']:>8}{ops['cmul']:>8}{ops['rot']:>8}"
               f"{ops['add']:>8}{sum(c.depth_bits for c in costs):>8}")
     print("planned batch ms: " + ", ".join(
-        f"{c.name} {c.seconds * 1e3:.2f}" for c in res.layers)
-        + f", total {sum(c.seconds for c in res.layers) * 1e3:.2f}")
+        f"{c.name} {ms:.2f}" for c, ms in zip(res.layers, layer_ms))
+        + f", total {total_ms:.2f}")
     bad = cost_mismatch(res.layers, predicted)
     print(f"MISMATCH in {bad}" if bad
           else "every layer's counts and depth match closed form")
-    print(f"wall {wall:.2f}s")
+    print(f"wall {np.median(walls[1:]):.2f}s")
     return 1 if bad else 0
 
 

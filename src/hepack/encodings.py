@@ -16,17 +16,23 @@ of a rearranged matrix, so encode_row_major builds every row-packed buffer
 and is the one place that zero-pads (the backend takes only full-slot
 arrays). It also takes a Plaintext row of row_width values, checked when
 it was made, and encrypts it as every row of the matrix.
+
+row_major_layout, diagonal_layout and grid_layout make one MatrixLayout per
+geometry, checked once, and hand the same object out for every later call.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from collections.abc import Hashable
+from dataclasses import MISSING, dataclass, fields, replace
+from functools import lru_cache, wraps
 from itertools import accumulate
 
 import numpy as np
 
-from .backend import CipherVec, Plaintext, SimdBackend, real_array, require_finite
+from .backend import (CipherVec, Plaintext, SimdBackend, real_array, require_finite,
+                      require_integer)
 
 
 class LayoutKind(enum.Enum):
@@ -53,6 +59,10 @@ class MatrixLayout:
     grid_w: int | None = None
 
     def __post_init__(self):
+        for f in reversed(fields(self)):  # grid_h, grid_w before the logical_width they make
+            value = getattr(self, f.name)
+            if f.name != "kind" and (value is not None or f.default is MISSING):
+                require_integer(value, f.name)
         if self.rows < 1 or self.row_width < 1:
             raise ValueError("rows and row_width must be positive")
         for name, n in (("rows", self.rows), ("row_width", self.row_width)):
@@ -68,14 +78,34 @@ class MatrixLayout:
                 raise ValueError("image-grid layout needs logical_width == grid_h * grid_w")
 
 
+def _one_per_geometry(make):
+    """`make`, cached so that each geometry has one MatrixLayout. The cache is typed:
+    a float or numpy integer meets MatrixLayout's integer check, not an int's entry."""
+    cached = lru_cache(maxsize=None, typed=True)(make)
+
+    @wraps(make)
+    def layout(*geometry, **named) -> MatrixLayout:
+        try:
+            return cached(*geometry, **named)
+        except TypeError:  # a value with no hash, such as a 0-d array, is refused by name
+            if all(isinstance(n, Hashable) for n in (*geometry, *named.values())):
+                raise
+            raise ValueError(f"{make.__name__} geometry must be integers, "
+                             f"got {geometry}") from None
+    return layout
+
+
+@_one_per_geometry
 def row_major_layout(rows: int, row_width: int, logical_width: int) -> MatrixLayout:
     return MatrixLayout(rows, row_width, logical_width, LayoutKind.ROW_MAJOR)
 
 
+@_one_per_geometry
 def diagonal_layout(rows: int, row_width: int, p: int) -> MatrixLayout:
     return MatrixLayout(rows, row_width, p, LayoutKind.DIAGONAL)
 
 
+@_one_per_geometry
 def grid_layout(rows: int, row_width: int, h: int, w: int) -> MatrixLayout:
     return MatrixLayout(rows, row_width, h * w, LayoutKind.IMAGE_GRID, grid_h=h, grid_w=w)
 
@@ -199,6 +229,8 @@ def encode_diagonal_pattern(matrix, rows: int, row_width: int, p: int) -> np.nda
 
 def decode_diagonal(slot_values, m: int, row_width: int, p: int) -> np.ndarray:
     """Read an m x p matrix out of a diagonal-layout slot vector, tiled by its rows."""
+    for name, n in (("row count m", m), ("row_width", row_width), ("output width p", p)):
+        require_integer(n, name)
     if not 1 <= p <= row_width:
         raise ValueError(f"output width p must be in 1..{row_width}, got {p}")
     vals = real_array(slot_values, "slot values")

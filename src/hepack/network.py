@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backend import (OP_KINDS, DepthExhaustedError, Plaintext, SimdBackend,
-                      _ndim, real_array, require_finite)
+                      _ndim, real_array, require_finite, require_integer)
 from .conv import conv_layer, span_kernel
 from .encodings import (EncodedMatrix, LayoutKind, MatrixLayout, decrypt_rows,
                         encode_row_major, grid_layout, pack_image_batch,
@@ -113,6 +113,8 @@ class NetworkSpec:
     def __post_init__(self):
         """Check layer shapes, finite values and chaining once, when the spec is made."""
         object.__setattr__(self, "layers", tuple(self.layers))
+        for name in ("input_h", "input_w"):  # held as an int, so a 0-d array still hashes
+            object.__setattr__(self, name, require_integer(getattr(self, name), name))
         h, w = self.input_h, self.input_w
         feats = None  # None while still an image grid
         for pos, layer in enumerate(self.layers):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 import tracemalloc
 
@@ -168,6 +170,49 @@ def test_ciphertext_slots_are_read_only():
     ct = backend.encrypt(np.arange(1.0, 9.0))
     with pytest.raises(ValueError):
         ct.slots[0] = 5.0
+
+
+def test_a_ciphertext_is_a_slotted_immutable_value():
+    backend = sim(8)
+    ct = backend.encrypt(np.arange(1.0, 9.0))
+    for name, value in (("slots", np.zeros(8)), ("budget_bits", 7)):
+        with pytest.raises(AttributeError, match=f"immutable: cannot set or delete {name}"):
+            setattr(ct, name, value)
+        with pytest.raises(AttributeError, match=f"immutable: cannot set or delete {name}"):
+            delattr(ct, name)
+    assert not hasattr(ct, "__dict__")
+    assert ct.slots.tolist() == list(range(1, 9)) and ct.budget_bits == 1200
+
+
+def test_a_ciphertext_made_from_a_writable_array_holds_it_read_only():
+    values = np.arange(4.0)
+    ct = CipherVec(values, 10)
+    assert not ct.slots.flags.writeable and ct.budget_bits == 10
+    with pytest.raises(ValueError):
+        ct.slots[0] = 5.0
+    with pytest.raises(DepthExhaustedError, match="budget_bits must be >= 0"):
+        CipherVec(np.arange(4.0), -1)
+
+
+@pytest.mark.parametrize("twin", [copy.copy, copy.deepcopy,
+                                  lambda ct: pickle.loads(pickle.dumps(ct))])
+def test_a_copied_ciphertext_is_remade_read_only(twin):
+    ct = sim(8).encrypt(np.arange(1.0, 9.0))
+    again = twin(ct)
+    assert again.slots.tobytes() == ct.slots.tobytes()
+    assert again.budget_bits == ct.budget_bits and not again.slots.flags.writeable
+
+
+@pytest.mark.parametrize("make", [lambda be: be.encrypt(np.arange(1.0, 9.0)),
+                                  lambda be: be.rot(be.encrypt(np.arange(1.0, 9.0)), 3),
+                                  lambda be: be.encrypt(Plaintext([1.0, 2.0]))])
+def test_decrypt_returns_a_writable_contiguous_copy(make):
+    backend = sim(8)
+    ct = make(backend)
+    out = backend.decrypt(ct)
+    assert out.flags.writeable and out.flags.c_contiguous
+    assert not np.shares_memory(out, ct.slots)
+    assert out.tobytes() == ct.slots.tobytes()
 
 
 def test_add_values_and_budget():

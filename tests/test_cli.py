@@ -15,7 +15,7 @@ from hepack import (
     write_idx_images,
     write_idx_labels,
 )
-from hepack import bench, verify
+from hepack import bench, cli, verify
 from hepack.cli import main
 from hepack.verify import check_matmul_partitioned
 
@@ -258,13 +258,35 @@ def test_bench_audits_op_counts(reduced_files, capsys):
             "conv-1         0      18       8      18      20\n") in text
     assert _row(text, "total") == _row(text, "measured")
     assert "MISMATCH" not in text
-    # The timed batch is the second, which the first planned; each layer's
-    # ms and their total follow the table's totals.
+    # The timed batches follow the one that planned; each layer's median
+    # ms and the total's follow the table's totals.
     timed, = (ln for ln in text.splitlines() if ln.startswith("planned batch ms: "))
     cells = [cell.split() for cell in timed.removeprefix("planned batch ms: ").split(", ")]
     assert [name for name, _ in cells] == ["conv-1", "act-1", "fc-1", "act-2", "fc-2",
                                            "total"]
     assert all(float(ms) > 0 for _, ms in cells)
+
+
+def test_bench_reports_each_layers_median_over_the_planned_batches(reduced_files, capsys,
+                                                                  monkeypatch):
+    # The planning batch takes 1 s a layer and is left out; the timed batches
+    # take 5, 1, 4, 2, 3 ms a layer, so every layer's median is 3 ms.
+    real, seconds = cli.infer_images, iter([1.0, 0.005, 0.001, 0.004, 0.002, 0.003])
+
+    def timed(*args, **kw):
+        res = real(*args, **kw)
+        s = next(seconds)
+        for cost in res.layers:
+            cost.seconds = s
+        return res
+
+    monkeypatch.setattr(cli, "infer_images", timed)
+    assert main(["bench", "--weights", str(reduced_files["weights"]), *SMALL]) == 0
+    assert next(seconds, None) is None and cli.TIMED_BATCHES == 5
+    timed_line, = (ln for ln in capsys.readouterr().out.splitlines()
+                   if ln.startswith("planned batch ms: "))
+    assert timed_line == ("planned batch ms: conv-1 3.00, act-1 3.00, fc-1 3.00, "
+                          "act-2 3.00, fc-2 3.00, total 15.00")
 
 
 def test_bench_names_the_first_layer_off_the_depth_model(reduced_files, capsys,

@@ -250,12 +250,47 @@ def test_layout_validation():
     (lambda: row_major_layout(2, 2, 0), "logical_width must be in 1..2, got 0"),
     (lambda: multiply_matrices(np.zeros((2, 0)), np.zeros((0, 2))),
      "logical_width must be in 1..2, got 0"),
+    # A geometry value that is not an integer is refused by name.
+    (lambda: grid_layout(4, 16, 2.0, 2), "grid_h must be an integer, got 2.0"),
+    (lambda: grid_layout(4, 16, 2, 2.0), "grid_w must be an integer, got 2.0"),
+    (lambda: row_major_layout(4.0, 16, 2), "rows must be an integer, got 4.0"),
+    (lambda: diagonal_layout(4, 16.0, 2), "row_width must be an integer, got 16.0"),
+    (lambda: row_major_layout(4, 16, 2.5), "logical_width must be an integer, got 2.5"),
+    (lambda: MatrixLayout(4, 16, 2, LayoutKind.ROW_MAJOR, period=1.5),
+     "period must be an integer, got 1.5"),
+    (lambda: row_major_layout(np.array(4), 16, 2),
+     "row_major_layout geometry must be integers, got (array(4), 16, 2)"),
+    (lambda: decode_diagonal(np.zeros(16), 1.5, 4, 2), "row count m must be an integer, got 1.5"),
+    (lambda: decode_diagonal(np.zeros(16), 2, 4, 2.0),
+     "output width p must be an integer, got 2.0"),
+    (lambda: NetworkSpec(8.0, 8, (FcSpec(np.ones((2, 64)), np.zeros(2)),)),
+     "input_h must be an integer, got 8.0"),
 ], ids=["zero-rows", "grid-past-the-row", "grid-layout-wider-than-the-row",
         "grid-cells-not-its-width", "row-width-not-a-power-of-two", "zero-width",
-        "product-with-no-inner-dimension"])
+        "product-with-no-inner-dimension", "float-grid-h", "float-grid-w", "float-rows",
+        "float-row-width", "float-logical-width", "float-period", "0-d-array-rows",
+        "float-decode-rows", "float-decode-width", "float-network-input-h"])
 def test_layout_validation_names_the_cause(make, cause):
     with pytest.raises(ValueError, match=re.escape(cause)):
         make()
+
+
+def test_each_layout_geometry_is_made_once():
+    assert row_major_layout(4, 16, 2) is row_major_layout(4, 16, 2)
+    assert diagonal_layout(4, 16, 3) is diagonal_layout(4, 16, 3)
+    assert grid_layout(4, 16, 2, 3) is grid_layout(4, 16, 2, 3)
+    assert row_major_layout(4, 16, 2) is not row_major_layout(4, 16, 3)
+    assert row_major_layout(4, 16, 2) != diagonal_layout(4, 16, 2)
+    # The cache is typed: a whole float is not handed the int's layout.
+    with pytest.raises(ValueError, match=re.escape("rows must be an integer, got 4.0")):
+        row_major_layout(4.0, 16, 2)
+    assert row_major_layout(np.int64(4), 16, 2) == row_major_layout(4, 16, 2)
+
+
+def test_a_network_reads_an_integer_array_geometry_as_an_int():
+    net = NetworkSpec(np.array(2), np.int64(2), (FcSpec(np.ones((3, 4)), np.zeros(3)),))
+    assert (type(net.input_h), type(net.input_w)) == (int, int)
+    assert net == NetworkSpec(2, 2, net.layers) and hash(net) == hash(NetworkSpec(2, 2, net.layers))
 
 
 @pytest.mark.parametrize("encode,cause", [

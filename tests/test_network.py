@@ -23,6 +23,8 @@ from hepack import (
     EncodedMatrix,
     FcSpec,
     LayerCost,
+    LayoutKind,
+    MatrixLayout,
     NetworkSpec,
     SlotSimulator,
     STOCK_ACT1,
@@ -750,6 +752,21 @@ def test_a_pickled_or_copied_spec_leaves_its_plans_behind():
     # A shallow copy holds the same layers, so it is equal and shares the plans.
     assert copy.copy(net) == net and copy.copy(net).plan(m, f) is net.plan(m, f)
     assert list(hepack.network._planned[net]) == [(m, f)]
+
+
+def test_a_planned_network_holds_one_layout_per_geometry():
+    net, geo = reduced_net(seed=31)
+    m, f, h, w = geo["batch"], geo["row_width"], geo["h"], geo["w"]
+    conv, act1, fc1, act2, fc2 = net.plan(m, f)
+    assert act1 is act2 is None
+    # Each planned layout equals one made afresh and is the factory's one object.
+    fresh = MatrixLayout(m, f, h * w, LayoutKind.IMAGE_GRID, grid_h=h, grid_w=w)
+    assert all(kp.layout == fresh and kp.layout is grid_layout(m, f, h, w) for kp in conv)
+    assert fc1.layouts == tuple(kp.layout for kp in conv)
+    for plan, p in ((fc1, geo["hidden"]), (fc2, geo["classes"])):
+        assert plan.out_layout == MatrixLayout(m, f, p, LayoutKind.ROW_MAJOR)
+        assert plan.out_layout is row_major_layout(m, f, p)
+    assert fc2.layouts == (fc1.out_layout,)
 
 
 def test_planning_keeps_no_spec_alive():
