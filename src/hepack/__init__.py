@@ -17,7 +17,7 @@ from .encodings import (EncodedMatrix, LayoutKind, MatrixLayout,
                         diagonal_layout, diagonal_slot_column,
                         encode_diagonal_pattern, encode_row_major,
                         encode_transpose_extended, grid_layout,
-                        pack_image_batch, row_major_layout)
+                        pack_image_batch, row_major_layout, transpose_extended_layout)
 from .linalg import (broadcast_row_sums, compact_columns, reduce_add,
                      rotate_within_rows, shift_rows, window_sums)
 from .matmul import he_matmul_partitioned, multiply_matrices, split_weight_groups

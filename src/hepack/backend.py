@@ -165,18 +165,13 @@ def _ndim(values, what: str) -> int:
         raise ValueError(f"{what} is ragged: its nested sequences differ in length") from None
 
 
-def require_real(values, what: str):
-    """Refuse complex values before a float64 cast could drop their imaginary part."""
-    _ndim(values, what)  # a ragged nested sequence is refused here, by name
-    if np.iscomplexobj(values):
-        raise ValueError(f"{what} must be real, got complex values")
-
-
 def real_array(values, what: str, ndim: int | None = None) -> np.ndarray:
     """The one float64 intake of an outside array, maybe the caller's own; ragged,
     complex, non-numeric or (with `ndim`) wrongly ranked values are refused by name."""
-    require_real(values, what)
+    _ndim(values, what)  # a ragged nested sequence is refused here, by name
     arr = np.asarray(values)
+    if arr.dtype.kind == "c":  # before a float64 cast could drop the imaginary part
+        raise ValueError(f"{what} must be real, got complex values")
     if arr.dtype.kind not in "biuf":  # None or a string, which the cast reads as NaN or parses
         raise ValueError(f"{what} must be numeric")
     arr = arr.astype(np.float64, copy=False)
@@ -189,11 +184,7 @@ def require_finite(values, what: str):
     """The one numeric rule: only real finite values encode. `what` names the operand."""
     if isinstance(values, float) and math.isfinite(values):  # np.float64 too
         return  # a finite scalar costs one scalar check; any other value is counted below
-    require_real(values, what)
-    try:
-        finite = np.isfinite(values)
-    except TypeError:
-        raise ValueError(f"{what} must be numeric") from None
+    finite = np.isfinite(real_array(values, what))
     if not finite.all():
         bad = int(np.count_nonzero(~finite))
         raise ValueError(f"{what} has {bad} non-finite values (NaN or inf)")

@@ -23,6 +23,7 @@ against these rows, field by field.
 from __future__ import annotations
 
 from .backend import OP_KINDS, BackendParams, DepthExhaustedError
+from .encodings import require_image_fits
 from .network import (ActSpec, ConvSpec, LayerCost, NetworkSpec, fc_schedule,
                       layer_names)
 
@@ -39,6 +40,7 @@ def predict_layer_costs(net: NetworkSpec, batch: int, row_width: int,
     costs = []
     parts = 1
     width = net.input_h * net.input_w  # slots per row the next fc reads
+    require_image_fits(width, f)  # in pack_image_batch's words, before any fc fold check
     for name, layer in zip(layer_names(net), net.layers):
         cost = LayerCost(name)
         if isinstance(layer, ConvSpec):

@@ -17,15 +17,14 @@ and is the one place that zero-pads (the backend takes only full-slot
 arrays). It also takes a Plaintext row of row_width values, checked when
 it was made, and encrypts it as every row of the matrix.
 
-row_major_layout, diagonal_layout and grid_layout make one MatrixLayout per
-geometry, checked once, and hand the same object out for every later call.
+The *_layout functions make one MatrixLayout per geometry, checked once,
+and hand the same object out for every later call; a 0-d array gets its int's.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Hashable
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache, wraps
 from itertools import accumulate
 
@@ -62,7 +61,7 @@ class MatrixLayout:
         for f in reversed(fields(self)):  # grid_h, grid_w before the logical_width they make
             value = getattr(self, f.name)
             if f.name != "kind" and (value is not None or f.default is MISSING):
-                require_integer(value, f.name)
+                object.__setattr__(self, f.name, require_integer(value, f.name))
         if self.rows < 1 or self.row_width < 1:
             raise ValueError("rows and row_width must be positive")
         for name, n in (("rows", self.rows), ("row_width", self.row_width)):
@@ -84,20 +83,23 @@ def _one_per_geometry(make):
     cached = lru_cache(maxsize=None, typed=True)(make)
 
     @wraps(make)
-    def layout(*geometry, **named) -> MatrixLayout:
+    def layout(*geometry) -> MatrixLayout:
         try:
-            return cached(*geometry, **named)
-        except TypeError:  # a value with no hash, such as a 0-d array, is refused by name
-            if all(isinstance(n, Hashable) for n in (*geometry, *named.values())):
-                raise
-            raise ValueError(f"{make.__name__} geometry must be integers, "
-                             f"got {geometry}") from None
+            return cached(*geometry)
+        except TypeError:  # no hash, as a 0-d array has: checked by make, cached as ints
+            make(*geometry)  # refuses a value that is not an integer, by its name
+            return cached(*map(int, geometry))
     return layout
 
 
 @_one_per_geometry
 def row_major_layout(rows: int, row_width: int, logical_width: int) -> MatrixLayout:
     return MatrixLayout(rows, row_width, logical_width, LayoutKind.ROW_MAJOR)
+
+
+@_one_per_geometry
+def transpose_extended_layout(rows: int, row_width: int, n: int, p: int) -> MatrixLayout:
+    return MatrixLayout(rows, row_width, n, LayoutKind.ROW_MAJOR, period=p)
 
 
 @_one_per_geometry
@@ -161,8 +163,8 @@ def encode_transpose_extended(backend: SimdBackend, matrix, rows: int,
         raise ValueError("matrix has no columns")
     if rows < p:
         raise ValueError(f"need rows >= {p} to cover every column, got {rows}")
-    enc = encode_row_major(backend, b.T[np.arange(rows) % p], row_width)
-    return EncodedMatrix(enc.ct, replace(enc.layout, period=p))
+    ct = encode_row_major(backend, b.T[np.arange(rows) % p], row_width).ct
+    return EncodedMatrix(ct, transpose_extended_layout(rows, row_width, n, p))
 
 
 def pack_image_batch(backend: SimdBackend, images, row_width: int) -> EncodedMatrix:
@@ -174,10 +176,15 @@ def pack_image_batch(backend: SimdBackend, images, row_width: int) -> EncodedMat
     imgs = real_array(images, "images", ndim=3)
     require_finite(imgs, "images")
     m, h, w = imgs.shape
-    if h * w > row_width:
-        raise ValueError(f"image of {h * w} pixels exceeds row_width {row_width}")
+    require_image_fits(h * w, row_width)
     enc = encode_row_major(backend, imgs.reshape(m, h * w), row_width)
     return EncodedMatrix(enc.ct, grid_layout(m, row_width, h, w))
+
+
+def require_image_fits(pixels: int, row_width: int):
+    """Refuse an image of more pixels than one row of row_width slots holds."""
+    if pixels > row_width:
+        raise ValueError(f"image of {pixels} pixels exceeds row_width {row_width}")
 
 
 def column_group_widths(p: int, rows: int) -> list[int]:

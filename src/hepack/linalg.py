@@ -1,7 +1,7 @@
 """Rotation/mask primitives over row-packed ciphertexts.
 
-All helpers take the backend first and an EncodedMatrix, and return a new
-EncodedMatrix. Costs per call (asserted by the test suite):
+All helpers take the backend first and an EncodedMatrix, and return one,
+the input itself where a step is free. Costs per call (asserted by tests):
 
 shift_rows            1 rot; step 0 free
 broadcast_row_sums    ceil(log2 n) rot and add + 1 cmul, n the logical width
@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .backend import CipherVec, Plaintext, SimdBackend
-from .encodings import (EncodedMatrix, LayoutKind, MatrixLayout, column_groups,
+from .encodings import (EncodedMatrix, LayoutKind, MatrixLayout, diagonal_slot_column,
                         row_major_layout)
 
 
@@ -49,21 +49,16 @@ def make_col_band_mask(rows: int, row_width: int, c0: int, c1: int) -> Plaintext
 
 @lru_cache(maxsize=None)
 def make_unskew_masks(rows: int, row_width: int, p: int) -> tuple:
-    """(rotation, mask) pairs that un-skew a diagonal layout, one per amount.
+    """(rotation, mask) pairs that un-skew a diagonal layout, one per amount, ascending.
 
-    In group (b, w), row i with r = i % w holds C[i][b + c] at column
-    b + ((c - r) % w): a right rotation by r brings columns c >= r home
-    and a left rotation by w - r the wrapped ones. The mask of an amount
-    keeps the slots it brings home, over every group and residue.
+    Row i holds C[i][j] at column diagonal_slot_column(i, j), so a rotation
+    by that column minus j brings it home to column j. The mask of an
+    amount keeps the slots (i, j) it brings home; columns past p keep none.
     """
-    bufs = {}
-    for b, w in column_groups(p, rows):
-        for r in range(w):
-            for amount, c0, c1 in ((-r, b + r, b + w), (w - r, b, b + r)):
-                if c0 < c1:
-                    buf = bufs.setdefault(amount, np.zeros((rows, row_width)))
-                    buf[r::w, c0:c1] = 1.0
-    return tuple((amount, Plaintext(buf)) for amount, buf in sorted(bufs.items()))
+    i, j = np.ogrid[:rows, :p]
+    amounts = diagonal_slot_column(i, j, p, rows) - j
+    pad = ((0, 0), (0, row_width - p))
+    return tuple((int(a), Plaintext(np.pad(amounts == a, pad))) for a in np.unique(amounts))
 
 
 # ----------------------------------------------------------- primitives
@@ -86,7 +81,7 @@ def shift_rows(backend: SimdBackend, enc: EncodedMatrix, step: int) -> EncodedMa
     if not 0 <= step < period:
         raise ValueError(f"step must be in 0..{period - 1}, got {step}")
     if step == 0:
-        return EncodedMatrix(enc.ct, enc.layout)
+        return enc
     return EncodedMatrix(backend.rot(enc.ct, step * f), enc.layout)
 
 
@@ -151,7 +146,7 @@ def rotate_within_rows(backend: SimdBackend, enc: EncodedMatrix,
     if not 0 <= amount < window:
         raise ValueError(f"amount must be in 0..{window - 1}, got {amount}")
     if amount == 0:
-        return EncodedMatrix(enc.ct, enc.layout)
+        return enc
     body = backend.cmul(backend.rot(enc.ct, amount),
                         make_col_band_mask(m, f, 0, window - amount))
     wrap = backend.cmul(backend.rot(enc.ct, amount - window),

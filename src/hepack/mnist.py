@@ -46,10 +46,14 @@ def _read_idx(path, kind: str, magic: int, dims) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint8).reshape(shape)
 
 
-def _write_idx(path, magic: int, arr: np.ndarray):
+def _write_idx(path, magic: int, arr: np.ndarray, what: str):
+    """Write the header, then the uint8 payload: each value a whole number in 0..255."""
+    whole = (arr >= 0) & (arr <= 255) & (np.floor(arr) == arr)  # NaN fails all three
+    if not whole.all():
+        raise ValueError(f"{what} must be whole numbers in 0..255, got {arr[~whole][0]:g}")
     with open(path, "wb") as fh:
         fh.write(struct.pack(f">{1 + arr.ndim}I", magic, *arr.shape))
-        fh.write(arr.tobytes())
+        fh.write(arr.astype(np.uint8).tobytes())
 
 
 def load_idx_images(path) -> np.ndarray:
@@ -74,15 +78,15 @@ def load_mnist(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_idx_images(path, images):
-    """Write a uint8 (count, h, w) array as an IDX image file."""
-    arr = np.asarray(images, dtype=np.uint8)
+    """Write a (count, h, w) array of whole numbers in 0..255 as an IDX image file."""
+    arr = real_array(images, "images")
     if arr.ndim != 3:
         raise ValueError(f"images must be (count, h, w), got shape {arr.shape}")
-    _write_idx(path, IMAGE_MAGIC, arr)
+    _write_idx(path, IMAGE_MAGIC, arr, "images")
 
 
 def write_idx_labels(path, labels):
-    _write_idx(path, LABEL_MAGIC, np.asarray(labels, dtype=np.uint8).reshape(-1))
+    _write_idx(path, LABEL_MAGIC, real_array(labels, "labels").reshape(-1), "labels")
 
 
 def image_blocks(images, batch: int) -> list[tuple[np.ndarray, int]]:

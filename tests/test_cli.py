@@ -119,6 +119,30 @@ def test_shallow_budget_fails_before_anything_is_encrypted(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["infer", "bench"])
+def test_an_image_wider_than_its_row_fails_before_anything_is_encrypted(
+        reduced_files, capsys, monkeypatch, command):
+    # 8x8 images in 1024 slots at batch 32 leave rows of 32 slots: the cause is
+    # the 64 pixels, which the fc fold check would otherwise misname.
+    def no_encrypt(self, message):
+        raise AssertionError("encrypted before the row width check")
+
+    monkeypatch.setattr(SlotSimulator, "encrypt", no_encrypt)
+    out = reduced_files["tmp"] / "p.csv"
+    args = [command, "--weights", str(reduced_files["weights"]),
+            "--batch", "32", "--logn", "11"]
+    if command == "infer":
+        args += ["--images", str(reduced_files["images"]), "--out", str(out)]
+    assert main(args) == 1
+    assert "error: image of 64 pixels exceeds row_width 32\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stock_bench_at_batch_64_names_the_image_width(capsys):
+    assert main(["bench", "--batch", "64"]) == 1
+    assert capsys.readouterr().err == "error: image of 784 pixels exceeds row_width 512\n"
+
+
 def test_infer_rejects_wrong_image_size(reduced_files, tmp_path, capsys):
     small = tmp_path / "small.idx"
     write_idx_images(small, np.zeros((4, 6, 6), dtype=np.uint8))

@@ -258,8 +258,7 @@ def test_layout_validation():
     (lambda: row_major_layout(4, 16, 2.5), "logical_width must be an integer, got 2.5"),
     (lambda: MatrixLayout(4, 16, 2, LayoutKind.ROW_MAJOR, period=1.5),
      "period must be an integer, got 1.5"),
-    (lambda: row_major_layout(np.array(4), 16, 2),
-     "row_major_layout geometry must be integers, got (array(4), 16, 2)"),
+    (lambda: row_major_layout(np.array(4.0), 16, 2), "rows must be an integer, got 4.0"),
     (lambda: decode_diagonal(np.zeros(16), 1.5, 4, 2), "row count m must be an integer, got 1.5"),
     (lambda: decode_diagonal(np.zeros(16), 2, 4, 2.0),
      "output width p must be an integer, got 2.0"),
@@ -285,6 +284,26 @@ def test_each_layout_geometry_is_made_once():
     with pytest.raises(ValueError, match=re.escape("rows must be an integer, got 4.0")):
         row_major_layout(4.0, 16, 2)
     assert row_major_layout(np.int64(4), 16, 2) == row_major_layout(4, 16, 2)
+    assert type(MatrixLayout(np.int64(4), 16, 2, LayoutKind.ROW_MAJOR).rows) is int
+
+
+def test_a_0d_integer_array_geometry_gets_the_ints_layout():
+    # A 0-d array has no hash: it is checked as an integer, then cached as its int.
+    assert row_major_layout(np.array(4), 16, 2) is row_major_layout(4, 16, 2)
+    assert diagonal_layout(4, np.array(16), 3) is diagonal_layout(4, 16, 3)
+    assert grid_layout(4, 16, np.array(2), np.array(3)) is grid_layout(4, 16, 2, 3)
+    for make, cause in ((lambda: grid_layout(4, 16, np.array(2.0), 3), "grid_h"),
+                        (lambda: diagonal_layout(4, 16, np.array(2.5)), "logical_width")):
+        with pytest.raises(ValueError, match=f"{cause} must be an integer, got 2"):
+            make()
+
+
+def test_transpose_extended_encodings_share_one_layout_per_geometry():
+    backend = sim(64)
+    one = encode_transpose_extended(backend, np.ones((3, 4)), rows=8, row_width=8)
+    two = encode_transpose_extended(backend, np.zeros((3, 4)), rows=8, row_width=8)
+    assert one.layout is two.layout
+    assert one.layout == MatrixLayout(8, 8, 3, LayoutKind.ROW_MAJOR, period=4)
 
 
 def test_a_network_reads_an_integer_array_geometry_as_an_int():

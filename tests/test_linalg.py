@@ -21,7 +21,7 @@ from hepack import (
     shift_rows,
     window_sums,
 )
-from hepack.encodings import column_group_widths, diagonal_slot_column
+from hepack.encodings import column_group_widths, column_groups, diagonal_slot_column
 from hepack.linalg import make_unskew_masks
 from common import ledger_delta, sim
 
@@ -47,7 +47,7 @@ def test_shift_rows_costs():
     enc = encode_transpose_extended(backend, np.ones((3, 4)), rows=8, row_width=8)
 
     before = backend.ledger.snapshot()
-    shift_rows(backend, enc, 0)
+    assert shift_rows(backend, enc, 0) is enc  # free: the encoding it was given
     assert ledger_delta(backend, before) == dict.fromkeys(
         ("mul", "cmul", "rot", "add", "consumed_bits"), 0)
 
@@ -251,7 +251,7 @@ def test_rotate_within_rows_costs():
     enc = encode_row_major(backend, np.ones((4, 6)), 8)
 
     before = backend.ledger.snapshot()
-    rotate_within_rows(backend, enc, 0)
+    assert rotate_within_rows(backend, enc, 0) is enc  # free: the encoding it was given
     assert ledger_delta(backend, before)["consumed_bits"] == 0
     assert ledger_delta(backend, before)["rot"] == 0
 
@@ -359,6 +359,30 @@ def test_unskew_masks_bring_every_slot_home_once(m, f, p):
             assert np.array_equal(mask[:, j] == 1, src == j + amount)
     assert np.array_equal(hits[:, :p], np.ones((m, p), dtype=int))
     assert not hits[:, p:].any()
+
+
+def unskew_masks_by_group(rows, f, p):
+    """Per column group (b, w): row i with r = i % w holds C[i][b + c] at column
+    b + ((c - r) % w), so a rotation by -r brings columns c >= r home and one by
+    w - r the wrapped ones."""
+    bufs = {}
+    for b, w in column_groups(p, rows):
+        for r in range(w):
+            for amount, c0, c1 in ((-r, b + r, b + w), (w - r, b, b + r)):
+                if c0 < c1:
+                    bufs.setdefault(amount, np.zeros((rows, f)))[r::w, c0:c1] = 1.0
+    return sorted(bufs.items())
+
+
+@pytest.mark.parametrize("rows,f,p", [(1, 4, 3), (2, 8, 8), (4, 8, 6), (8, 16, 11),
+                                      (8, 32, 20), (16, 32, 12), (32, 128, 100)])
+def test_unskew_masks_match_a_per_group_reference(rows, f, p):
+    got = make_unskew_masks(rows, f, p)
+    want = unskew_masks_by_group(rows, f, p)
+    assert [a for a, _ in got] == [a for a, _ in want]
+    assert all(type(a) is int for a, _ in got)
+    for (_, mask), (_, buf) in zip(got, want):
+        assert np.array_equal(mask.row, buf.reshape(-1))
 
 
 # ------------------------------------------------- reduce / parallel map

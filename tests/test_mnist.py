@@ -86,6 +86,38 @@ def test_write_idx_images_needs_three_dims(tmp_path):
         write_idx_images(tmp_path / "i", np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("write,values,cause", [
+    (write_idx_images, [[[0.7]]], "images must be whole numbers in 0..255, got 0.7"),
+    (write_idx_images, [[[300]]], "images must be whole numbers in 0..255, got 300"),
+    (write_idx_images, [[[0, -1]]], "images must be whole numbers in 0..255, got -1"),
+    (write_idx_images, [[[1, np.nan]]], "images must be whole numbers in 0..255, got nan"),
+    (write_idx_images, [[[1j]]], "images must be real, got complex values"),
+    (write_idx_images, [[[1, 2], [3]]], "images is ragged"),
+    (write_idx_labels, [1, 300], "labels must be whole numbers in 0..255, got 300"),
+    (write_idx_labels, [-2], "labels must be whole numbers in 0..255, got -2"),
+    (write_idx_labels, [2.9, 1], "labels must be whole numbers in 0..255, got 2.9"),
+    (write_idx_labels, ["a"], "labels must be numeric"),
+], ids=["fraction", "over-255", "negative", "nan", "complex", "ragged",
+        "label-over-255", "negative-label", "fractional-label", "string-label"])
+def test_idx_writers_refuse_what_a_byte_cannot_hold(tmp_path, write, values, cause):
+    # Refused by name before the file is opened, not wrapped modulo 256 or truncated.
+    path = tmp_path / "out"
+    with pytest.raises(ValueError, match=re.escape(cause)):
+        write(path, values)
+    assert not path.exists()
+
+
+def test_idx_writers_take_whole_numbers_of_any_dtype_and_empty_arrays(tmp_path):
+    write_idx_images(tmp_path / "i", np.array([[[0.0, 255.0]]]))
+    assert np.array_equal(load_idx_images(tmp_path / "i"), [[[0.0, 1.0]]])
+    write_idx_labels(tmp_path / "l", np.array([9, 0], dtype=np.int64))
+    assert np.array_equal(load_idx_labels(tmp_path / "l"), [9, 0])
+    write_idx_images(tmp_path / "e", np.zeros((0, 3, 2), dtype=np.uint8))
+    assert load_idx_images(tmp_path / "e").shape == (0, 3, 2)
+    write_idx_labels(tmp_path / "el", [])
+    assert load_idx_labels(tmp_path / "el").shape == (0,)
+
+
 def test_image_blocks_pads_the_tail():
     images = np.ones((10, 2, 2))
     blocks = image_blocks(images, 4)
