@@ -5,7 +5,7 @@ tiles the kernel across the image starting from a different offset, and
 image * span followed by k x k window sums puts correct outputs at that
 span's anchors. The library computes the same sum by image taps: k*k - 1
 rotations of the image, shared by every kernel of a layer, each scaled
-by one kernel weight and the valid-region mask, and summed.
+by one kernel weight and summed; only the valid anchors are read.
 """
 
 import numpy as np
@@ -41,10 +41,10 @@ sums = window_sums(backend, packed, 3)
 first = backend.decrypt(sums.ct)[:36].reshape(6, 6)
 print("\nwindow sums of image 0 (invalid anchors zeroed):\n", first)
 
-# Budget comparison: plaintext kernels cost one mask product on the data
-# path (the weight times the valid-region mask, per tap); encrypted kernels
-# mul each tap by an encrypted weight and then mask the sum, a full product
-# and a mask product.
+# Budget comparison: plaintext kernels cost one plaintext product on the
+# data path (each tap times its scalar weight); encrypted kernels mul each
+# tap by an encrypted weight and then mask the sum, a full product and a
+# mask product.
 plan6 = span_kernel(kern, 0.0, 6, 6, 4, 64)
 plain = he_conv(backend, packed, plan6)
 enc = he_conv(backend, packed, plan6, encrypted_kernels=True)

@@ -55,7 +55,7 @@ class BackendParams:
 
     def __post_init__(self):
         for f in fields(self):
-            require_integer(getattr(self, f.name), f.name)
+            object.__setattr__(self, f.name, require_integer(getattr(self, f.name), f.name))
         if not 1 <= self.log_n <= 17:
             raise ValueError(f"log_n must be in 1..17, got {self.log_n}")
         if not (self.log_q > self.delta_bits > self.delta_c_bits > 0):

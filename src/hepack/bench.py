@@ -4,7 +4,7 @@ The schedule of every layer is deterministic, so operation counts and the
 budget depth of the data path can be predicted exactly from the geometry:
 
 conv (C channels)    rot k^2-1 (shared image taps), add C*k^2,
-                     cmul C*k^2, the mask folded into the tap weights
+                     cmul C*k^2 by the scalar tap weights
                      (encrypted kernels: mul C*k^2, cmul C for the mask)
 act (per part)       2 mul, 2 cmul, 3 add (Horner cubic)
 fc                   G input parts of n slots per row, output width p,

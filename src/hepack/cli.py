@@ -27,7 +27,7 @@ def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--delta-c", type=int, default=20,
                      help="bits burned per plaintext-mask mul")
     sub.add_argument("--encrypted-kernels", action="store_true",
-                     help="encrypt conv kernels as ciphertexts, not masks")
+                     help="encrypt conv kernels as ciphertexts, not plaintext weights")
 
 
 def _preflight(args, net) -> tuple[BackendParams, int, list]:

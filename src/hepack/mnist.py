@@ -98,7 +98,7 @@ def image_blocks(images, batch: int) -> list[tuple[np.ndarray, int]]:
     """
     imgs = real_array(images, "images", ndim=3)
     if require_integer(batch, "batch") < 1:
-        raise ValueError("batch must be positive")
+        raise ValueError(f"batch must be at least 1, got {batch}")
     blocks = []
     for start in range(0, imgs.shape[0], batch):
         chunk = imgs[start:start + batch]

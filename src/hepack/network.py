@@ -12,8 +12,9 @@ rotation is hoistable from one input (conv taps, fc baby steps), chained
 through one key (fc giant steps, product columns) or a doubling fold. A
 spec is checked once, when it is made, and planned once per batch
 geometry (NetworkSpec.plan), its plans kept beside it. The plans hold
-every fc diagonal and bias, and every conv masked tap and bias, as a
-one-row Plaintext made once, so a later batch makes none.
+every fc diagonal and bias as a one-row Plaintext made once, so a later
+batch makes none; conv weights and biases are scalars, and the partial
+sums conv leaves at invalid anchors meet zero fc-1 weights.
 
 Activation is a fixed cubic in Horner form, c0 + c1*x + x^2*(c2 + c3*x):
 x*x and c3*x + c2 are made side by side and multiplied once more, so a

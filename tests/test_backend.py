@@ -64,6 +64,15 @@ def test_params_take_numpy_integers():
     assert BackendParams.for_slots(np.int64(16)).log_n == 5
 
 
+def test_params_store_the_int_they_checked():
+    # A 0-d array passes the integer check; kept raw, it would not hash.
+    p = BackendParams(log_n=np.array(12), log_q=np.int32(100), delta_bits=np.int64(45))
+    same = BackendParams(log_n=12, log_q=100)
+    assert p == same and hash(p) == hash(same)
+    assert all(type(v) is int for v in (p.log_n, p.log_q, p.delta_bits, p.delta_c_bits))
+    assert type(p.slots) is int
+
+
 def test_encrypt_decrypt_round_trip():
     backend = sim(8)
     ct = backend.encrypt([1.0, 2.0, 3.0, 0.0, 0.0, 0.0, 0.0, 0.0])

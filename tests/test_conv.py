@@ -61,6 +61,9 @@ def test_zero_batch_reads_the_bias_on_exactly_the_valid_region(encrypted):
     outs = conv_layer(backend, packed, plans, encrypted_kernels=encrypted)
     for bias, out in zip((7.0, -2.5), outs):
         rows = decrypt_rows(backend, out)
+        if not encrypted:  # unmasked: every slot holds a partial sum, 0 here, plus the bias
+            assert np.array_equal(rows, np.full((2, 32), bias))
+            continue
         valid = np.zeros((4, 4))
         valid[:3, :3] = bias
         for row in rows:
@@ -180,24 +183,39 @@ def test_conv_layer_runs_every_kernel():
         assert np.max(np.abs(grid[:, :4, :4] - ref)) < 1e-9
 
 
-def test_kernel_plans_make_their_rows_once_on_first_read(monkeypatch):
-    # Fresh plans run with encrypted kernels make only their bias rows;
-    # the masked tap rows wait for a plaintext-kernel call, and no row is
-    # made twice.
+@pytest.mark.parametrize("encrypted", [False, True])
+def test_conv_layer_makes_no_plaintext(monkeypatch, encrypted):
+    # A tap weight and a bias are scalars; only the encrypted path reads a
+    # Plaintext, the valid-region mask, and that one is cached.
     rng = np.random.default_rng(5)
     backend = sim(2 * 32)
     packed = pack_image_batch(backend, rng.uniform(size=(2, 5, 5)), 32)
     plans = [span_kernel(rng.normal(size=(2, 2)), b, 5, 5, 2, 32) for b in (0.1, -0.2, 0.3)]
     make_valid_region_mask(packed.layout, 2)  # cached from here on
     made = plaintexts_made(monkeypatch)
-    conv_layer(backend, packed, plans, encrypted_kernels=True)
-    assert made == [32] * 3
-    assert not any("tap_rows" in vars(plan) for plan in plans)
-    conv_layer(backend, packed, plans)
-    assert made == [32] * (3 + 3 * 4)
-    conv_layer(backend, packed, plans)
-    conv_layer(backend, packed, plans, encrypted_kernels=True)
-    assert len(made) == 3 + 3 * 4
+    conv_layer(backend, packed, plans, encrypted_kernels=encrypted)
+    assert made == []
+
+
+def test_kernel_modes_agree_bitwise_on_the_valid_anchors():
+    # Guards the scalar-weight path: w_uv * tap, summed in the same order
+    # and plus the bias, is what the encrypted path computes before its
+    # mask, so the valid anchors agree to the bit.
+    geo = reduced_geometry()
+    m, f, h, w = geo["batch"], geo["row_width"], geo["h"], geo["w"]
+    rng = np.random.default_rng(31)
+    images = rng.normal(size=(m, h, w))
+    k = 5
+    plans = [span_kernel(rng.normal(size=(k, k)), rng.normal(), h, w, m, f)
+             for _ in range(3)]
+    runs = []
+    for encrypted in (False, True):
+        backend = sim(m * f)
+        outs = conv_layer(backend, pack_image_batch(backend, images, f), plans, encrypted)
+        runs.append([decrypt_rows(backend, o)[:, :h * w].reshape(m, h, w)[:, :h - k + 1, :w - k + 1]
+                     for o in outs])
+    for plain, enc in zip(*runs):
+        assert plain.tobytes() == enc.tobytes()
 
 
 def test_kernel_plans_compare_by_identity_and_hash():
@@ -328,10 +346,11 @@ def test_conv_layer_property(case):
         rows = slots.reshape(batch, f)
         grid = rows[:, : h * w].reshape(batch, h, w)
         assert np.max(np.abs(grid[:, :oh, :ow] - conv_oracle(images, kern, bias))) < 1e-9
-        off = np.ones((h, w), dtype=bool)
-        off[:oh, :ow] = False
-        assert np.all(grid[:, off] == 0.0)
-        assert np.all(rows[:, h * w:] == 0.0)
+        if encrypted:  # only the encrypted path's mask specifies the other slots
+            off = np.ones((h, w), dtype=bool)
+            off[:oh, :ow] = False
+            assert np.all(grid[:, off] == 0.0)
+            assert np.all(rows[:, h * w:] == 0.0)
 
     params = backend.params
     taps = k * k

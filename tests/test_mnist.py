@@ -141,5 +141,5 @@ def test_image_blocks_exact_multiple_has_no_pad():
 
 
 def test_image_blocks_validation():
-    with pytest.raises(ValueError, match="batch must be positive"):
+    with pytest.raises(ValueError, match="batch must be at least 1, got 0"):
         image_blocks(np.zeros((4, 2, 2)), 0)

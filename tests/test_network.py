@@ -51,6 +51,7 @@ from hepack import (
 from hepack.bench import (check_depth_budget, cost_mismatch, predict_layer_costs,
                           predict_op_counts)
 from hepack.backend import OP_KINDS
+from hepack.linalg import make_valid_region_mask
 from hepack.network import fc_schedule
 from common import ledger_delta, plaintexts_made, sim
 
@@ -721,7 +722,7 @@ def test_infer_plans_a_network_once_per_geometry(monkeypatch):
 @pytest.mark.parametrize("encrypted", [False, True])
 def test_a_planned_stock_batch_checks_one_slot_sized_array(encrypted, monkeypatch):
     # Plaintexts are checked once, when they are made: the plan's fc rows
-    # and cached masks never again, a batch's conv rows at row width. So
+    # and cached masks never again, and conv weights are scalars. So
     # after planning, the only full-slot finiteness pass is the packed
     # images' Plaintext, which encrypt reads them as; the unplanned path
     # made 309 of them per batch.
@@ -783,8 +784,8 @@ def test_planning_keeps_no_spec_alive():
 
 @pytest.mark.parametrize("encrypted", [False, True])
 def test_a_planned_stock_batch_makes_one_plaintext(encrypted, monkeypatch):
-    # The plans hold every fc and conv row, so a later batch makes only the
-    # packed images' Plaintext, in either kernel mode.
+    # The plans hold every fc row and conv makes none, so a later batch
+    # makes only the packed images' Plaintext, in either kernel mode.
     geo = stock_geometry()
     net = random_network(np.random.default_rng(2), **geo)
     m, f = geo["batch"], geo["row_width"]
@@ -794,6 +795,20 @@ def test_a_planned_stock_batch_makes_one_plaintext(encrypted, monkeypatch):
     made = plaintexts_made(monkeypatch)
     infer_images(backend, net, images, f, encrypted_kernels=encrypted)
     assert made == [m * f]
+
+
+@pytest.mark.parametrize("encrypted", [False, True])
+def test_planning_makes_no_conv_plaintext(encrypted, monkeypatch):
+    # Conv weights and biases are scalars, so the first batch at a geometry
+    # makes Plaintexts only for its packed images and the fc rows: per fc
+    # layer one diagonal per part and output column, and one bias row.
+    net, geo = reduced_net(seed=33)
+    m, f, h, w = geo["batch"], geo["row_width"], geo["h"], geo["w"]
+    make_valid_region_mask(grid_layout(m, f, h, w), geo["k"])  # the encrypted mask, cached
+    made = plaintexts_made(monkeypatch)
+    infer_images(sim(m * f), net, np.zeros((m, h, w)), f, encrypted_kernels=encrypted)
+    fc_rows = geo["channels"] * geo["hidden"] + 1 + geo["classes"] + 1
+    assert sorted(made) == [f] * fc_rows + [m * f]
 
 
 @pytest.mark.parametrize("make,cause", [
