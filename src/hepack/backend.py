@@ -71,10 +71,7 @@ class BackendParams:
     @classmethod
     def for_slots(cls, slots: int, **kw) -> "BackendParams":
         """Params with exactly `slots` slots (must be a power of two)."""
-        n = require_integer(slots, "slot count").bit_length()
-        if slots <= 0 or (1 << (n - 1)) != slots:
-            raise ValueError(f"slot count must be a power of two, got {slots}")
-        return cls(log_n=n, **kw)
+        return cls(log_n=require_power_of_two(slots, "slot count").bit_length(), **kw)
 
 
 class CipherVec:
@@ -155,6 +152,14 @@ def require_integer(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value}") from None
+
+
+def require_power_of_two(value, what: str) -> int:
+    """require_integer, then refuse a value that is not a positive power of two."""
+    n = require_integer(value, what)
+    if n < 1 or n & (n - 1):
+        raise ValueError(f"{what} must be a power of two, got {n}")
+    return n
 
 
 def _ndim(values, what: str) -> int:

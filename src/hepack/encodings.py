@@ -17,8 +17,8 @@ and is the one place that zero-pads (the backend takes only full-slot
 arrays). It also takes a Plaintext row of row_width values, checked when
 it was made, and encrypts it as every row of the matrix.
 
-The *_layout functions make one MatrixLayout per geometry, checked once,
-and hand the same object out for every later call; a 0-d array gets its int's.
+The *_layout functions make one MatrixLayout per geometry, checked once, and hand
+the same object out for every later call; a numpy integer or 0-d array gets its int's.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from itertools import accumulate
 import numpy as np
 
 from .backend import (CipherVec, Plaintext, SimdBackend, real_array, require_finite,
-                      require_integer)
+                      require_integer, require_power_of_two)
 
 
 class LayoutKind(enum.Enum):
@@ -62,11 +62,8 @@ class MatrixLayout:
             value = getattr(self, f.name)
             if f.name != "kind" and (value is not None or f.default is MISSING):
                 object.__setattr__(self, f.name, require_integer(value, f.name))
-        if self.rows < 1 or self.row_width < 1:
-            raise ValueError("rows and row_width must be positive")
-        for name, n in (("rows", self.rows), ("row_width", self.row_width)):
-            if n & (n - 1):
-                raise ValueError(f"{name} must be a power of two, got {n}")
+        for name in ("rows", "row_width"):
+            require_power_of_two(getattr(self, name), name)
         if not 0 < self.logical_width <= self.row_width:
             raise ValueError(f"logical_width must be in 1..{self.row_width}, "
                              f"got {self.logical_width}")
@@ -78,17 +75,22 @@ class MatrixLayout:
 
 
 def _one_per_geometry(make):
-    """`make`, cached so that each geometry has one MatrixLayout. The cache is typed:
-    a float or numpy integer meets MatrixLayout's integer check, not an int's entry."""
-    cached = lru_cache(maxsize=None, typed=True)(make)
+    """`make`, cached so that each geometry has one MatrixLayout, the one of its ints: a
+    float or numpy integer misses the typed cache and is checked by make first."""
+    @lru_cache(maxsize=None, typed=True)
+    def cached(*geometry):
+        return make(*geometry) if all(type(v) is int for v in geometry) else of_ints(geometry)
+
+    def of_ints(geometry):
+        make(*geometry)  # refuses a value that is not an integer, by its name
+        return cached(*map(int, geometry))
 
     @wraps(make)
     def layout(*geometry) -> MatrixLayout:
         try:
             return cached(*geometry)
-        except TypeError:  # no hash, as a 0-d array has: checked by make, cached as ints
-            make(*geometry)  # refuses a value that is not an integer, by its name
-            return cached(*map(int, geometry))
+        except TypeError:  # no hash, as a 0-d array has
+            return of_ints(geometry)
     return layout
 
 
@@ -193,8 +195,8 @@ def column_group_widths(p: int, rows: int) -> list[int]:
     Whole groups of `rows` first, then the binary digits of p % rows:
     12 over 16 rows gives [8, 4].
     """
-    if rows < 1 or rows & (rows - 1):
-        raise ValueError(f"rows must be a power of two, got {rows}")
+    p = require_integer(p, "output width p")
+    rows = require_power_of_two(rows, "rows")
     whole, rest = divmod(max(p, 0), rows)
     return [rows] * whole + [1 << b for b in reversed(range(rest.bit_length()))
                              if rest >> b & 1]

@@ -2,23 +2,23 @@
 
 C = A * B with A encrypted row-major (m x n in rows of width f) and B
 encrypted transpose-extended (row r = column r % w of a w-column group).
-One iteration per output column: step s of the group starting at column
-b advances B so row i faces group column (i + s) % w, multiplies
-slot-wise, and sums each row into column 0 with a doubling ladder over
-the n columns (B's pad slots are zero, so the product is zero past n,
-whatever A holds there) and the column-0 mask. That sum lands at column
-t = b + s of every row, so slot (i, t) holds C[i][b + (i + s) % w]: the
-diagonal layout. Placing the p columns Horner-style from the last,
-acc = rot(acc, -1) + x_t, costs the p - 1 rotations of moving each by -t
-but needs one rotation key, not p - 1.
+The product is one loop, one iteration per output column: step s of the
+group starting at column b advances B so row i faces group column
+(i + s) % w, multiplies slot-wise, and sums each row into column 0 with
+a doubling ladder over the n columns (B's pad slots are zero, so the
+product is zero past n, whatever A holds there) and the column-0 mask.
+That sum lands at column t = b + s of every row, so slot (i, t) holds
+C[i][b + (i + s) % w]: the diagonal layout. Placing the p columns
+Horner-style from the last, acc = rot(acc, -1) + x_t, costs the p - 1
+rotations of moving each by -t but needs one rotation key, not p - 1.
 
 With G column blocks A_g, each facing the matching rows B_g, an
-iteration adds the G products before the row sum: ladder and mask are
-linear, so one serves every block (as in GAZELLE). B is encoded once per
-group of column_group_widths(p, m), each encoding holding its group
-width as layout period, which shift_rows reads: power-of-two widths that
-divide m, so advancing a group is one rotation; one encoding, as in the
-paper, when p is a power of two no wider than m.
+iteration adds the G products, in block order, before the row sum:
+ladder and mask are linear, so one serves every block (as in GAZELLE).
+B is encoded once per group of column_group_widths(p, m), each encoding
+holding its group width as layout period, which shift_rows reads:
+power-of-two widths that divide m, so advancing a group is one rotation;
+one encoding, as in the paper, when p is a power of two no wider than m.
 
 Cost with G blocks, K groups and n the widest block: G*p mul, p cmul,
 p*ceil(log2 n) + G*(p - K) + p - 1 rot, p*ceil(log2 n) + G*p - 1 add,
@@ -34,20 +34,6 @@ from .encodings import (EncodedMatrix, column_group_widths, column_groups,
                         decode_diagonal, diagonal_layout, encode_row_major,
                         encode_transpose_extended, row_major_layout)
 from .linalg import broadcast_row_sums, ceil_log2, reduce_add, shift_rows
-
-
-def _branch(backend: SimdBackend, a_parts, encs, step: int):
-    """Row sums of one step of a column group in column 0, summed over blocks.
-
-    encs[g] is block g's encoding of the group; the products are added in
-    block order.
-    """
-    m, f = a_parts[0].layout.rows, a_parts[0].layout.row_width
-    prods = (backend.mul(a.ct, shift_rows(backend, enc, step).ct)
-             for a, enc in zip(a_parts, encs))
-    span = max(enc.layout.logical_width for enc in encs)
-    total = EncodedMatrix(reduce_add(backend, prods), row_major_layout(m, f, span))
-    return broadcast_row_sums(backend, total).ct
 
 
 def he_matmul_partitioned(backend: SimdBackend, a_parts, b_blocks) -> EncodedMatrix:
@@ -87,10 +73,15 @@ def he_matmul_partitioned(backend: SimdBackend, a_parts, b_blocks) -> EncodedMat
                 raise ValueError(f"B block {g} group {k} cycles {e.layout.period} "
                                  f"columns, but the group is {w} wide")
 
+    total_layout = row_major_layout(m, f, max(a.layout.logical_width for a in a_parts))
     acc = None
-    for k in reversed(range(len(widths))):
-        for step in reversed(range(widths[k])):
-            x = _branch(backend, a_parts, [encs[k] for encs in b_blocks], step)
+    for w, encs in reversed(list(zip(widths, zip(*b_blocks)))):
+        for step in reversed(range(w)):
+            # encs[g] is block g's encoding of the group, added in block order.
+            prods = (backend.mul(a.ct, shift_rows(backend, enc, step).ct)
+                     for a, enc in zip(a_parts, encs))
+            total = EncodedMatrix(reduce_add(backend, prods), total_layout)
+            x = broadcast_row_sums(backend, total).ct
             acc = x if acc is None else backend.add(backend.rot(acc, -1), x)
     return EncodedMatrix(acc, diagonal_layout(m, f, p))
 

@@ -27,6 +27,7 @@ from hepack import (
     split_weight_groups,
 )
 from hepack.backend import OP_KINDS
+from hepack.encodings import transpose_extended_layout
 from common import sim
 
 
@@ -240,7 +241,7 @@ def test_layout_validation():
 
 @pytest.mark.parametrize("make,cause", [
     (lambda: MatrixLayout(0, 8, 4, LayoutKind.ROW_MAJOR),
-     "rows and row_width must be positive"),
+     "rows must be a power of two, got 0"),
     (lambda: MatrixLayout(4, 8, 4, LayoutKind.IMAGE_GRID, grid_h=3, grid_w=4),
      "image-grid layout needs logical_width == grid_h * grid_w"),
     (lambda: grid_layout(4, 8, 1, 9), "logical_width must be in 1..8, got 9"),
@@ -283,7 +284,7 @@ def test_each_layout_geometry_is_made_once():
     # The cache is typed: a whole float is not handed the int's layout.
     with pytest.raises(ValueError, match=re.escape("rows must be an integer, got 4.0")):
         row_major_layout(4.0, 16, 2)
-    assert row_major_layout(np.int64(4), 16, 2) == row_major_layout(4, 16, 2)
+    assert row_major_layout(np.int64(4), 16, 2) is row_major_layout(4, 16, 2)
     assert type(MatrixLayout(np.int64(4), 16, 2, LayoutKind.ROW_MAJOR).rows) is int
 
 
@@ -292,6 +293,13 @@ def test_a_0d_integer_array_geometry_gets_the_ints_layout():
     assert row_major_layout(np.array(4), 16, 2) is row_major_layout(4, 16, 2)
     assert diagonal_layout(4, np.array(16), 3) is diagonal_layout(4, 16, 3)
     assert grid_layout(4, 16, np.array(2), np.array(3)) is grid_layout(4, 16, 2, 3)
+    # A numpy integer misses the typed cache, then gets its int's layout too.
+    for i in (np.int64, np.int32):
+        assert row_major_layout(i(4), 16, i(2)) is row_major_layout(4, 16, 2)
+        assert (transpose_extended_layout(4, i(16), 3, i(4))
+                is transpose_extended_layout(4, 16, 3, 4))
+        assert diagonal_layout(i(4), i(16), i(3)) is diagonal_layout(4, 16, 3)
+        assert grid_layout(4, 16, i(2), 3) is grid_layout(4, 16, 2, 3)
     for make, cause in ((lambda: grid_layout(4, 16, np.array(2.0), 3), "grid_h"),
                         (lambda: diagonal_layout(4, 16, np.array(2.5)), "logical_width")):
         with pytest.raises(ValueError, match=f"{cause} must be an integer, got 2"):

@@ -1,4 +1,5 @@
 import importlib.util
+import re
 import sys
 from pathlib import Path
 from unittest import mock
@@ -106,6 +107,10 @@ def test_column_group_widths_edges():
     for rows in (0, -4, 6):
         with pytest.raises(ValueError, match="rows must be a power of two"):
             column_group_widths(5, rows)
+    for args, cause in (((5, 4.0), "rows must be an integer, got 4.0"),
+                        ((2.5, 4), "output width p must be an integer, got 2.5")):
+        with pytest.raises(ValueError, match=re.escape(cause)):
+            column_group_widths(*args)
 
 
 def test_groups_start_after_earlier_widths():
