@@ -1,4 +1,4 @@
-"""Tour of the slot backend: packing, the six ops, and the bit budget.
+"""Tour of the slot backend: packing, the six ops, dot, and the bit budget.
 
 Every ciphertext is a vector of 2^(log_n - 1) slots plus a modulus budget
 in bits. Ciphertext products burn 45 bits, plaintext-mask products 20,
@@ -25,6 +25,10 @@ print("a+b    ", backend.decrypt(backend.add(a, b)), "budget", backend.add(a, b)
 print("a*b    ", backend.decrypt(backend.mul(a, b)), "budget", backend.mul(a, b).budget_bits)
 print("2a     ", backend.decrypt(backend.cmul(a, 2.0)), "budget", backend.cmul(a, 2.0).budget_bits)
 print("rot(a,1)", backend.decrypt(backend.rot(a, 1)))
+# dot sums products left to right: mul for a ciphertext operand, cmul for
+# any other, so 2a + a*b costs what cmul, mul and add cost apart.
+ab = backend.dot([a, a], [2.0, b])
+print("2a+a*b ", backend.decrypt(ab), "budget", ab.budget_bits)
 
 # The whole vector rotates; masks carve out windows. This row of 4 keeps
 # the first and third slot of every 4.

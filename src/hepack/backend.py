@@ -16,7 +16,8 @@ ledger counts every operation so schedules can be audited.
 
 The simulator is the only backend shipped here, but everything above it
 talks to the small `SimdBackend` interface, so a real leveled scheme can
-be dropped in behind the same six operations.
+be dropped in behind the same six operations. Its seventh, `dot`, a sum
+of products, is written with them; the simulator sums into one buffer.
 """
 
 from __future__ import annotations
@@ -122,7 +123,8 @@ class ModulusLedger:
 
 
 class SimdBackend(ABC):
-    """The six operations the rest of the library is written against."""
+    """The six operations the rest of the library is written against, and `dot`, written
+    with them here; an override must give the same results, counts and budget."""
 
     params: BackendParams
     ledger: ModulusLedger
@@ -144,6 +146,15 @@ class SimdBackend(ABC):
 
     @abstractmethod
     def rot(self, a: CipherVec, amount: int) -> CipherVec: ...
+
+    def dot(self, cts, operands) -> CipherVec:
+        """Sum of cts[i] * operands[i] left to right, read a pair at a time: mul a
+        ciphertext operand, cmul any other. A wrapper that inherits it sees each op."""
+        total = None
+        for ct, w in _terms(cts, operands):
+            prod = self.mul(ct, w) if isinstance(w, CipherVec) else self.cmul(ct, w)
+            total = prod if total is None else self.add(total, prod)
+        return total
 
 
 def require_integer(value, what: str) -> int:
@@ -215,17 +226,26 @@ class Plaintext:
         object.__setattr__(self, "row", row)
 
 
-def _require_ciphertext(ct, op: str):
-    """Refuse a non-ciphertext operand before an op counts or reads it."""
-    if not isinstance(ct, CipherVec):
-        raise TypeError(f"{op} takes a ciphertext, got {type(ct).__name__}")
+_END = object()
 
 
-def _slotwise(op, slots: np.ndarray, plain):
-    """op(slots, plain), a shorter Plaintext row broadcast over the rows it repeats down."""
+def _terms(cts, operands):
+    """dot's (ciphertext, operand) pairs, a pair at a time; no pair, or uneven lengths, refused."""
+    operands, w = iter(operands), _END
+    for ct in cts:
+        if (w := next(operands, _END)) is _END:
+            break
+        yield ct, w
+    if w is _END or next(operands, _END) is not _END:
+        raise ValueError("dot takes one operand per ciphertext, and at least one of each")
+
+
+def _slotwise(op, slots: np.ndarray, plain, *out):
+    """op(slots, plain[, out]), a shorter Plaintext row broadcast over the rows it repeats down."""
     if isinstance(plain, np.ndarray) and plain.shape[0] < slots.shape[0]:
-        return op(slots.reshape(-1, plain.shape[0]), plain).reshape(-1)
-    return op(slots, plain)
+        k = plain.shape[0]
+        return op(slots.reshape(-1, k), plain, *(o.reshape(-1, k) for o in out)).reshape(-1)
+    return op(slots, plain, *out)
 
 
 class SlotSimulator(SimdBackend):
@@ -234,6 +254,7 @@ class SlotSimulator(SimdBackend):
     def __init__(self, params: BackendParams | None = None):
         self.params = params or BackendParams()
         self.ledger = ModulusLedger(self.params.delta_bits, self.params.delta_c_bits)
+        self._slot_count = self.params.slots  # read by every op's ciphertext check
 
     def _plaintext(self, values, what: str):
         """The one plaintext intake: a Plaintext's row, or a finite scalar as a float.
@@ -272,15 +293,41 @@ class SlotSimulator(SimdBackend):
         slots.reshape(-1, row.shape[0])[:] = row
         return CipherVec(slots, self.params.log_q)
 
+    def _ciphertext(self, ct, op: str) -> CipherVec:
+        """The one ciphertext check, before an op counts or reads it: a CipherVec
+        of this backend's slot count, so another backend's is refused by name."""
+        if not isinstance(ct, CipherVec):
+            raise TypeError(f"{op} takes a ciphertext, got {type(ct).__name__}")
+        if len(ct.slots) != self._slot_count:
+            raise CapacityError(f"{op} takes a ciphertext of {self._slot_count} slots, "
+                                f"got one of {len(ct.slots)}")
+        return ct
+
+    def _mul_budget(self, a, b) -> int:
+        """mul's operand and depth checks, shared with dot: the product's budget."""
+        if not (isinstance(a, CipherVec) and isinstance(b, CipherVec)):
+            raise TypeError("mul takes two ciphertexts; multiply by a plaintext with cmul")
+        lvl = min(self._ciphertext(a, "mul").budget_bits, self._ciphertext(b, "mul").budget_bits)
+        if lvl < self.params.delta_bits:
+            raise DepthExhaustedError(f"mul needs {self.params.delta_bits} bits, only {lvl} left")
+        return lvl - self.params.delta_bits
+
+    def _cmul_mask(self, a, mask):
+        """cmul's operand and depth checks, shared with dot: the mask as read, the budget."""
+        if self._ciphertext(a, "cmul").budget_bits < self.params.delta_c_bits:
+            raise DepthExhaustedError(
+                f"cmul needs {self.params.delta_c_bits} bits, only {a.budget_bits} left")
+        return self._plaintext(mask, "mask"), a.budget_bits - self.params.delta_c_bits
+
     def decrypt(self, ct: CipherVec) -> np.ndarray:
-        _require_ciphertext(ct, "decrypt")
-        return ct.slots.copy()
+        return self._ciphertext(ct, "decrypt").slots.copy()
 
     def add(self, a: CipherVec, b) -> CipherVec:
         """Sum with a ciphertext, or with a plaintext that spends no budget."""
-        _require_ciphertext(a, "add")
+        self._ciphertext(a, "add")
         if isinstance(b, CipherVec):
-            slots, budget = a.slots + b.slots, min(a.budget_bits, b.budget_bits)
+            slots = a.slots + self._ciphertext(b, "add").slots
+            budget = min(a.budget_bits, b.budget_bits)
         else:
             plain = self._plaintext(b, "plaintext")
             slots, budget = _slotwise(np.add, a.slots, plain), a.budget_bits
@@ -288,29 +335,37 @@ class SlotSimulator(SimdBackend):
         return CipherVec(slots, budget)
 
     def mul(self, a: CipherVec, b: CipherVec) -> CipherVec:
-        if not (isinstance(a, CipherVec) and isinstance(b, CipherVec)):
-            raise TypeError("mul takes two ciphertexts; multiply by a plaintext with cmul")
-        lvl = min(a.budget_bits, b.budget_bits)
-        if lvl < self.params.delta_bits:
-            raise DepthExhaustedError(f"mul needs {self.params.delta_bits} bits, only {lvl} left")
+        budget = self._mul_budget(a, b)
         self.ledger.counts["mul"] += 1
-        return CipherVec(a.slots * b.slots, lvl - self.params.delta_bits)
+        return CipherVec(a.slots * b.slots, budget)
 
     def cmul(self, a: CipherVec, mask) -> CipherVec:
         """Product with a plaintext mask: a Plaintext, a slot-length array or a scalar."""
-        _require_ciphertext(a, "cmul")
-        if a.budget_bits < self.params.delta_c_bits:
-            raise DepthExhaustedError(
-                f"cmul needs {self.params.delta_c_bits} bits, only {a.budget_bits} left"
-            )
-        m = self._plaintext(mask, "mask")
+        m, budget = self._cmul_mask(a, mask)
         self.ledger.counts["cmul"] += 1
-        return CipherVec(_slotwise(np.multiply, a.slots, m),
-                         a.budget_bits - self.params.delta_c_bits)
+        return CipherVec(_slotwise(np.multiply, a.slots, m), budget)
 
     def rot(self, a: CipherVec, amount: int) -> CipherVec:
         """Cyclic rotation by a whole amount; positive moves slot i+amount into slot i."""
-        _require_ciphertext(a, "rot")
-        k = require_integer(amount, "rotation amount") % a.slots.shape[0]
+        self._ciphertext(a, "rot")
+        k = require_integer(amount, "rotation amount") % self._slot_count
         self.ledger.counts["rot"] += 1
         return CipherVec(np.concatenate((a.slots[k:], a.slots[:k])), a.budget_bits)
+
+    def dot(self, cts, operands) -> CipherVec:
+        """SimdBackend.dot into the first product, each later one made in one scratch buffer."""
+        acc = tmp = None
+        for ct, w in _terms(cts, operands):
+            if isinstance(w, CipherVec):
+                budget, w, kind = self._mul_budget(ct, w), w.slots, "mul"
+            else:
+                (w, budget), kind = self._cmul_mask(ct, w), "cmul"
+            self.ledger.counts[kind] += 1
+            if acc is None:
+                acc, lvl = _slotwise(np.multiply, ct.slots, w), budget
+                continue
+            tmp = np.empty_like(acc) if tmp is None else tmp
+            np.add(acc, _slotwise(np.multiply, ct.slots, w, tmp), acc)
+            lvl = min(lvl, budget)
+            self.ledger.counts["add"] += 1
+        return CipherVec(acc, lvl)

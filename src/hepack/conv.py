@@ -26,7 +26,7 @@ from .backend import (BackendParams, SimdBackend, SlotSimulator, real_array,
                       require_finite)
 from .encodings import (EncodedMatrix, LayoutKind, MatrixLayout, decrypt_rows,
                         grid_layout, pack_image_batch)
-from .linalg import ceil_log2, make_valid_region_mask, reduce_add
+from .linalg import ceil_log2, make_valid_region_mask
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +94,7 @@ def conv_layer(backend: SimdBackend, image: EncodedMatrix, plans,
     grid slot a*w + b for a <= h-k, b <= w-k. Every other slot is
     unspecified: partial sums with plaintext kernels, zero with encrypted
     kernels while their mask stays (see the module docstring).
-    Tap products are made one at a time and streamed into reduce_add.
+    Each kernel's taps and weights are summed by one backend.dot.
     """
     plans = list(plans)
     lay = image.layout
@@ -114,11 +114,9 @@ def conv_layer(backend: SimdBackend, image: EncodedMatrix, plans,
     def per_kernel(plan):
         weights = plan.kernel.reshape(-1)
         if encrypted_kernels:
-            prods = (backend.mul(tap, backend.encrypt(wt)) for tap, wt in zip(taps, weights))
-            summed = backend.add(reduce_add(backend, prods), plan.bias)
+            summed = backend.add(backend.dot(taps, map(backend.encrypt, weights)), plan.bias)
             return EncodedMatrix(backend.cmul(summed, make_valid_region_mask(lay, k)), lay)
-        summed = reduce_add(backend, map(backend.cmul, taps, weights))
-        return EncodedMatrix(backend.add(summed, plan.bias), lay)
+        return EncodedMatrix(backend.add(backend.dot(taps, weights), plan.bias), lay)
 
     return [per_kernel(plan) for plan in plans]
 

@@ -13,8 +13,9 @@ Horner-style from the last, acc = rot(acc, -1) + x_t, costs the p - 1
 rotations of moving each by -t but needs one rotation key, not p - 1.
 
 With G column blocks A_g, each facing the matching rows B_g, an
-iteration adds the G products, in block order, before the row sum:
-ladder and mask are linear, so one serves every block (as in GAZELLE).
+iteration sums the G products, in block order, as one backend.dot
+before the row sum: ladder and mask are linear, so one serves every
+block (as in GAZELLE).
 B is encoded once per group of column_group_widths(p, m), each encoding
 holding its group width as layout period, which shift_rows reads:
 power-of-two widths that divide m, so advancing a group is one rotation;
@@ -33,7 +34,7 @@ from .backend import BackendParams, SimdBackend, SlotSimulator, real_array
 from .encodings import (EncodedMatrix, column_group_widths, column_groups,
                         decode_diagonal, diagonal_layout, encode_row_major,
                         encode_transpose_extended, row_major_layout)
-from .linalg import broadcast_row_sums, ceil_log2, reduce_add, shift_rows
+from .linalg import broadcast_row_sums, ceil_log2, shift_rows
 
 
 def he_matmul_partitioned(backend: SimdBackend, a_parts, b_blocks) -> EncodedMatrix:
@@ -74,14 +75,13 @@ def he_matmul_partitioned(backend: SimdBackend, a_parts, b_blocks) -> EncodedMat
                                  f"columns, but the group is {w} wide")
 
     total_layout = row_major_layout(m, f, max(a.layout.logical_width for a in a_parts))
+    a_cts = [a.ct for a in a_parts]
     acc = None
     for w, encs in reversed(list(zip(widths, zip(*b_blocks)))):
         for step in reversed(range(w)):
-            # encs[g] is block g's encoding of the group, added in block order.
-            prods = (backend.mul(a.ct, shift_rows(backend, enc, step).ct)
-                     for a, enc in zip(a_parts, encs))
-            total = EncodedMatrix(reduce_add(backend, prods), total_layout)
-            x = broadcast_row_sums(backend, total).ct
+            # encs[g] is block g's encoding of the group, summed in block order.
+            total = backend.dot(a_cts, (shift_rows(backend, enc, step).ct for enc in encs))
+            x = broadcast_row_sums(backend, EncodedMatrix(total, total_layout)).ct
             acc = x if acc is None else backend.add(backend.rot(acc, -1), x)
     return EncodedMatrix(acc, diagonal_layout(m, f, p))
 

@@ -35,7 +35,7 @@ from .conv import conv_layer, span_kernel
 from .encodings import (EncodedMatrix, LayoutKind, MatrixLayout, decrypt_rows,
                         encode_row_major, grid_layout, pack_image_batch,
                         row_major_layout)
-from .linalg import ceil_log2, reduce_add
+from .linalg import ceil_log2
 
 # Degree-three least-squares activation fits baked into the stock MNIST model.
 STOCK_ACT1 = (-0.00015120704, 0.4610149, 2.0225089, -1.4511951)
@@ -318,10 +318,10 @@ def fc_layer(backend: SimdBackend, parts, plan: FcPlan) -> EncodedMatrix:
     tail only into slots c < d, and input slots past n_g meet zero weights,
     so no mask is needed and input pad slots may hold anything. With
     d = b + B*a each part is rotated right by b < B once (baby steps,
-    hoistable). Giant step a sums its products by diagonals pre-rotated left
-    by B*a into S_a, each encrypted from its Plaintext row just before its
-    mul; acc = rot(acc, -B) + S_a from the last a down chains the giant steps
-    through one key. L doubling folds of stride p*2^s add the bands into
+    hoistable). Giant step a is one backend.dot S_a of those parts and the
+    diagonals pre-rotated left by B*a, each encrypted from its Plaintext row
+    just before its product; acc = rot(acc, -B) + S_a from the last a down
+    chains the giant steps through one key. L doubling folds of stride p*2^s add the bands into
     columns 0..p-1, then the plaintext bias row; slots past p keep
     partial band sums, which the next fc layer's zero weights ignore.
     """
@@ -334,10 +334,10 @@ def fc_layer(backend: SimdBackend, parts, plan: FcPlan) -> EncodedMatrix:
 
     acc = None
     for a in reversed(range(-(-p // baby))):
-        x = reduce_add(backend, (
-            backend.mul(steps[b], encode_row_major(backend, diags[baby * a + b], f).ct)
-            for diags, steps in zip(plan.diagonals, spun)
-            for b in range(min(baby, p - baby * a))))
+        bs = range(min(baby, p - baby * a))
+        x = backend.dot([steps[b] for steps in spun for b in bs],
+                        (encode_row_major(backend, diags[baby * a + b], f).ct
+                         for diags in plan.diagonals for b in bs))
         acc = x if acc is None else backend.add(backend.rot(acc, -baby), x)
     for s in range(plan.fold):
         acc = backend.add(acc, backend.rot(acc, p << s))

@@ -16,7 +16,7 @@ from hepack import (
     SlotSimulator,
 )
 from hepack.backend import OP_KINDS
-from common import sim
+from common import Forwarding, sim
 
 
 def test_slot_count_follows_ring_degree():
@@ -268,6 +268,28 @@ def test_ops_refuse_a_non_ciphertext_operand(op):
             "rot": (np.ones(8), 1), "decrypt": (np.ones(8),)}[op]
     with pytest.raises(TypeError, match=f"^{op} takes a ciphertext, got ndarray$"):
         getattr(backend, op)(*args)
+    assert backend.ledger.counts == dict.fromkeys(OP_KINDS, 0)
+
+
+@pytest.mark.parametrize("named,call", [
+    ("add", lambda be, own, other: be.add(other, own)),
+    ("add", lambda be, own, other: be.add(own, other)),
+    ("mul", lambda be, own, other: be.mul(other, own)),
+    ("mul", lambda be, own, other: be.mul(own, other)),
+    ("cmul", lambda be, own, other: be.cmul(other, 2.0)),
+    ("rot", lambda be, own, other: be.rot(other, 1)),
+    ("decrypt", lambda be, own, other: be.decrypt(other)),
+    ("cmul", lambda be, own, other: be.dot([other, own], [2.0, 3.0])),
+    ("mul", lambda be, own, other: be.dot([own, own], [other, own])),
+], ids=["add-a", "add-b", "mul-a", "mul-b", "cmul", "rot", "decrypt", "dot-ct", "dot-operand"])
+def test_a_ciphertext_of_another_slot_count_is_refused_by_name(named, call):
+    # numpy refused add and mul unnamed, and the rest ran on the other 8 slots.
+    backend = sim(16)
+    own, other = backend.encrypt(np.ones(16)), sim(8).encrypt(np.arange(8.0))
+    for be in (backend, Forwarding(backend)):  # the one-buffer dot and the default
+        with pytest.raises(CapacityError,
+                           match=f"^{named} takes a ciphertext of 16 slots, got one of 8$"):
+            call(be, own, other)
     assert backend.ledger.counts == dict.fromkeys(OP_KINDS, 0)
 
 

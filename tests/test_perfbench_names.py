@@ -45,3 +45,17 @@ def test_tracing_backend_forwards_plaintext_operands():
         results.append([(backend.decrypt(o).tobytes(), o.budget_bits) for o in outs])
     assert results[0] == results[1]
     assert traced.ledger.snapshot() == bare.ledger.snapshot()
+
+
+def test_tracing_backend_traces_each_product_of_a_dot():
+    # TracingBackend inherits SimdBackend.dot, so a traced dot counts each op.
+    tracer_module = load_tracer()
+    tracer = tracer_module.Tracer()
+    results = []
+    for backend in (sim(8), tracer.backend(sim(8))):
+        ct = backend.encrypt(np.arange(8.0))
+        out = backend.dot([ct, ct, ct], [2.0, backend.encrypt(0.5), Plaintext([1.0, -1.0])])
+        results.append((out.slots.tobytes(), out.budget_bits, backend.ledger.snapshot()))
+    assert results[0] == results[1]
+    assert dict(zip(tracer_module.OPS, tracer.op_calls)) == {
+        "encrypt": 2, "decrypt": 0, "add": 2, "mul": 1, "cmul": 2, "rot": 0}
