@@ -1,4 +1,4 @@
-"""Tour of the slot backend: packing, the six ops, dot, and the bit budget.
+"""Tour of the slot backend: packing, the six ops, dot, fold, and the bit budget.
 
 Every ciphertext is a vector of 2^(log_n - 1) slots plus a modulus budget
 in bits. Ciphertext products burn 45 bits, plaintext-mask products 20,
@@ -29,6 +29,14 @@ print("rot(a,1)", backend.decrypt(backend.rot(a, 1)))
 # any other, so 2a + a*b costs what cmul, mul and add cost apart.
 ab = backend.dot([a, a], [2.0, b])
 print("2a+a*b ", backend.decrypt(ab), "budget", ab.budget_bits)
+# fold runs a rotate-and-add ladder: acc = acc + rot(acc, s) for each s.
+# Steps 1, 2, 4 put the total of all 8 slots in every slot, at the cost
+# of one rot and one add per step and no budget.
+before = backend.ledger.snapshot()
+total = backend.fold(a, [1, 2, 4])
+after = backend.ledger.snapshot()
+print("fold(a) ", backend.decrypt(total), "budget", total.budget_bits)
+print("  ledger", {k: after[k] - before[k] for k in ("rot", "add")})
 
 # The whole vector rotates; masks carve out windows. This row of 4 keeps
 # the first and third slot of every 4.

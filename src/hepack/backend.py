@@ -16,8 +16,8 @@ ledger counts every operation so schedules can be audited.
 
 The simulator is the only backend shipped here, but everything above it
 talks to the small `SimdBackend` interface, so a real leveled scheme can
-be dropped in behind the same six operations. Its seventh, `dot`, a sum
-of products, is written with them; the simulator sums into one buffer.
+be dropped in behind the same six operations. `dot`, a sum of products, and
+`fold`, a rotate-and-add ladder, are written with them; the simulator fuses each.
 """
 
 from __future__ import annotations
@@ -123,8 +123,8 @@ class ModulusLedger:
 
 
 class SimdBackend(ABC):
-    """The six operations the rest of the library is written against, and `dot`, written
-    with them here; an override must give the same results, counts and budget."""
+    """The six operations the rest of the library is written against, and `dot` and `fold`,
+    written with them here; an override must give the same results, counts and budget."""
 
     params: BackendParams
     ledger: ModulusLedger
@@ -155,6 +155,13 @@ class SimdBackend(ABC):
             prod = self.mul(ct, w) if isinstance(w, CipherVec) else self.cmul(ct, w)
             total = prod if total is None else self.add(total, prod)
         return total
+
+    def fold(self, ct: CipherVec, amounts) -> CipherVec:
+        """acc = add(acc, rot(acc, s)) for each s in turn from acc = ct (OpenFHE's EvalSum);
+        no amount gives ct itself. A wrapper that inherits it sees each op."""
+        for s in amounts:
+            ct = self.add(ct, self.rot(ct, s))
+        return ct
 
 
 def require_integer(value, what: str) -> int:
@@ -345,10 +352,13 @@ class SlotSimulator(SimdBackend):
         self.ledger.counts["cmul"] += 1
         return CipherVec(_slotwise(np.multiply, a.slots, m), budget)
 
+    def _rotation(self, amount) -> int:  # rot's and fold's one rule: whole, modulo the slots
+        return require_integer(amount, "rotation amount") % self._slot_count
+
     def rot(self, a: CipherVec, amount: int) -> CipherVec:
         """Cyclic rotation by a whole amount; positive moves slot i+amount into slot i."""
         self._ciphertext(a, "rot")
-        k = require_integer(amount, "rotation amount") % self._slot_count
+        k = self._rotation(amount)
         self.ledger.counts["rot"] += 1
         return CipherVec(np.concatenate((a.slots[k:], a.slots[:k])), a.budget_bits)
 
@@ -369,3 +379,16 @@ class SlotSimulator(SimdBackend):
             lvl = min(lvl, budget)
             self.ledger.counts["add"] += 1
         return CipherVec(acc, lvl)
+
+    def fold(self, ct: CipherVec, amounts) -> CipherVec:
+        """SimdBackend.fold into one accumulator, each rotation built in one scratch buffer."""
+        n, acc, tmp = self._slot_count, None, None
+        for s in amounts:
+            x = self._ciphertext(ct, "rot").slots if acc is None else acc
+            k = self._rotation(s)
+            self.ledger.counts["rot"] += 1
+            tmp = np.empty(n) if tmp is None else tmp
+            tmp[:n - k], tmp[n - k:] = x[k:], x[:k]
+            acc = x + tmp if acc is None else np.add(acc, tmp, acc)
+            self.ledger.counts["add"] += 1
+        return ct if acc is None else CipherVec(acc, ct.budget_bits)

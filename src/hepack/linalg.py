@@ -4,7 +4,7 @@ All helpers take the backend first and an EncodedMatrix, and return one,
 the input itself where a step is free. Costs per call (asserted by tests):
 
 shift_rows            1 rot; step 0 free
-broadcast_row_sums    ceil(log2 n) rot and add + 1 cmul, n the logical width
+broadcast_row_sums    1 fold of ceil(log2 n) rot and add + 1 cmul, n the logical width
 window_sums           2*(k-1) rot + 2*(k-1) add + 1 cmul
 rotate_within_rows    2 rot + 2 cmul + 1 add; amount 0 free
 compact_columns       (2W - 1) cmul + 2(W - 1) rot + 2(W - 1) add, W the
@@ -88,18 +88,16 @@ def shift_rows(backend: SimdBackend, enc: EncodedMatrix, step: int) -> EncodedMa
 def broadcast_row_sums(backend: SimdBackend, enc: EncodedMatrix) -> EncodedMatrix:
     """Put the sum of row i in column 0 of row i, and zero everywhere else.
 
-    Rotate-and-add doubling over the layout's logical width puts the
-    exact row total in column 0 of each row, so the slots past that width
-    must be zero; the other columns pick up wrapped garbage, which the
-    column-0 mask cuts. MatrixLayout holds row_width to a power of two,
-    so the ladder stays inside the row. It keeps its name, although it
-    no longer broadcasts, because perfbench/tracer.py traces it by name
-    and tests/test_perfbench_names.py requires every traced name.
+    One backend.fold, a rotate-and-add doubling ladder over the layout's
+    logical width, puts the exact row total in column 0 of each row, so
+    the slots past that width must be zero; the other columns pick up
+    wrapped garbage, which the column-0 mask cuts. MatrixLayout holds
+    row_width to a power of two, so the ladder stays inside the row. It
+    keeps its name, though it no longer broadcasts: perfbench/tracer.py
+    traces it, and tests/test_perfbench_names.py requires each traced name.
     """
-    m, f = enc.layout.rows, enc.layout.row_width
-    acc = enc.ct
-    for t in range(ceil_log2(enc.layout.logical_width)):
-        acc = backend.add(acc, backend.rot(acc, 1 << t))
+    m, f, n = enc.layout.rows, enc.layout.row_width, enc.layout.logical_width
+    acc = backend.fold(enc.ct, [1 << t for t in range(ceil_log2(n))])
     acc = backend.cmul(acc, make_col_band_mask(m, f, 0, 1))
     return EncodedMatrix(acc, row_major_layout(m, f, 1))
 

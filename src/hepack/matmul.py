@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .backend import BackendParams, SimdBackend, SlotSimulator, real_array
+from .backend import (BackendParams, SimdBackend, SlotSimulator, real_array,
+                      require_power_of_two)
 from .encodings import (EncodedMatrix, column_group_widths, column_groups,
                         decode_diagonal, diagonal_layout, encode_row_major,
                         encode_transpose_extended, row_major_layout)
@@ -109,7 +110,8 @@ def multiply_matrices(a, b, row_width: int | None = None,
     if n != n2:
         raise ValueError(f"inner dimensions differ: {n} vs {n2}")
     rows = 1 << ceil_log2(max(m, p))
-    f = 1 << ceil_log2(max(n, p)) if row_width is None else row_width
+    f = (1 << ceil_log2(max(n, p)) if row_width is None
+         else require_power_of_two(row_width, "row_width"))
     if f < max(n, p):
         raise ValueError(f"row_width {f} too small for n={n}, p={p}")
     if backend is None:

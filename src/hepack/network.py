@@ -321,9 +321,9 @@ def fc_layer(backend: SimdBackend, parts, plan: FcPlan) -> EncodedMatrix:
     hoistable). Giant step a is one backend.dot S_a of those parts and the
     diagonals pre-rotated left by B*a, each encrypted from its Plaintext row
     just before its product; acc = rot(acc, -B) + S_a from the last a down
-    chains the giant steps through one key. L doubling folds of stride p*2^s add the bands into
-    columns 0..p-1, then the plaintext bias row; slots past p keep
-    partial band sums, which the next fc layer's zero weights ignore.
+    chains the giant steps through one key. One backend.fold of L doubling steps of stride
+    p*2^s adds the bands into columns 0..p-1, then the plaintext bias row; slots past p
+    keep partial band sums, which the next fc layer's zero weights ignore.
     """
     parts = list(parts)
     if tuple(part.layout for part in parts) != plan.layouts:
@@ -339,9 +339,7 @@ def fc_layer(backend: SimdBackend, parts, plan: FcPlan) -> EncodedMatrix:
                         (encode_row_major(backend, diags[baby * a + b], f).ct
                          for diags in plan.diagonals for b in bs))
         acc = x if acc is None else backend.add(backend.rot(acc, -baby), x)
-    for s in range(plan.fold):
-        acc = backend.add(acc, backend.rot(acc, p << s))
-    acc = backend.add(acc, plan.bias)
+    acc = backend.add(backend.fold(acc, [p << s for s in range(plan.fold)]), plan.bias)
     return EncodedMatrix(acc, plan.out_layout)
 
 

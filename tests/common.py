@@ -11,8 +11,8 @@ def sim(slots: int, **kw) -> SlotSimulator:
 
 
 class Forwarding(SimdBackend):
-    """Forwards the six ops to a wrapped backend and inherits SimdBackend.dot,
-    as perfbench's TracingBackend does."""
+    """Forwards the six ops to a wrapped backend and inherits SimdBackend.dot and
+    SimdBackend.fold, as perfbench's TracingBackend does."""
 
     def __init__(self, wrapped):
         self.wrapped, self.params, self.ledger = wrapped, wrapped.params, wrapped.ledger

@@ -25,7 +25,7 @@ from hepack import (
     row_major_layout,
 )
 from hepack.linalg import ceil_log2
-from common import ledger_delta, sim
+from common import Forwarding, ledger_delta, sim
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -217,11 +217,12 @@ def test_tiled_groups_cost_contract():
     assert out.layout == diagonal_layout(8, 8, 3)
 
 
-class _RotLog(SlotSimulator):
-    """SlotSimulator that records every rotation amount."""
+class _RotLog(Forwarding):
+    """Forwarding backend that records every rotation amount; it inherits
+    SimdBackend.fold, so each step of a row-sum ladder reaches its rot."""
 
-    def __init__(self, params):
-        super().__init__(params)
+    def __init__(self, wrapped):
+        super().__init__(wrapped)
         self.amounts = []
 
     def rot(self, a, amount):
@@ -233,7 +234,7 @@ def test_product_places_each_column_with_one_rotation_amount():
     # The row-sum ladder rotates by powers of two, the shifts by whole
     # rows, and the placement only by -1: no amount depends on the column.
     rng = np.random.default_rng(12)
-    backend = _RotLog(BackendParams.for_slots(8 * 32))
+    backend = _RotLog(sim(8 * 32))
     amounts = backend.amounts
     a = rng.normal(size=(8, 5))
     b = rng.normal(size=(5, 12))
@@ -300,8 +301,19 @@ def test_multiply_matrices_validation():
         multiply_matrices(np.ones((2, 3)), np.ones((4, 2)))
     with pytest.raises(ValueError, match="row_width"):
         multiply_matrices(np.ones((2, 8)), np.ones((8, 2)), row_width=4)
-    with pytest.raises(ValueError, match="row_width 0 too small for n=3, p=2"):
-        multiply_matrices(np.ones((2, 3)), np.ones((3, 2)), row_width=0)
+    with pytest.raises(ValueError, match="row_width 2 too small for n=3, p=2"):
+        multiply_matrices(np.ones((2, 3)), np.ones((3, 2)), row_width=2)
+
+
+@pytest.mark.parametrize("row_width,message", [
+    (6, "row_width must be a power of two, got 6"),
+    (0, "row_width must be a power of two, got 0"),
+    (4.0, "row_width must be an integer, got 4.0"),
+])
+def test_multiply_matrices_names_a_bad_row_width(row_width, message):
+    # Checked before the size check, so the slot count it makes is never blamed.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        multiply_matrices(np.ones((3, 4)), np.ones((4, 2)), row_width=row_width)
 
 
 @st.composite

@@ -53,7 +53,7 @@ from hepack.bench import (check_depth_budget, cost_mismatch, predict_layer_costs
 from hepack.backend import OP_KINDS
 from hepack.linalg import make_valid_region_mask
 from hepack.network import fc_schedule
-from common import ledger_delta, plaintexts_made, sim
+from common import Forwarding, ledger_delta, plaintexts_made, sim
 
 
 def reduced_net(seed=0, **overrides):
@@ -293,7 +293,7 @@ def _fc_cases(draw):
 def test_fc_layer_property(case):
     m, f, p, p2, (oh, ow), shapes, seed = case
     rng = np.random.default_rng(seed)
-    backend = sim(m * f)
+    backend = Forwarding(sim(m * f))  # its inherited fold steps reach the recorded rot
     parts, feats, widths, raw, spread = [], [], [], [], []
     for shape in shapes:
         # Junk in every slot the features do not fill: pad slots and
@@ -903,7 +903,7 @@ def test_infer_rotation_amounts_per_layer(geometry, keys, layers, encrypted,
     geo = geometry()
     net = random_network(np.random.default_rng(0), **geo)
     m, f = geo["batch"], geo["row_width"]
-    backend = sim(m * f)
+    backend = Forwarding(sim(m * f))  # its inherited fold steps reach the recorded rot
     packed = pack_image_batch(backend, np.zeros((m, geo["h"], geo["w"])), f)
     rot, amounts = backend.rot, []
     monkeypatch.setattr(backend, "rot", lambda ct, k: amounts.append(k) or rot(ct, k))
