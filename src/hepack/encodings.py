@@ -75,22 +75,16 @@ class MatrixLayout:
 
 
 def _one_per_geometry(make):
-    """`make`, cached so that each geometry has one MatrixLayout, the one of its ints: a
-    float or numpy integer misses the typed cache and is checked by make first."""
-    @lru_cache(maxsize=None, typed=True)
-    def cached(*geometry):
-        return make(*geometry) if all(type(v) is int for v in geometry) else of_ints(geometry)
-
-    def of_ints(geometry):
-        make(*geometry)  # refuses a value that is not an integer, by its name
-        return cached(*map(int, geometry))
+    """`make`, cached so that each geometry has one MatrixLayout, the one of its ints. A
+    geometry not all ints is checked by make first: 4.0 == 4 would share the int's entry."""
+    cached = lru_cache(maxsize=None)(make)
 
     @wraps(make)
     def layout(*geometry) -> MatrixLayout:
-        try:
-            return cached(*geometry)
-        except TypeError:  # no hash, as a 0-d array has
-            return of_ints(geometry)
+        if not all(map(int.__instancecheck__, geometry)):
+            make(*geometry)  # refuses a value that is not an integer, by its name
+            geometry = map(int, geometry)
+        return cached(*geometry)
     return layout
 
 

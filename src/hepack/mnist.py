@@ -86,7 +86,7 @@ def write_idx_images(path, images):
 
 
 def write_idx_labels(path, labels):
-    _write_idx(path, LABEL_MAGIC, real_array(labels, "labels").reshape(-1), "labels")
+    _write_idx(path, LABEL_MAGIC, real_array(labels, "labels", ndim=1), "labels")
 
 
 def image_blocks(images, batch: int) -> list[tuple[np.ndarray, int]]:

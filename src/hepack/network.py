@@ -117,6 +117,8 @@ class NetworkSpec:
         for name in ("input_h", "input_w"):  # held as an int, so a 0-d array still hashes
             object.__setattr__(self, name, require_integer(getattr(self, name), name))
         h, w = self.input_h, self.input_w
+        if min(h, w) < 1:
+            raise ValueError(f"input size must be at least 1x1, got {h}x{w}")
         feats = None  # None while still an image grid
         for pos, layer in enumerate(self.layers):
             if isinstance(layer, ConvSpec):
@@ -171,6 +173,7 @@ class NetworkSpec:
         conv, an FcPlan for an fc (spread over the conv grids), None for an
         activation. Later calls, by this spec or an equal one, reuse them.
         """
+        rows, row_width = require_integer(rows, "rows"), require_integer(row_width, "row_width")
         planned = _planned.setdefault(self, {})
         if (rows, row_width) in planned:
             return planned[rows, row_width]

@@ -265,11 +265,16 @@ def test_layout_validation():
      "output width p must be an integer, got 2.0"),
     (lambda: NetworkSpec(8.0, 8, (FcSpec(np.ones((2, 64)), np.zeros(2)),)),
      "input_h must be an integer, got 8.0"),
+    (lambda: NetworkSpec(-2, -3, (FcSpec(np.ones((1, 6)), np.zeros(1)),)),
+     "input size must be at least 1x1, got -2x-3"),
+    (lambda: NetworkSpec(0, 28, (FcSpec(np.ones((1, 0)), np.zeros(1)),)),
+     "input size must be at least 1x1, got 0x28"),
 ], ids=["zero-rows", "grid-past-the-row", "grid-layout-wider-than-the-row",
         "grid-cells-not-its-width", "row-width-not-a-power-of-two", "zero-width",
         "product-with-no-inner-dimension", "float-grid-h", "float-grid-w", "float-rows",
         "float-row-width", "float-logical-width", "float-period", "0-d-array-rows",
-        "float-decode-rows", "float-decode-width", "float-network-input-h"])
+        "float-decode-rows", "float-decode-width", "float-network-input-h",
+        "negative-network-input", "empty-network-input"])
 def test_layout_validation_names_the_cause(make, cause):
     with pytest.raises(ValueError, match=re.escape(cause)):
         make()
@@ -281,19 +286,25 @@ def test_each_layout_geometry_is_made_once():
     assert grid_layout(4, 16, 2, 3) is grid_layout(4, 16, 2, 3)
     assert row_major_layout(4, 16, 2) is not row_major_layout(4, 16, 3)
     assert row_major_layout(4, 16, 2) != diagonal_layout(4, 16, 2)
-    # The cache is typed: a whole float is not handed the int's layout.
+    # 4.0 == 4 and hashes the same, yet a whole float is not handed the int's layout.
     with pytest.raises(ValueError, match=re.escape("rows must be an integer, got 4.0")):
         row_major_layout(4.0, 16, 2)
+    transpose_extended_layout(4, 16, 3, 4)  # each factory's int geometry is made by now
+    for make, cause in ((lambda: transpose_extended_layout(4, 16, 3, 4.0), "period"),
+                        (lambda: diagonal_layout(4, 16.0, 3), "row_width"),
+                        (lambda: grid_layout(4, 16, 2, 3.0), "grid_w")):
+        with pytest.raises(ValueError, match=f"{cause} must be an integer, got [0-9]+\\.0"):
+            make()
     assert row_major_layout(np.int64(4), 16, 2) is row_major_layout(4, 16, 2)
     assert type(MatrixLayout(np.int64(4), 16, 2, LayoutKind.ROW_MAJOR).rows) is int
 
 
 def test_a_0d_integer_array_geometry_gets_the_ints_layout():
-    # A 0-d array has no hash: it is checked as an integer, then cached as its int.
+    # A 0-d array is checked as an integer, then looked up as its int.
     assert row_major_layout(np.array(4), 16, 2) is row_major_layout(4, 16, 2)
     assert diagonal_layout(4, np.array(16), 3) is diagonal_layout(4, 16, 3)
     assert grid_layout(4, 16, np.array(2), np.array(3)) is grid_layout(4, 16, 2, 3)
-    # A numpy integer misses the typed cache, then gets its int's layout too.
+    # A numpy integer is checked by make too, then gets its int's layout.
     for i in (np.int64, np.int32):
         assert row_major_layout(i(4), 16, i(2)) is row_major_layout(4, 16, 2)
         assert (transpose_extended_layout(4, i(16), 3, i(4))
@@ -318,6 +329,9 @@ def test_a_network_reads_an_integer_array_geometry_as_an_int():
     net = NetworkSpec(np.array(2), np.int64(2), (FcSpec(np.ones((3, 4)), np.zeros(3)),))
     assert (type(net.input_h), type(net.input_w)) == (int, int)
     assert net == NetworkSpec(2, 2, net.layers) and hash(net) == hash(NetworkSpec(2, 2, net.layers))
+    assert net.plan(np.array(2), np.int64(8)) is net.plan(2, 8)
+    with pytest.raises(ValueError, match=re.escape("rows must be an integer, got 2.0")):
+        net.plan(2.0, 8)  # 2.0 == 2, so the plan cache alone would hand out the int's plans
 
 
 @pytest.mark.parametrize("encode,cause", [

@@ -97,8 +97,10 @@ def test_write_idx_images_needs_three_dims(tmp_path):
     (write_idx_labels, [-2], "labels must be whole numbers in 0..255, got -2"),
     (write_idx_labels, [2.9, 1], "labels must be whole numbers in 0..255, got 2.9"),
     (write_idx_labels, ["a"], "labels must be numeric"),
+    (write_idx_labels, np.zeros((2, 2)), "labels must be 1-D, got shape (2, 2)"),
 ], ids=["fraction", "over-255", "negative", "nan", "complex", "ragged",
-        "label-over-255", "negative-label", "fractional-label", "string-label"])
+        "label-over-255", "negative-label", "fractional-label", "string-label",
+        "2-d-labels"])
 def test_idx_writers_refuse_what_a_byte_cannot_hold(tmp_path, write, values, cause):
     # Refused by name before the file is opened, not wrapped modulo 256 or truncated.
     path = tmp_path / "out"
